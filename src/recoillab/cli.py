@@ -383,13 +383,14 @@ def _analytic_msd_fn(spec):
 
 def _initial_density(spec, grid):
     import numpy as np
+    from scipy.integrate import trapezoid
 
     from .core import ScalarField
 
     p = spec.params
     x = grid.x
     rho0 = np.exp(-(x**2) / p.alpha**2) / (np.sqrt(np.pi) * p.alpha)
-    rho0 = rho0 / np.trapezoid(rho0, x)
+    rho0 = rho0 / trapezoid(rho0, x)
     return ScalarField(grid, rho0)
 
 
@@ -409,10 +410,14 @@ def _run_schrodinger(spec) -> tuple:
     elif spec.kind == "custom":
         omega = _load_omega_table(spec.omega_file, grid)
 
+    # the drift table costs a Madelung slice per row; tabulate it only for
+    # the fp/sde routes that _resolve_drift feeds from the wave
+    feeds_table = (spec.kind in ("free_recoil", "harmonic_recoil")
+                   and ("fp" in spec.routes or "sde" in spec.routes))
     prob = build_recoil_problem(
         _initial_density(spec, grid), omega, D=p.D, dt=spec.dt,
         t_end=spec.t_end, snapshot_stride=spec.snapshot_stride,
-        drift_stride=spec.drift_stride if spec.drift_stride >= 1 else None)
+        drift_stride=spec.drift_stride if feeds_table and spec.drift_stride >= 1 else None)
     wave = solve_schrodinger(prob)
     logger.info("wave route: %d slices, norm drift %.2e",
                 len(wave.times), wave.norm_drift_max)

@@ -6,6 +6,14 @@ the exact nodal Boltzmann profile for linear drift. The wave solver is the
 Cayley form (I + i dt/2 H) psi' = (I - i dt/2 H) psi, unitary in the discrete
 l2 norm, so the norm ledger holds to solver roundoff.
 
+Every implicit side is tridiagonal and goes through LAPACK's banded LU:
+?gttrf factors it (partial pivoting, O(n)) and ?gttrs solves with the
+factors. The Fokker-Planck march uses dgttrf/dgttrs, refactoring each step
+only when the drift depends on time. The wave march factors I + i dt/2 H once
+with zgttrf and takes each step with a single zgttrs solve through the Cayley
+identity psi' = 2 (I + i dt/2 H)^-1 psi - psi, so no explicit product with H
+is formed. A singular step matrix raises SolverError.
+
 The bridge between the two descriptions is ``madelung_decompose``: rho = |psi|^2
 and S = 2D * theta with the phase theta unwrapped from x = 0 outward, giving
 v = grad S and the full hydrodynamic slice.
@@ -17,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .core import ComplexField, Grid1D, ScalarField, gradient
 from .fieldcalc import HydroFields, hydro_from_rho_S
@@ -127,12 +134,24 @@ def _tridiag_matvec(lower, diag, upper, v):
     return out
 
 
+def _check_lapack(info: int, routine: str) -> None:
+    """Map a nonzero LAPACK ``info`` to SolverError: > 0 is an exactly zero
+    pivot (singular step matrix), < 0 an invalid argument."""
+    if info > 0:
+        raise SolverError(f"{routine}: step matrix is singular (zero pivot {info})")
+    if info < 0:
+        raise SolverError(f"{routine}: argument {-info} is invalid")
+
+
 def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     """Crank-Nicolson over the Chang-Cooper operator.
 
-    For time-dependent drift the implicit side uses A(t+dt) and the explicit
-    side A(t), which keeps the march second order. Raises SolverError when
-    the mass ledger moves more than 1e-12 in a step or the density undershoots
+    The implicit side I - dt/2 A is tridiagonal: LAPACK dgttrf factors it
+    (once for a static drift, in O(n) on every step for a time-dependent one)
+    and dgttrs solves each step. For time-dependent drift the implicit side
+    uses A(t+dt) and the explicit side A(t), which keeps the march second
+    order. Raises SolverError when the step matrix is singular, when the mass
+    ledger moves more than 1e-12 in a step, or when the density undershoots
     below -1e-12.
     """
     grid, dx, n = p.grid, p.grid.dx, p.grid.n
@@ -149,8 +168,10 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
 
     def factorize(tri):
         lower, diag, upper = tri
-        M = diags([-kappa * lower, 1.0 - kappa * diag, -kappa * upper], [-1, 0, 1], format="csc")
-        return splu(M)
+        *lu, info = dgttrf(-kappa * lower, 1.0 - kappa * diag, -kappa * upper,
+                           overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        _check_lapack(info, "dgttrf")
+        return lu
 
     tri_now = operator(0.0)
     lu = factorize(tri_now) if not time_dependent else None
@@ -165,19 +186,19 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
         t_next = (k + 1) * p.dt
         rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
         if time_dependent:
-            tri_next = operator(t_next)
-            rho = factorize(tri_next).solve(rhs)
-            tri_now = tri_next
-        else:
-            rho = lu.solve(rhs)
+            tri_now = operator(t_next)
+            lu = factorize(tri_now)
+        rho, info = dgttrs(*lu, rhs, overwrite_b=True)
+        _check_lapack(info, "dgttrs")
         new_mass = float(np.sum(rho) * dx)
         mass_drift_max = max(mass_drift_max, abs(new_mass - mass))
-        if abs(new_mass - mass) > 1e-12:
+        # negated comparisons, so a NaN ledger fails too
+        if not abs(new_mass - mass) <= 1e-12:
             raise SolverError(f"mass ledger moved {new_mass - mass:.3e} in one step at t={t_next}")
         mass = new_mass
         lo = float(np.min(rho))
         min_density = min(min_density, lo)
-        if lo < -1e-12:
+        if not lo >= -1e-12:
             raise SolverError(f"density undershoot {lo:.3e} at t={t_next}")
         if (k + 1) % p.snapshot_stride == 0 or k == n_steps - 1:
             times.append(t_next)
@@ -245,21 +266,29 @@ class WaveSolution:
 def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     """Cayley (Crank-Nicolson) march; unitary, so the norm ledger drifts only
     by solver roundoff (<= 1e-12 per step enforced). Aborts when probability
-    reaches the Dirichlet boundary (edge density above edge_tol * peak)."""
+    reaches the Dirichlet boundary (edge density above edge_tol * peak).
+
+    I + i dt/2 H is factored once with LAPACK zgttrf; each step is one zgttrs
+    solve through the Cayley identity
+    (I + i dt/2 H)^-1 (I - i dt/2 H) psi = 2 (I + i dt/2 H)^-1 psi - psi.
+    """
     grid, dx, n = p.grid, p.grid.dx, p.grid.n
     omega = np.zeros(n) if p.Omega is None else p.Omega.values
     h_diag = 2.0 * p.D / dx**2 + omega / (2.0 * p.D)
     h_off = -p.D / dx**2
     kappa = 0.5j * p.dt
-    M = diags([kappa * h_off * np.ones(n - 1), 1.0 + kappa * h_diag,
-               kappa * h_off * np.ones(n - 1)], [-1, 0, 1], format="csc")
-    lu = splu(M)
+    off = np.full(n - 1, kappa * h_off)
+    *lu, info = zgttrf(off, 1.0 + kappa * h_diag, off.copy(),
+                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    _check_lapack(info, "zgttrf")
 
     n_steps = int(round(p.t_end / p.dt))
     if n_steps < 1 or abs(n_steps * p.dt - p.t_end) > 1e-9 * p.t_end:
         raise ValueError("t_end must be a positive integer multiple of dt")
 
     psi = p.psi0.values.copy()
+    work = np.empty_like(psi)
+    prob = np.empty(n)
     norm = float(np.sum(np.abs(psi) ** 2) * dx)
     norm_drift_max = 0.0
     times = [0.0]
@@ -275,15 +304,19 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
 
     for k in range(n_steps):
         t_next = (k + 1) * p.dt
-        hpsi = h_diag * psi
-        hpsi[1:] += h_off * psi[:-1]
-        hpsi[:-1] += h_off * psi[1:]
-        psi = lu.solve(psi - kappa * hpsi)
+        np.copyto(work, psi)
+        solved, info = zgttrs(*lu, work, overwrite_b=True)
+        _check_lapack(info, "zgttrs")
+        solved *= 2.0
+        solved -= psi
+        psi, work = solved, psi
 
-        prob = np.abs(psi) ** 2
+        np.abs(psi, out=prob)
+        prob *= prob
         new_norm = float(np.sum(prob) * dx)
         norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
-        if abs(new_norm - norm) > 1e-12:
+        # negated comparison, so a NaN ledger fails too
+        if not abs(new_norm - norm) <= 1e-12:
             raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t_next}")
         norm = new_norm
         peak = float(np.max(prob))

@@ -16,6 +16,10 @@ from scipy.ndimage import gaussian_filter1d
 from .core import Grid1D, PhysicalParams, ScalarField
 
 
+# particles per TabulatedDrift lookup pass; keeps the working buffers in cache
+_LOOKUP_CHUNK = 8192
+
+
 class DriftDomainError(RuntimeError):
     """A particle left the domain on which the drift is defined."""
 
@@ -102,19 +106,62 @@ class TabulatedDrift(DriftSource):
             raise DriftDomainError(
                 f"t={t} outside tabulated span [{self.times[0]}, {self.times[-1]}]"
             )
-        if np.any(x < self.grid.x_min) or np.any(x > self.grid.x_max):
-            out = int(np.sum((x < self.grid.x_min) | (x > self.grid.x_max)))
+        x = np.asarray(x, dtype=float)
+        g = self.grid
+        # the negated test also rejects NaN positions
+        if x.size and not (g.x_min <= x.min() and x.max() <= g.x_max):
+            out = int(np.count_nonzero(~((x >= g.x_min) & (x <= g.x_max))))
             raise DriftDomainError(
-                f"{out} particle(s) outside drift domain [{self.grid.x_min}, {self.grid.x_max}]; "
+                f"{out} particle(s) outside drift domain [{g.x_min}, {g.x_max}]; "
                 "widen the tabulation domain"
             )
         k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2))
         t0, t1 = self.times[k], self.times[k + 1]
         w = (t - t0) / (t1 - t0)
         w = min(max(w, 0.0), 1.0)
-        b0 = np.interp(x, self.grid.x, self.values[k])
-        b1 = np.interp(x, self.grid.x, self.values[k + 1])
-        return (1.0 - w) * b0 + w * b1
+
+        # Linear interpolation in each of the two rows, in the operation order
+        # of np.interp: slope_i * (x - x_i) + f_i, slope_i = df_i / dx_i,
+        # returning f_i itself where x == x_i. Both rows share the cell index
+        # and the offset. The zero slope at index n-1 pads the table: only
+        # x == x_max reaches that index, and it sits on a node.
+        rows = self.values[k:k + 2]
+        slopes = np.zeros_like(rows)
+        np.divide(np.diff(rows, axis=1), np.diff(g.x), out=slopes[:, :-1])
+        nodes = g.x
+        # (x - x_min)/dx - 1/2 truncated is the cell index or one below it:
+        # linspace nodes sit within far less than half a cell of x_min + i dx
+        x_lo = g.x_min + 0.5 * g.dx
+        inv_dx = 1.0 / g.dx
+
+        flat = x.reshape(-1)
+        result = np.empty_like(flat)
+        m = min(flat.size, _LOOKUP_CHUNK)
+        i = np.empty(m, dtype=np.intp)
+        ahead = np.empty(m, dtype=bool)
+        off, buf, b0, b1 = (np.empty(m) for _ in range(4))
+        for lo in range(0, flat.size, _LOOKUP_CHUNK):
+            xc = flat[lo:lo + _LOOKUP_CHUNK]
+            c = xc.size
+            ic, ac, oc, bc = i[:c], ahead[:c], off[:c], buf[:c]
+            np.subtract(xc, x_lo, out=oc)
+            np.multiply(oc, inv_dx, out=ic, casting="unsafe")
+            np.take(nodes[1:], ic, out=bc, mode="clip")
+            np.greater_equal(xc, bc, out=ac)
+            ic += ac
+            np.take(nodes, ic, out=bc, mode="clip")
+            np.subtract(xc, bc, out=oc)
+            on_node = np.flatnonzero(oc == 0.0)
+            for f, s, bk in zip(rows, slopes, (b0[:c], b1[:c])):
+                np.take(s, ic, out=bk, mode="clip")
+                bk *= oc
+                np.take(f, ic, out=bc, mode="clip")
+                bk += bc
+                bk[on_node] = f[ic[on_node]]
+            b0[:c] *= 1.0 - w
+            b1[:c] *= w
+            np.add(b0[:c], b1[:c], out=result[lo:lo + c])
+        return result.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -205,10 +252,17 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
     sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
     x = state.positions.copy()
+    step = np.empty_like(x)
+    noise = np.empty_like(x)
     snapshots = [state]
     for k in range(n_steps):
         t = state.t + k * config.dt
-        x = x + drift(x, t) * config.dt + sqrt_noise * rng.standard_normal(x.size)
+        # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
+        np.multiply(drift(x, t), config.dt, out=step)
+        x += step
+        rng.standard_normal(out=noise)
+        noise *= sqrt_noise
+        x += noise
         if (k + 1) % config.snapshot_stride == 0 or k == n_steps - 1:
             snapshots.append(EnsembleState(t=state.t + (k + 1) * config.dt, positions=x))
     return snapshots

@@ -3,14 +3,19 @@ scheme, and the Madelung decomposition that links the two."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import diags
+from scipy.sparse.linalg import splu
 
+from recoillab import pde
 from recoillab.core import ComplexField, Grid1D, PhysicalParams, ScalarField, integrate
 from recoillab.analytic import (
     FreeBrownianSolution,
     FreeRecoilSolution,
     HarmonicRecoilSolution,
 )
-from recoillab.sde import AnalyticRecoilDrift, ZeroDrift, ou_drift
+from recoillab.sde import AnalyticRecoilDrift, SmoluchowskiDrift, ZeroDrift, ou_drift
 from recoillab.pde import (
     FokkerPlanckProblem,
     MadelungError,
@@ -164,6 +169,136 @@ class TestWaveSolver:
     def test_psi_at_rejects_unstored_times(self, recoil_wave):
         with pytest.raises(KeyError):
             recoil_wave.psi_at(0.33)
+
+
+def splu_fokker_planck(p):
+    """Reference Crank-Nicolson march: SuperLU on a sparse copy of
+    I - dt/2 A, refactored every step when the drift depends on time."""
+    dx, n = p.grid.dx, p.grid.n
+    x_half = p.grid.x[:-1] + 0.5 * dx
+    kappa = 0.5 * p.dt
+
+    def operator(t):
+        return pde._fp_operator(p.drift(x_half, t), p.D, dx, n)
+
+    def factorize(tri):
+        lower, diag, upper = tri
+        return splu(diags([-kappa * lower, 1.0 - kappa * diag, -kappa * upper],
+                          [-1, 0, 1], format="csc"))
+
+    tri = operator(0.0)
+    lu = factorize(tri)
+    rho = p.rho0.values.copy()
+    out = [rho]
+    for k in range(int(round(p.t_end / p.dt))):
+        lower, diag, upper = tri
+        rhs = rho + kappa * (diags([lower, diag, upper], [-1, 0, 1]) @ rho)
+        if p.drift.time_dependent:
+            tri = operator((k + 1) * p.dt)
+            lu = factorize(tri)
+        rho = lu.solve(rhs)
+        out.append(rho)
+    return out
+
+
+def splu_schrodinger(p):
+    """Reference Cayley march: SuperLU solve of (I + i dt/2 H) psi' =
+    (I - i dt/2 H) psi with an explicit product by H."""
+    dx, n = p.grid.dx, p.grid.n
+    omega = np.zeros(n) if p.Omega is None else p.Omega.values
+    H = diags([np.full(n - 1, -p.D / dx**2), 2.0 * p.D / dx**2 + omega / (2.0 * p.D),
+               np.full(n - 1, -p.D / dx**2)], [-1, 0, 1], format="csc")
+    kappa = 0.5j * p.dt
+    lu = splu((diags(np.ones(n)) + kappa * H).tocsc())
+    psi = p.psi0.values.copy()
+    out = [psi]
+    for _ in range(int(round(p.t_end / p.dt))):
+        psi = lu.solve(psi - kappa * (H @ psi))
+        out.append(psi)
+    return out
+
+
+def max_rel_diff(got, want):
+    assert len(got) == len(want)
+    return max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want))
+
+
+class TestTridiagonalSolvesMatchSuperLU:
+    grid = Grid1D(-16.0, 16.0, 401)
+
+    @pytest.mark.parametrize("drift", [ou_drift(PhysicalParams(gamma=1.5)),
+                                       AnalyticRecoilDrift(P1)],
+                             ids=["static", "time_dependent"])
+    def test_fokker_planck(self, drift):
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=drift, D=1.0, dt=2e-3, t_end=0.4)
+        sol = solve_fokker_planck(problem)
+        got = [r.values for r in sol.rhos]
+        assert max_rel_diff(got, splu_fokker_planck(problem)) <= 1e-12
+        assert sol.mass_drift_max <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_cayley_wave(self, gamma):
+        g = self.grid
+        sol = HarmonicRecoilSolution(PhysicalParams(gamma=1.0))
+        omega = ScalarField(g, sol.omega(g.x)) if gamma else None
+        problem = build_recoil_problem(initial_density(g), omega, D=1.0,
+                                       dt=1e-3, t_end=0.3)
+        wave = solve_schrodinger(problem)
+        got = [f.values for f in wave.psis]
+        assert max_rel_diff(got, splu_schrodinger(problem)) <= 1e-12
+        assert wave.norm_drift_max <= 1e-12
+
+
+class TestLedgers:
+    grid = Grid1D(-12.0, 12.0, 241)
+
+    # dt up to the positivity limit of the explicit half step,
+    # dt/2 (2D/dx^2 + |b|/dx) <= 1; beyond it an undershoot is reported
+    @settings(max_examples=25, deadline=None)
+    @given(amp=st.floats(-20.0, 20.0), k=st.floats(0.0, 3.0),
+           dt=st.sampled_from([1e-4, 1e-3, 4e-3]))
+    def test_fokker_planck_conserves_mass(self, amp, k, dt):
+        drift = SmoluchowskiDrift(lambda x: amp * np.sin(k * x), PhysicalParams())
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=drift, D=1.0, dt=dt, t_end=20 * dt)
+        sol = solve_fokker_planck(problem)
+        assert sol.mass_drift_max <= 1e-12
+        assert sol.min_density >= -1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=st.floats(0.0, 4.0), shift=st.floats(-50.0, 50.0),
+           dt=st.sampled_from([1e-4, 1e-3, 1e-2]))
+    def test_wave_conserves_norm(self, gamma, shift, dt):
+        g = self.grid
+        omega = ScalarField(g, 0.5 * gamma**2 * g.x**2 + shift)
+        problem = build_recoil_problem(initial_density(g), omega, D=1.0,
+                                       dt=dt, t_end=20 * dt, edge_tol=1.5)
+        wave = solve_schrodinger(problem)
+        assert wave.norm_drift_max <= 1e-12
+
+    def test_nan_drift_fails_the_mass_ledger(self):
+        drift = SmoluchowskiDrift(lambda x: np.where(np.abs(x) < 1.0, np.nan, 0.0),
+                                  PhysicalParams())
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=drift, D=1.0, dt=1e-3, t_end=0.01)
+        with pytest.raises(SolverError, match="mass ledger"):
+            solve_fokker_planck(problem)
+
+    @pytest.mark.parametrize("drift", [ZeroDrift(), AnalyticRecoilDrift(P1)],
+                             ids=["static", "time_dependent"])
+    def test_singular_step_matrix_raises(self, drift, monkeypatch):
+        # an operator with A = (2/dt) I makes I - dt/2 A exactly zero
+        dt = 1e-2
+
+        def singular(bhalf, D, dx, n):
+            return np.zeros(n - 1), np.full(n, 2.0 / dt), np.zeros(n - 1)
+
+        monkeypatch.setattr(pde, "_fp_operator", singular)
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=drift, D=1.0, dt=dt, t_end=0.1)
+        with pytest.raises(SolverError, match="singular"):
+            solve_fokker_planck(problem)
 
 
 class TestMadelung:

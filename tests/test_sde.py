@@ -4,6 +4,9 @@ bands so they are deterministic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recoillab.core import Grid1D, PhysicalParams, ScalarField, integrate
 from recoillab.analytic import FreeRecoilSolution, ou_variance
@@ -146,6 +149,127 @@ class TestTabulatedDrift:
         bad[1, 3] = np.inf
         with pytest.raises(ValueError, match="finite"):
             TabulatedDrift([0.0, 1.0], g, bad)
+
+
+def interp_lookup(drift, x, t):
+    """Reference bilinear lookup: one np.interp binary search per time row,
+    then the time blend, in the operation order TabulatedDrift must keep."""
+    times = drift.times
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
+    w = min(max((t - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
+    b0 = np.interp(x, drift.grid.x, drift.values[k])
+    b1 = np.interp(x, drift.grid.x, drift.values[k + 1])
+    return (1.0 - w) * b0 + w * b1
+
+
+@st.composite
+def drift_tables(draw):
+    """Random uniform grids and finite tables, signed zeros included."""
+    x_min = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    n = draw(st.integers(8, 300))
+    n_times = draw(st.integers(2, 5))
+    steps = draw(hnp.arrays(float, n_times, elements=st.floats(1e-3, 10.0)))
+    times = draw(st.floats(-10.0, 10.0)) + np.cumsum(steps)
+    values = draw(hnp.arrays(float, (n_times, n),
+                             elements=st.floats(-1e6, 1e6)))
+    return TabulatedDrift(times, Grid1D(x_min, x_min + width, n), values)
+
+
+def probe_points(grid, u):
+    """Every node, both ends, the float neighbours of every node inside the
+    domain, and a few interior points at fractions u of the span."""
+    x = grid.x
+    inside = np.concatenate([np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf)])
+    spread = grid.x_min + np.asarray(u) * (grid.x_max - grid.x_min)
+    return np.concatenate([x, [grid.x_min, grid.x_max], inside,
+                           np.clip(spread, grid.x_min, grid.x_max)])
+
+
+class TestTabulatedLookupIsBitExact:
+    @settings(max_examples=80, deadline=None)
+    @given(drift=drift_tables(), u=st.lists(st.floats(0.0, 1.0), max_size=50),
+           frac=st.floats(0.0, 1.0))
+    def test_matches_np_interp(self, drift, u, frac):
+        x = probe_points(drift.grid, u)
+        rng = np.random.default_rng(0)
+        x = rng.permutation(x)
+        t_inner = drift.times[0] + frac * (drift.times[-1] - drift.times[0])
+        for t in (drift.times[0], drift.times[-1], t_inner, *drift.times[1:-1]):
+            got = drift(x, t)
+            assert got.tobytes() == interp_lookup(drift, x, t).tobytes()
+
+    def test_nodes_keep_signed_zeros(self):
+        # np.interp returns f_i itself on a node; slope * 0 + f_i would turn
+        # a -0.0 entry into +0.0
+        g = Grid1D(0.0, 1.0, 11)
+        drift = TabulatedDrift([0.0, 1.0], g, np.stack([np.full(g.n, -0.0), -np.ones(g.n)]))
+        x = np.concatenate([g.x, [0.55]])
+        for t in (0.0, 1.0):
+            got = drift(x, t)
+            assert got.tobytes() == interp_lookup(drift, x, t).tobytes()
+
+    def test_spans_several_chunks(self):
+        # more points than one lookup pass takes, in shuffled order
+        g = Grid1D(-3.0, 5.0, 1001)
+        rng = np.random.default_rng(4)
+        drift = TabulatedDrift([0.0, 0.5, 2.0], g, rng.normal(size=(3, g.n)))
+        x = rng.uniform(g.x_min, g.x_max, 50_000)
+        got = drift(x, 0.7)
+        assert got.tobytes() == interp_lookup(drift, x, 0.7).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(drift=drift_tables(), side=st.sampled_from(["low", "high", "nan"]))
+    def test_points_off_the_table_raise(self, drift, side):
+        g = drift.grid
+        bad = {"low": np.nextafter(g.x_min, -np.inf),
+               "high": np.nextafter(g.x_max, np.inf),
+               "nan": np.nan}[side]
+        x = np.array([g.x_min, bad, g.x_max])
+        with pytest.raises(DriftDomainError, match="1 particle"):
+            drift(x, drift.times[0])
+
+
+def euler_maruyama_reference(state, drift, params, config):
+    """The one-line update loop evolve() must reproduce bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
+    sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
+    n_steps = int(round((config.t_end - state.t) / config.dt))
+    x = state.positions.copy()
+    out = [x]
+    for k in range(n_steps):
+        t = state.t + k * config.dt
+        x = x + drift(x, t) * config.dt + sqrt_noise * rng.standard_normal(x.size)
+        if (k + 1) % config.snapshot_stride == 0 or k == n_steps - 1:
+            out.append(x)
+    return out
+
+
+class TestEvolveIsBitExact:
+    params = PhysicalParams(D=0.7, alpha=1.0, gamma=1.3)
+
+    def tabulated(self):
+        g = Grid1D(-30.0, 30.0, 601)
+        times = np.linspace(0.0, 0.5, 11)
+        return TabulatedDrift(times, g, -np.outer(1.0 + times, g.x) + 0.1 * np.sin(g.x))
+
+    @pytest.mark.parametrize("kind", ["tabulated", "ou"])
+    def test_matches_the_update_loop(self, kind):
+        if kind == "tabulated":
+            drift = self.tabulated()
+
+            def reference_drift(x, t):
+                return interp_lookup(drift, x, t)
+        else:
+            drift = reference_drift = ou_drift(self.params)
+        config = SdeConfig(n_particles=2000, dt=0.01, t_end=0.5, seed=7,
+                           snapshot_stride=7)
+        state = sample_initial(self.params.alpha, config.n_particles, seed=7)
+        got = evolve(state, drift, self.params, config)
+        want = euler_maruyama_reference(state, reference_drift, self.params, config)
+        assert len(got) == len(want)
+        for snap, x in zip(got, want):
+            assert snap.positions.tobytes() == x.tobytes()
 
 
 class TestMoments:
