@@ -1,6 +1,6 @@
 """Closed-form reference solutions for the built-in scenarios.
 
-Three families, all starting from the normalized Gaussian cloud
+Four families, all starting from the normalized Gaussian cloud
 rho0(x) = (pi alpha^2)^(-dim/2) exp(-x^2/alpha^2):
 
 * ``FreeBrownianSolution`` -- overdamped diffusion with zero drift; the
@@ -10,6 +10,8 @@ rho0(x) = (pi alpha^2)^(-dim/2) exp(-x^2/alpha^2):
 * ``HarmonicRecoilSolution`` -- back-reacting dynamics in a harmonic
   confinement of rate gamma; the width breathes periodically and is
   stationary exactly when alpha^2 = 2D/gamma.
+* ``OrnsteinUhlenbeckSolution`` -- overdamped diffusion under the linear
+  restoring drift b = -gamma x; the variance relaxes to D/gamma.
 
 Everything here is exact: no meshes, no finite differences. These formulas
 are the oracles that every solver route is measured against.
@@ -20,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, ScalarField, gradient
+
+
+def _free_fields(sol, x, t) -> dict:
+    """Every field method of a free solution evaluated at (x, t)."""
+    return {k: getattr(sol, k)(x, t) for k in ("rho", "v", "u", "b", "S", "Q", "P")}
 
 
 @dataclass(frozen=True)
@@ -83,15 +90,7 @@ class FreeBrownianSolution:
 
     def fields(self, x, t) -> dict:
         """All hydrodynamic fields at (x, t) as plain arrays."""
-        return {
-            "rho": self.rho(x, t),
-            "v": self.v(x, t),
-            "u": self.u(x, t),
-            "b": self.b(x, t),
-            "S": self.S(x, t),
-            "Q": self.Q(x, t),
-            "P": self.P(x, t),
-        }
+        return _free_fields(self, x, t)
 
     def msd(self, t):
         """<|x|^2>(t) = 2 dim D (t + t0)."""
@@ -167,15 +166,7 @@ class FreeRecoilSolution:
         return 0.5 * np.log(self.rho(x, t)) + self.S(x, t) / (2.0 * self.params.D)
 
     def fields(self, x, t) -> dict:
-        return {
-            "rho": self.rho(x, t),
-            "v": self.v(x, t),
-            "u": self.u(x, t),
-            "b": self.b(x, t),
-            "S": self.S(x, t),
-            "Q": self.Q(x, t),
-            "P": self.P(x, t),
-        }
+        return _free_fields(self, x, t)
 
     def msd(self, t):
         """<x^2>(t) = alpha^2/2 + 2 D^2 t^2 / alpha^2."""
@@ -255,6 +246,13 @@ class HarmonicRecoilSolution:
         var = self.msd(t)
         return np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
+    def fields(self, x, t) -> dict:
+        p = self.params
+        var = self.msd(t)
+        s0 = self.sigma0_sq
+        dvar = p.gamma * np.sin(2 * p.gamma * t) * ((p.D / p.gamma) ** 2 / s0 - s0)
+        return _gaussian_cols(x, var, dvar, p.D)
+
     def omega(self, x):
         """Auxiliary potential of the scenario: gamma^2 x^2 / 2 - D gamma."""
         p = self.params
@@ -269,6 +267,34 @@ def ou_variance(params: PhysicalParams, t):
         raise ValueError("ou_variance needs gamma > 0")
     stat = p.D / p.gamma
     return stat + (p.alpha**2 / 2.0 - stat) * np.exp(-2.0 * p.gamma * t)
+
+
+@dataclass(frozen=True)
+class OrnsteinUhlenbeckSolution:
+    """Overdamped diffusion under b = -gamma x started from the alpha-cloud;
+    the density stays a centered Gaussian of variance ``ou_variance``."""
+
+    params: PhysicalParams
+
+    def msd(self, t):
+        return ou_variance(self.params, t)
+
+    def fields(self, x, t) -> dict:
+        p = self.params
+        var = ou_variance(p, t)
+        dvar = -2.0 * p.gamma * var + 2.0 * p.D
+        return _gaussian_cols(x, var, dvar, p.D)
+
+
+def _gaussian_cols(x, var, dvar_dt, D):
+    """Closed-form hydro fields of a centered Gaussian with width history
+    var(t): v = (dvar/2var) x, u = -D x / var, S the quadratic v-potential."""
+    rho = np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    S = dvar_dt / (4.0 * var) * x**2
+    v = dvar_dt / (2.0 * var) * x
+    u = -D * x / var
+    Q = D**2 * x**2 / (2.0 * var**2) - D**2 / var
+    return {"rho": rho, "S": S, "v": v, "u": u, "b": v + u, "Q": Q}
 
 
 def smoluchowski_omega(force: ScalarField, params: PhysicalParams) -> ScalarField:

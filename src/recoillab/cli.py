@@ -19,49 +19,105 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+from scipy.integrate import trapezoid
+
+from . import analytic, fieldcalc
+from .core import Grid1D, PhysicalParams, ScalarField
+
+# pde, sde and diagnostics are imported inside the route functions: parsing a
+# spec does not need them, and they cost about 0.1 s of start-up
 
 logger = logging.getLogger(__name__)
 
 ROUTES = ("analytic", "schrodinger", "fp", "sde")
-SCENARIOS = ("free_brownian", "free_recoil", "harmonic_recoil",
-             "smoluchowski_ou", "custom")
 
-# routes a scenario can serve; harmonic fp/sde additionally need the wave
-# route in the same run to supply their drift table
-_ALLOWED_ROUTES = {
-    "free_brownian": ("analytic", "fp", "sde"),
-    "free_recoil": ("analytic", "schrodinger", "fp", "sde"),
-    "harmonic_recoil": ("analytic", "schrodinger", "fp", "sde"),
-    "smoluchowski_ou": ("analytic", "fp", "sde"),
-    "custom": ("schrodinger", "fp", "sde"),
-}
 
-_DEFAULTS = {
-    "free_brownian": dict(x_min=-16.0, x_max=16.0, n=2001, dt=1e-3,
-                          t_end=1.0, snapshot_stride=100, drift_stride=0),
-    "free_recoil": dict(x_min=-40.0, x_max=40.0, n=4001, dt=1e-4,
-                        t_end=1.0, snapshot_stride=1000, drift_stride=100),
-    "harmonic_recoil": dict(x_min=-12.0, x_max=12.0, n=8001, dt=1e-3,
-                            t_end=4.712, snapshot_stride=250, drift_stride=10),
-    "smoluchowski_ou": dict(x_min=-12.0, x_max=12.0, n=2401, dt=1e-3,
-                            t_end=10.0, snapshot_stride=1000, drift_stride=0),
-    "custom": dict(x_min=-10.0, x_max=10.0, n=1001, dt=1e-3,
-                   t_end=1.0, snapshot_stride=100, drift_stride=0),
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the runner knows about one scenario kind.
+
+    The callables reach ``analytic`` functions and ``sde`` through module
+    attributes when a route runs, so wrappers installed on those modules
+    after import (bench/tracing.py) see the calls.
+    """
+
+    routes: tuple                  # routes the scenario can serve
+    defaults: dict                 # [grid] and [time] defaults
+    summary: str = ""              # `recoillab list` line; "" keeps it off the list
+    needs_gamma: bool = False      # the dynamics need a confinement gamma > 0
+    # (params, t_end) -> largest per-axis variance reached, for the domain check
+    peak_var: Optional[Callable] = None
+    # params -> closed form with fields(x, t) and msd(t), for the analytic route
+    solution: Optional[Callable] = None
+    # spec -> Omega ScalarField on spec.grid, or None for free dynamics
+    omega: Callable = lambda spec: None
+    # (sde module, params) -> closed-form fp/sde drift, used when no wave runs
+    drift: Optional[Callable] = None
+    energy_gate: bool = False      # the total energy is conserved, so gate it
+    tables: bool = False           # the dynamics come from the [tables] files
+
+
+SCENARIOS = {
+    "free_brownian": Scenario(
+        routes=("analytic", "fp", "sde"),
+        defaults=dict(x_min=-16.0, x_max=16.0, n=2001, dt=1e-3,
+                      t_end=1.0, snapshot_stride=100, drift_stride=0),
+        summary="b = 0; <x^2> = alpha^2/2 + 2*D*t per axis",
+        peak_var=lambda p, t: p.alpha**2 / 2 + 2 * p.D * t,
+        solution=analytic.FreeBrownianSolution,
+        drift=lambda sde, p: sde.ZeroDrift()),
+    "free_recoil": Scenario(
+        routes=("analytic", "schrodinger", "fp", "sde"),
+        defaults=dict(x_min=-40.0, x_max=40.0, n=4001, dt=1e-4,
+                      t_end=1.0, snapshot_stride=1000, drift_stride=100),
+        summary=("b = 2D(2Dt - alpha^2) x / (alpha^4 + 4 D^2 t^2); "
+                 "<x^2> = alpha^2/2 + 2 D^2 t^2 / alpha^2"),
+        peak_var=lambda p, t: p.alpha**2 / 2 + 2 * p.D**2 * t**2 / p.alpha**2,
+        solution=analytic.FreeRecoilSolution,
+        drift=lambda sde, p: sde.AnalyticRecoilDrift(p),
+        energy_gate=True),
+    # fp/sde take their drift from the wave route in the same run
+    "harmonic_recoil": Scenario(
+        routes=("analytic", "schrodinger", "fp", "sde"),
+        defaults=dict(x_min=-12.0, x_max=12.0, n=8001, dt=1e-3,
+                      t_end=4.712, snapshot_stride=250, drift_stride=10),
+        summary=("Omega = gamma^2 x^2 / 2 - D gamma; width oscillates "
+                 "with period pi/gamma, frozen when alpha^2 = 2D/gamma"),
+        needs_gamma=True,
+        peak_var=lambda p, t: max(p.alpha**2 / 2,
+                                  (p.D / p.gamma) ** 2 / (p.alpha**2 / 2)),
+        solution=analytic.HarmonicRecoilSolution,
+        omega=lambda spec: ScalarField(spec.grid, analytic.HarmonicRecoilSolution(
+            spec.params).omega(spec.grid.x)),
+        energy_gate=True),
+    "smoluchowski_ou": Scenario(
+        routes=("analytic", "fp", "sde"),
+        defaults=dict(x_min=-12.0, x_max=12.0, n=2401, dt=1e-3,
+                      t_end=10.0, snapshot_stride=1000, drift_stride=0),
+        summary="b = -gamma x; variance relaxes to D/gamma",
+        needs_gamma=True,
+        peak_var=lambda p, t: max(p.alpha**2 / 2, p.D / p.gamma),
+        solution=analytic.OrnsteinUhlenbeckSolution,
+        omega=lambda spec: analytic.smoluchowski_omega(ScalarField(
+            spec.grid, -spec.params.m * spec.params.beta * spec.params.gamma
+            * spec.grid.x), spec.params),
+        drift=lambda sde, p: sde.ou_drift(p)),
+    "custom": Scenario(
+        routes=("schrodinger", "fp", "sde"),
+        defaults=dict(x_min=-10.0, x_max=10.0, n=1001, dt=1e-3,
+                      t_end=1.0, snapshot_stride=100, drift_stride=0),
+        omega=lambda spec: _load_omega_table(spec.omega_file, spec.grid),
+        tables=True),
 }
 
 _TOLERANCE_DEFAULTS = dict(linf_rho=1e-4, l1_rho=2e-2, msd_rel=1e-3,
                            msd_nsigma=3.0, energy_drift=1e-3)
-
-_SCENARIO_SUMMARIES = {
-    "free_brownian": "b = 0; <x^2> = alpha^2/2 + 2*D*t per axis",
-    "free_recoil": ("b = 2D(2Dt - alpha^2) x / (alpha^4 + 4 D^2 t^2); "
-                    "<x^2> = alpha^2/2 + 2 D^2 t^2 / alpha^2"),
-    "harmonic_recoil": ("Omega = gamma^2 x^2 / 2 - D gamma; width oscillates "
-                        "with period pi/gamma, frozen when alpha^2 = 2D/gamma"),
-    "smoluchowski_ou": "b = -gamma x; variance relaxes to D/gamma",
-}
 
 _SPARSE_FRAC = 1e-12  # hydro columns are blanked where rho < frac * peak
 
@@ -77,11 +133,8 @@ class ScenarioSpec:
     name: str
     kind: str
     routes: tuple
-    params: object            # PhysicalParams
-    dim: int
-    x_min: float
-    x_max: float
-    n: int
+    params: PhysicalParams
+    grid: Grid1D
     dt: float                 # wave / field-solver step
     fp_dt: float
     t_end: float
@@ -95,7 +148,6 @@ class ScenarioSpec:
     fmt: str                  # csv | binary
     strict: bool
     tolerances: dict
-    min_half_sigmas: float
     drift_file: str = ""
     omega_file: str = ""
 
@@ -115,8 +167,6 @@ def _get(cfg, section, key, cast, default):
 def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
               strict=False) -> ScenarioSpec:
     """Parse and validate a spec file; CLI flags override file values."""
-    from .core import PhysicalParams
-
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = cfg.read(path)
     if not read:
@@ -126,7 +176,9 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
 
     kind = _get(cfg, "scenario", "kind", str, None).strip()
     if kind not in SCENARIOS:
-        raise SpecError(f"unknown scenario kind {kind!r}; choose from {SCENARIOS}")
+        raise SpecError(f"unknown scenario kind {kind!r}; "
+                        f"choose from {tuple(SCENARIOS)}")
+    scenario = SCENARIOS[kind]
     name = _get(cfg, "scenario", "name", str, kind).strip()
 
     routes_raw = _get(cfg, "scenario", "routes", str, None)
@@ -138,7 +190,7 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
         raise SpecError(f"unknown routes {bad}; choose from {ROUTES}")
     routes = tuple(r for r in ROUTES if r in routes)  # canonical order
     for r in routes:
-        if r not in _ALLOWED_ROUTES[kind]:
+        if r not in scenario.routes:
             raise SpecError(f"route {r!r} is not available for scenario {kind!r}"
                             + (" (the wave linearization evolves the recoil "
                                "dynamics, not this scenario)"
@@ -154,24 +206,19 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
         )
     except ValueError as exc:
         raise SpecError(f"bad [params]: {exc}") from exc
-    dim = _get(cfg, "params", "dim", int, 1)
-    if dim not in (1, 3):
-        raise SpecError("dim must be 1 or 3")
-    if dim == 3 and (kind != "free_brownian" or routes != ("analytic",)):
-        raise SpecError("dim = 3 is closed-form only: scenario free_brownian "
-                        "with routes = analytic")
-    if kind in ("harmonic_recoil", "smoluchowski_ou") and params.gamma <= 0:
+    if _get(cfg, "params", "dim", int, 1) != 1:
+        raise SpecError("dim must be 1: every route runs on a 1D grid")
+    if scenario.needs_gamma and params.gamma <= 0:
         raise SpecError(f"scenario {kind!r} needs gamma > 0")
-    if kind == "harmonic_recoil":
-        for r in ("fp", "sde"):
-            if r in routes and "schrodinger" not in routes:
-                raise SpecError(f"harmonic_recoil route {r!r} takes its drift "
-                                "from the wave route; add schrodinger to routes")
 
-    d = _DEFAULTS[kind]
+    d = scenario.defaults
     x_min = _get(cfg, "grid", "x_min", float, d["x_min"])
     x_max = _get(cfg, "grid", "x_max", float, d["x_max"])
     n = _get(cfg, "grid", "n", int, d["n"])
+    try:
+        grid = Grid1D(x_min, x_max, n)
+    except ValueError as exc:
+        raise SpecError(f"bad [grid]: {exc}") from exc
     min_half_sigmas = _get(cfg, "grid", "min_half_sigmas", float, 8.0)
 
     dt = _get(cfg, "time", "dt", float, d["dt"])
@@ -183,6 +230,15 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
         raise SpecError("dt, fp_dt and t_end must be > 0")
     if snapshot_stride < 1:
         raise SpecError("snapshot_stride must be >= 1")
+
+    if scenario.peak_var is not None:
+        sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
+        half = min(-grid.x_min, grid.x_max)
+        if half < min_half_sigmas * sigma:
+            raise SpecError(
+                f"domain half-width {half:g} is below {min_half_sigmas:g} x "
+                f"the expected peak standard deviation {sigma:.3g}; widen "
+                f"[grid] or lower min_half_sigmas")
 
     sde_n = _get(cfg, "sde", "n_particles", int, 100000)
     sde_dt = _get(cfg, "sde", "dt", float, 1e-3)
@@ -203,62 +259,36 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
         raise SpecError("output format must be csv or binary")
     seed_val = seed if seed is not None else _get(cfg, "scenario", "seed", int, 0)
 
-    drift_file = _get(cfg, "tables", "drift_file", str, "").strip()
-    omega_file = _get(cfg, "tables", "omega_file", str, "").strip()
-    if kind == "custom":
-        if not drift_file and not omega_file:
-            raise SpecError("custom scenario needs [tables] drift_file and/or "
-                            "omega_file")
-        if "schrodinger" in routes and not omega_file:
-            raise SpecError("custom schrodinger route needs an omega_file")
-        if not drift_file and ("fp" in routes or "sde" in routes) \
-                and "schrodinger" not in routes:
-            raise SpecError("custom fp/sde routes need a drift_file (or the "
-                            "schrodinger route to tabulate one)")
+    # table paths are relative to the spec file
+    tables = {"drift_file": "", "omega_file": ""}
+    if scenario.tables:
         base = os.path.dirname(os.path.abspath(path))
-        if drift_file and not os.path.isabs(drift_file):
-            drift_file = os.path.join(base, drift_file)
-        if omega_file and not os.path.isabs(omega_file):
-            omega_file = os.path.join(base, omega_file)
+        for key in tables:
+            value = _get(cfg, "tables", key, str, "").strip()
+            tables[key] = os.path.join(base, value) if value else ""
+        if "schrodinger" in routes and not tables["omega_file"]:
+            raise SpecError(f"scenario {kind!r} route 'schrodinger' needs "
+                            "[tables] omega_file")
+    # fp/sde take the drift_file if given, else the wave's drift table if the
+    # wave route runs, else the scenario's closed-form drift
+    if ("fp" in routes or "sde" in routes) and not tables["drift_file"]:
+        if "schrodinger" in routes and drift_stride < 1:
+            raise SpecError("drift_stride must be >= 1 to tabulate the "
+                            "wave drift for fp/sde routes")
+        if "schrodinger" not in routes and not scenario.drift:
+            raise SpecError(f"scenario {kind!r} routes fp/sde take their drift "
+                            "from the wave route; add schrodinger to routes"
+                            + (" or give [tables] drift_file"
+                               if scenario.tables else ""))
 
-    spec = ScenarioSpec(
-        name=name, kind=kind, routes=routes, params=params, dim=dim,
-        x_min=x_min, x_max=x_max, n=n, dt=dt, fp_dt=fp_dt, t_end=t_end,
+    return ScenarioSpec(
+        name=name, kind=kind, routes=routes, params=params, grid=grid,
+        dt=dt, fp_dt=fp_dt, t_end=t_end,
         snapshot_stride=snapshot_stride, drift_stride=drift_stride,
         sde_n=sde_n, sde_dt=sde_dt, sde_stride=sde_stride, seed=seed_val,
         out_dir=out, fmt=fmt_val, strict=strict, tolerances=tolerances,
-        min_half_sigmas=min_half_sigmas,
-        drift_file=drift_file, omega_file=omega_file,
+        **tables,
     )
-    _check_domain(spec)
-    return spec
-
-
-def _expected_sigma_max(spec) -> float:
-    """Largest per-axis standard deviation the scenario reaches by t_end."""
-    import numpy as np
-
-    p = spec.params
-    if spec.kind == "free_brownian":
-        return float(np.sqrt(p.alpha**2 / 2 + 2 * p.D * spec.t_end))
-    if spec.kind == "free_recoil":
-        return float(np.sqrt(p.alpha**2 / 2 + 2 * p.D**2 * spec.t_end**2 / p.alpha**2))
-    if spec.kind == "harmonic_recoil":
-        s0 = p.alpha**2 / 2
-        return float(np.sqrt(max(s0, (p.D / p.gamma) ** 2 / s0)))
-    if spec.kind == "smoluchowski_ou":
-        return float(np.sqrt(max(p.alpha**2 / 2, p.D / p.gamma)))
-    return 0.0  # custom: caller knows best
-
-
-def _check_domain(spec):
-    sigma = _expected_sigma_max(spec)
-    half = min(-spec.x_min, spec.x_max)
-    if sigma > 0 and half < spec.min_half_sigmas * sigma:
-        raise SpecError(
-            f"domain half-width {half:g} is below {spec.min_half_sigmas:g} x "
-            f"the expected peak standard deviation {sigma:.3g}; widen [grid] "
-            f"or lower min_half_sigmas")
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +302,17 @@ class RouteData:
     slices: list = field(default_factory=list)   # (t, {col: array}) for CSV
     msd: object = None                           # MsdSeries
     energy: object = None                        # EnergyReport or None
-    verdict: dict = None
     rho_final: object = None                     # ScalarField at t_end
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
 
 
 def _mask_sparse(rho, cols):
     """Blank derived hydro columns where the density carries no information."""
-    import numpy as np
-
     thin = rho < _SPARSE_FRAC * float(np.max(rho))
     return {k: np.where(thin, np.nan, v) for k, v in cols.items()}
 
 
-def _gaussian_cols(x, var, dvar_dt, D):
-    """Closed-form hydro fields of a centered Gaussian with width history
-    var(t): v = (dvar/2var) x, u = -D x / var, S the quadratic v-potential."""
-    import numpy as np
-
-    rho = np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    S = dvar_dt / (4.0 * var) * x**2
-    v = dvar_dt / (2.0 * var) * x
-    u = -D * x / var
-    Q = D**2 * x**2 / (2.0 * var**2) - D**2 / var
-    return {"rho": rho, "S": S, "v": v, "u": u, "b": v + u, "Q": Q}
-
-
 def _snap_times(spec):
-    import numpy as np
-
     n_steps = int(round(spec.t_end / spec.dt))
     ks = np.arange(spec.snapshot_stride, n_steps + 1, spec.snapshot_stride)
     times = [0.0] + [k * spec.dt for k in ks]
@@ -310,114 +322,50 @@ def _snap_times(spec):
 
 
 def _run_analytic(spec) -> RouteData:
-    import numpy as np
-
-    from . import analytic
-    from .core import Grid1D, ScalarField
     from .diagnostics import energy_report, msd_from_fields
-    from .fieldcalc import hydro_from_arrays
 
-    p = spec.params
-    grid = Grid1D(spec.x_min, spec.x_max, spec.n)
-    x = grid.x
+    p, grid = spec.params, spec.grid
+    sol = SCENARIOS[spec.kind].solution(p)
+    omega = SCENARIOS[spec.kind].omega(spec)
     times = _snap_times(spec)
     out = RouteData()
-
-    omega = np.zeros_like(x)
-    if spec.kind == "harmonic_recoil":
-        omega = 0.5 * p.gamma**2 * x**2 - p.D * p.gamma
-    elif spec.kind == "smoluchowski_ou":
-        force = ScalarField(grid, -p.m * p.beta * p.gamma * x)
-        omega = analytic.smoluchowski_omega(force, p).values
-
-    if spec.kind == "free_brownian":
-        sol = analytic.FreeBrownianSolution(p, dim=spec.dim)
-    elif spec.kind == "free_recoil":
-        sol = analytic.FreeRecoilSolution(p)
-    elif spec.kind == "harmonic_recoil":
-        sol = analytic.HarmonicRecoilSolution(p)
-
     hydro = []
     for t in times:
-        if spec.kind in ("free_brownian", "free_recoil"):
-            cols = sol.fields(x, t)
-            cols.pop("P")
-        elif spec.kind == "harmonic_recoil":
-            var = sol.msd(t)
-            s0 = sol.sigma0_sq
-            dvar = p.gamma * np.sin(2 * p.gamma * t) * ((p.D / p.gamma) ** 2 / s0 - s0)
-            cols = _gaussian_cols(x, var, dvar, p.D)
-        else:  # smoluchowski_ou
-            var = analytic.ou_variance(p, t)
-            dvar = -2.0 * p.gamma * var + 2.0 * p.D
-            cols = _gaussian_cols(x, var, dvar, p.D)
+        cols = sol.fields(grid.x, t)
+        cols.pop("P", None)  # the free solutions' pressure is not a CSV column
         out.slices.append((float(t), cols))
-        if spec.dim == 1:
-            hydro.append(hydro_from_arrays(
-                float(t), grid, p.D, rho=cols["rho"], S=cols["S"], v=cols["v"],
-                u=cols["u"], Q=cols["Q"], b=cols["b"], Omega=omega))
+        hydro.append(fieldcalc.hydro_from_arrays(
+            float(t), grid, p.D, rho=cols["rho"], S=cols["S"], v=cols["v"],
+            u=cols["u"], Q=cols["Q"], b=cols["b"],
+            Omega=None if omega is None else omega.values))
 
     rhos = [ScalarField(grid, c["rho"]) for _, c in out.slices]
-    out.msd = msd_from_fields(times, rhos, dim=spec.dim, source="analytic")
-    # 1D quadrature misstates energies of radial (dim=3) profiles; skip them
-    out.energy = energy_report(hydro) if spec.dim == 1 else None
+    out.msd = msd_from_fields(times, rhos, source="analytic")
+    out.energy = energy_report(hydro)
     out.rho_final = rhos[-1]
     return out
 
 
-def _analytic_msd_fn(spec):
-    """Closed-form msd of the built-in scenarios, or None."""
-    from . import analytic
-
-    p = spec.params
-    if spec.kind == "free_brownian":
-        return analytic.FreeBrownianSolution(p, dim=spec.dim).msd
-    if spec.kind == "free_recoil":
-        return analytic.FreeRecoilSolution(p).msd
-    if spec.kind == "harmonic_recoil":
-        return analytic.HarmonicRecoilSolution(p).msd
-    if spec.kind == "smoluchowski_ou":
-        return lambda t: analytic.ou_variance(p, t)
-    return None
-
-
-def _initial_density(spec, grid):
-    import numpy as np
-    from scipy.integrate import trapezoid
-
-    from .core import ScalarField
-
-    p = spec.params
-    x = grid.x
+def _initial_density(spec):
+    p, x = spec.params, spec.grid.x
     rho0 = np.exp(-(x**2) / p.alpha**2) / (np.sqrt(np.pi) * p.alpha)
     rho0 = rho0 / trapezoid(rho0, x)
-    return ScalarField(grid, rho0)
+    return ScalarField(spec.grid, rho0)
 
 
 def _run_schrodinger(spec) -> tuple:
     """Returns (RouteData, WaveSolution); the wave also feeds drift tables."""
-    import numpy as np
-
-    from .core import Grid1D, ScalarField
     from .diagnostics import energy_report, msd_from_fields
     from .pde import build_recoil_problem, madelung_decompose, solve_schrodinger
 
     p = spec.params
-    grid = Grid1D(spec.x_min, spec.x_max, spec.n)
-    omega = None
-    if spec.kind == "harmonic_recoil":
-        omega = ScalarField(grid, 0.5 * p.gamma**2 * grid.x**2 - p.D * p.gamma)
-    elif spec.kind == "custom":
-        omega = _load_omega_table(spec.omega_file, grid)
-
     # the drift table costs a Madelung slice per row; tabulate it only for
     # the fp/sde routes that _resolve_drift feeds from the wave
-    feeds_table = (spec.kind in ("free_recoil", "harmonic_recoil")
-                   and ("fp" in spec.routes or "sde" in spec.routes))
+    feeds_table = ("fp" in spec.routes or "sde" in spec.routes) and not spec.drift_file
     prob = build_recoil_problem(
-        _initial_density(spec, grid), omega, D=p.D, dt=spec.dt,
+        _initial_density(spec), SCENARIOS[spec.kind].omega(spec), D=p.D, dt=spec.dt,
         t_end=spec.t_end, snapshot_stride=spec.snapshot_stride,
-        drift_stride=spec.drift_stride if feeds_table and spec.drift_stride >= 1 else None)
+        drift_stride=spec.drift_stride if feeds_table else None)
     wave = solve_schrodinger(prob)
     logger.info("wave route: %d slices, norm drift %.2e",
                 len(wave.times), wave.norm_drift_max)
@@ -440,28 +388,18 @@ def _run_schrodinger(spec) -> tuple:
 
 
 def _resolve_drift(spec, wave):
-    from .analytic import FreeRecoilSolution
-    from .sde import AnalyticRecoilDrift, SmoluchowskiDrift, ZeroDrift, ou_drift
+    """The fp/sde drift, chosen by the rule load_spec checks."""
+    from . import sde
 
-    if spec.kind == "free_brownian":
-        return ZeroDrift()
-    if spec.kind == "smoluchowski_ou":
-        return ou_drift(spec.params)
-    if spec.kind in ("free_recoil", "harmonic_recoil"):
-        if wave is not None:
-            if wave.drift_table is None:
-                raise SpecError("drift_stride must be >= 1 to tabulate the "
-                                "wave drift for fp/sde routes")
-            return wave.drift_table
-        return AnalyticRecoilDrift(spec.params)
-    return _load_drift_table(spec.drift_file)
+    if spec.drift_file:
+        return _load_drift_table(spec.drift_file)
+    if wave is not None:
+        return wave.drift_table
+    return SCENARIOS[spec.kind].drift(sde, spec.params)
 
 
 def _load_drift_table(path):
     """Drift table CSV: first row `nan, x_0, ..., x_m`; then `t_i, b_i0, ...`."""
-    import numpy as np
-
-    from .core import Grid1D
     from .sde import TabulatedDrift
 
     try:
@@ -483,15 +421,11 @@ def _load_drift_table(path):
 
 def _load_omega_table(path, grid):
     """Omega table CSV: rows `x, omega`; interpolated onto the run grid."""
-    import numpy as np
-
-    from .core import ScalarField
-
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise SpecError(f"cannot read omega table {path!r}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.shape[1] != 2:
         raise SpecError("omega table must have two columns: x, omega")
     xs, vals = data[:, 0], data[:, 1]
     if xs[0] > grid.x_min or xs[-1] < grid.x_max:
@@ -500,18 +434,13 @@ def _load_omega_table(path, grid):
 
 
 def _run_fp(spec, drift) -> RouteData:
-    import numpy as np
-
-    from .core import Grid1D, ScalarField
     from .diagnostics import msd_from_fields
-    from .fieldcalc import osmotic_velocity, pressure_potential
     from .pde import FokkerPlanckProblem, solve_fokker_planck
 
-    p = spec.params
-    grid = Grid1D(spec.x_min, spec.x_max, spec.n)
+    p, grid = spec.params, spec.grid
     stride = max(1, int(round(spec.snapshot_stride * spec.dt / spec.fp_dt)))
     prob = FokkerPlanckProblem(grid=grid, drift=drift, D=p.D,
-                               rho0=_initial_density(spec, grid),
+                               rho0=_initial_density(spec),
                                t_end=spec.t_end, dt=spec.fp_dt,
                                snapshot_stride=stride)
     sol = solve_fokker_planck(prob)
@@ -520,9 +449,9 @@ def _run_fp(spec, drift) -> RouteData:
 
     out = RouteData()
     for t, rho in zip(sol.times, sol.rhos):
-        u = osmotic_velocity(rho, p.D).values
+        u = fieldcalc.osmotic_velocity(rho, p.D).values
         b = np.asarray(drift(grid.x, float(t)), dtype=float)
-        Q, _ = pressure_potential(rho, p.D)
+        Q, _ = fieldcalc.pressure_potential(rho, p.D)
         cols = _mask_sparse(rho.values, {
             "S": np.full(grid.n, np.nan), "v": b - u, "u": u, "b": b,
             "Q": Q.values})
@@ -534,7 +463,6 @@ def _run_fp(spec, drift) -> RouteData:
 
 
 def _run_sde(spec, drift) -> RouteData:
-    from .core import Grid1D
     from .diagnostics import msd_from_ensemble
     from .sde import SdeConfig, evolve, kde_density, sample_initial
 
@@ -546,14 +474,11 @@ def _run_sde(spec, drift) -> RouteData:
     snaps = evolve(state0, drift, p, config)
     logger.info("sde route: %d particles, %d snapshots", spec.sde_n, len(snaps))
 
-    out = RouteData()
-    out.snapshots = snaps
-    out.msd = msd_from_ensemble(snaps)
-    grid = Grid1D(spec.x_min, spec.x_max, spec.n)
+    out = RouteData(msd=msd_from_ensemble(snaps), snapshots=snaps)
     for s in snaps:
-        kde = kde_density(s, grid)
+        kde = kde_density(s, spec.grid)
         out.slices.append((float(s.t), {"rho": kde.values}))
-    out.rho_final = kde_density(snaps[-1], grid)
+    out.rho_final = kde_density(snaps[-1], spec.grid)
     return out
 
 
@@ -574,67 +499,60 @@ def _dispersion_entry(spec, msd_series) -> dict:
 # gates and report
 
 
-def _evaluate_gates(spec, results) -> list:
-    """Ordered tolerance checks; each entry is a dict with a pass flag."""
-    import numpy as np
-
+def _gate_values(spec, results):
+    """(name, value, tolerance) of each gate in order, computed lazily so a
+    strict run stops computing at the first failure."""
     from .diagnostics import compare_fields
 
     tol = spec.tolerances
-    gates = []
-
-    def add(name, value, tolerance):
-        gates.append({"name": name, "value": float(value),
-                      "tolerance": float(tolerance),
-                      "passed": bool(value <= tolerance)})
-        if not gates[-1]["passed"]:
-            logger.warning("gate %s failed: %.3e > %.3e", name, value, tolerance)
-        return gates[-1]["passed"]
-
-    def halt(ok):
-        return spec.strict and not ok
-
     analytic = results.get("analytic")
     for route in ("schrodinger", "fp"):
         if analytic and route in results:
             cmp = compare_fields(results[route].rho_final, analytic.rho_final)
-            if halt(add(f"linf_rho_{route}", cmp.linf, tol["linf_rho"])):
-                return gates
+            yield f"linf_rho_{route}", cmp.linf, tol["linf_rho"]
     if analytic and "sde" in results:
         cmp = compare_fields(results["sde"].rho_final, analytic.rho_final)
-        if halt(add("l1_rho_sde", cmp.l1, tol["l1_rho"])):
-            return gates
+        yield "l1_rho_sde", cmp.l1, tol["l1_rho"]
 
     numeric = [r for r in ("schrodinger", "fp", "sde") if r in results]
     for i, a in enumerate(numeric):
         for b in numeric[i + 1:]:
             cmp = compare_fields(results[a].rho_final, results[b].rho_final)
-            if halt(add(f"l1_rho_{a}_{b}", cmp.l1, tol["l1_rho"])):
-                return gates
+            yield f"l1_rho_{a}_{b}", cmp.l1, tol["l1_rho"]
 
-    msd_fn = _analytic_msd_fn(spec)
-    if msd_fn is not None and "analytic" in spec.routes:
+    if analytic:
+        msd_fn = SCENARIOS[spec.kind].solution(spec.params).msd
         for route in ("schrodinger", "fp"):
             if route in results:
                 series = results[route].msd
                 exact = float(msd_fn(series.times[-1]))
                 rel = abs(series.values[-1] - exact) / abs(exact)
-                if halt(add(f"msd_rel_{route}", rel, tol["msd_rel"])):
-                    return gates
+                yield f"msd_rel_{route}", rel, tol["msd_rel"]
         if "sde" in results:
             series = results["sde"].msd
             exact = float(msd_fn(series.times[-1]))
             nsig = abs(series.values[-1] - exact) / float(series.stderr[-1])
-            if halt(add("msd_nsigma_sde", nsig, tol["msd_nsigma"])):
-                return gates
+            yield "msd_nsigma_sde", nsig, tol["msd_nsigma"]
 
-    if spec.kind in ("free_recoil", "harmonic_recoil"):
+    if SCENARIOS[spec.kind].energy_gate:
         for route in ("analytic", "schrodinger"):
-            if route in results and results[route].energy is not None:
+            if route in results:
                 tot = results[route].energy.total
                 spread = float(np.max(tot) - np.min(tot))
-                if halt(add(f"energy_drift_{route}", spread, tol["energy_drift"])):
-                    return gates
+                yield f"energy_drift_{route}", spread, tol["energy_drift"]
+
+
+def _evaluate_gates(spec, results) -> list:
+    """Ordered tolerance checks; each entry is a dict with a pass flag."""
+    gates = []
+    for name, value, tolerance in _gate_values(spec, results):
+        gates.append({"name": name, "value": float(value),
+                      "tolerance": float(tolerance),
+                      "passed": bool(value <= tolerance)})
+        if not gates[-1]["passed"]:
+            logger.warning("gate %s failed: %.3e > %.3e", name, value, tolerance)
+            if spec.strict:
+                break
     return gates
 
 
@@ -646,8 +564,8 @@ def _build_report(spec, results, gates) -> dict:
         "routes": list(spec.routes),
         "seed": spec.seed,
         "params": {"D": p.D, "m": p.m, "beta": p.beta, "alpha": p.alpha,
-                   "gamma": p.gamma, "t0": p.t0, "dim": spec.dim},
-        "grid": {"x_min": spec.x_min, "x_max": spec.x_max, "n": spec.n},
+                   "gamma": p.gamma, "t0": p.t0, "dim": 1},
+        "grid": asdict(spec.grid),
         "time": {"dt": spec.dt, "fp_dt": spec.fp_dt, "t_end": spec.t_end,
                  "sde_dt": spec.sde_dt},
         "tolerances": dict(spec.tolerances),
@@ -679,8 +597,6 @@ def _build_report(spec, results, gates) -> dict:
 
 
 def _fields_csv(slices, x) -> bytes:
-    import numpy as np
-
     order = ("rho", "S", "v", "u", "b", "Q")
     lines = ["t,x,rho,S,v,u,b,Q"]
     for t, cols in slices:
@@ -725,10 +641,6 @@ PARTICLE_MAGIC = b"RLABPT01"
 def _particles_binary(snapshots) -> bytes:
     """Magic, uint64 snapshot count, then per snapshot: float64 t, uint64 n,
     n little-endian float64 positions."""
-    import struct
-
-    import numpy as np
-
     parts = [PARTICLE_MAGIC, struct.pack("<Q", len(snapshots))]
     for s in snapshots:
         parts.append(struct.pack("<dQ", float(s.t), s.positions.size))
@@ -738,10 +650,6 @@ def _particles_binary(snapshots) -> bytes:
 
 def read_particles_binary(path):
     """Inverse of the binary writer; returns a list of (t, positions)."""
-    import struct
-
-    import numpy as np
-
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != PARTICLE_MAGIC:
@@ -759,12 +667,8 @@ def read_particles_binary(path):
 
 
 def _write_artifacts(spec, results, report) -> dict:
-    import numpy as np
-
-    from .core import Grid1D
-
     os.makedirs(spec.out_dir, exist_ok=True)
-    x = Grid1D(spec.x_min, spec.x_max, spec.n).x
+    x = spec.grid.x
     files = {}
 
     for route, data in results.items():
@@ -836,9 +740,8 @@ def run_scenario(spec: ScenarioSpec) -> int:
 
 
 def list_scenarios(as_json: bool) -> int:
-    rows = [{"name": kind, "routes": list(_ALLOWED_ROUTES[kind]),
-             "summary": _SCENARIO_SUMMARIES[kind]}
-            for kind in SCENARIOS if kind != "custom"]
+    rows = [{"name": kind, "routes": list(s.routes), "summary": s.summary}
+            for kind, s in SCENARIOS.items() if s.summary]
     if as_json:
         print(json.dumps(rows, indent=2))
         return 0

@@ -38,7 +38,7 @@ class SolverError(RuntimeError):
     """A stability or conservation ledger was violated mid-run."""
 
 
-class MadelungError(RuntimeError):
+class MadelungError(SolverError):
     """The wave phase is too poorly resolved to define velocities."""
 
 
@@ -70,12 +70,19 @@ class FokkerPlanckProblem:
         mass = trapezoid(self.rho0.values, dx=self.grid.dx)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"rho0 must be normalized, integral = {mass}")
-        explicit_bound = self.grid.dx**2 / (2.0 * self.D)
-        logger.info(
-            "fokker-planck dt=%.3g, explicit-predictor stability bound dx^2/(2D)=%.3g (%s)",
-            self.dt, explicit_bound,
-            "respected" if self.dt <= explicit_bound else "exceeded; implicit scheme relaxes it",
-        )
+        if logger.isEnabledFor(logging.INFO):
+            # Crank-Nicolson keeps rho >= 0 while its explicit half I + dt/2 A
+            # has no negative entry, dt/2 max|A_ii| <= 1 (the implicit side is
+            # an M-matrix). Chang-Cooper gives |A_ii| <= 2D/dx^2 + max|b|/dx
+            # at nodes the drift does not leave through both faces (2 max|b|).
+            dx = self.grid.dx
+            b = self.drift(self.grid.x[:-1] + 0.5 * dx, 0.0)
+            bound = 0.5 * self.dt * float(np.max(-_fp_operator(b, self.D, dx, self.grid.n)[1]))
+            logger.info(
+                "fokker-planck dt=%.3g, positivity bound dt/2 max|A_ii| = %.3g at t=0 (%s)",
+                self.dt, bound,
+                "respected" if bound <= 1.0 else "exceeded; the density may undershoot",
+            )
 
 
 @dataclass(frozen=True)

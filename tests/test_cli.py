@@ -1,6 +1,7 @@
 """Scenario runner: spec parsing, exit codes, artifact layout, hashing,
 and the binary particle format."""
 
+import dataclasses
 import glob
 import hashlib
 import json
@@ -9,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from recoillab import cli, pde
 from recoillab.cli import (
     PARTICLE_MAGIC,
     SpecError,
@@ -145,6 +147,29 @@ t_end = 0.5
 """)
         assert self.rc(path) == 2
 
+    @pytest.mark.parametrize("grid", ["n = 4", "x_max = inf"])
+    def test_bad_grid(self, tmp_path, grid):
+        path = write_cfg(tmp_path, "bad.cfg", f"""
+[scenario]
+kind = free_recoil
+routes = analytic
+
+[grid]
+{grid}
+""")
+        assert self.rc(path) == 2
+
+    def test_dim_other_than_one(self, tmp_path):
+        path = write_cfg(tmp_path, "bad.cfg", """
+[scenario]
+kind = free_brownian
+routes = analytic
+
+[params]
+dim = 3
+""")
+        assert self.rc(path) == 2
+
     def test_unknown_tolerance_key(self, tmp_path):
         path = write_cfg(tmp_path, "bad.cfg", """
 [scenario]
@@ -202,10 +227,72 @@ drift_stride = 0
 """)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
 
+    def test_madelung_failure_returns_three(self, tmp_path, monkeypatch, capsys):
+        def under_resolved(*args, **kwargs):
+            raise pde.MadelungError("phase jump 3.1 rad")
+
+        monkeypatch.setattr(pde, "madelung_decompose", under_resolved)
+        assert run_smoke(tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "solver failure: phase jump" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestScenarioRegistry:
+    def test_custom_fp_takes_the_wave_drift(self, tmp_path):
+        # a zero Omega is free recoil dynamics; with no drift_file the fp
+        # route reads the drift the wave route tabulates
+        np.savetxt(tmp_path / "omega.csv", [[-10.0, 0.0], [10.0, 0.0]],
+                   delimiter=",")
+        path = write_cfg(tmp_path, "custom.cfg", """
+[scenario]
+kind = custom
+routes = schrodinger, fp
+
+[grid]
+x_min = -10
+x_max = 10
+n = 201
+
+[time]
+t_end = 0.2
+snapshot_stride = 100
+drift_stride = 5
+
+[tables]
+omega_file = omega.csv
+""")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert (out / "fields_fp.csv").is_file()
+
+    def test_one_entry_adds_a_scenario(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli.SCENARIOS, "ou_copy", dataclasses.replace(
+            cli.SCENARIOS["smoluchowski_ou"], summary="OU under another name"))
+        path = write_cfg(tmp_path, "copy.cfg", """
+[scenario]
+kind = ou_copy
+routes = analytic, fp
+
+[params]
+gamma = 1.0
+
+[grid]
+x_min = -10
+x_max = 10
+n = 401
+
+[time]
+t_end = 1.0
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert main(["list"]) == 0
+        assert "ou_copy" in capsys.readouterr().out
 
 
 class TestSmokeArtifacts:

@@ -1,6 +1,8 @@
 """Grid solvers: Chang-Cooper/Crank-Nicolson transport, the Cayley wave
 scheme, and the Madelung decomposition that links the two."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,28 @@ class TestFokkerPlanck:
         assert np.max(np.abs(sol.rho_at(1.0).values - exact)) < 1e-4
         assert sol.mass_drift_max < 1e-12
         assert sol.min_density > -1e-12
+
+    @pytest.mark.parametrize("D", [1.0, 0.1])
+    def test_step_log_states_the_positivity_bound(self, caplog, D):
+        # dt = 0.05 on dx = 0.1 under b = 12 sin(3x) undershoots; at D = 0.1
+        # the step is within dx^2/(2D), so only the drift breaks positivity
+        p = PhysicalParams(D=D)
+        g = Grid1D(-5.0, 5.0, 101)
+        caplog.set_level(logging.INFO, logger="recoillab.pde")
+        problem = FokkerPlanckProblem(
+            grid=g, rho0=initial_density(g), D=D, dt=0.05, t_end=1.0,
+            drift=SmoluchowskiDrift(lambda x: 12.0 * np.sin(3.0 * x), p))
+        assert "positivity bound" in caplog.text
+        assert "exceeded" in caplog.text
+        with pytest.raises(SolverError, match="undershoot"):
+            solve_fokker_planck(problem)
+
+    def test_step_log_respected_for_a_small_step(self, caplog):
+        g = Grid1D(-5.0, 5.0, 101)
+        caplog.set_level(logging.INFO, logger="recoillab.pde")
+        FokkerPlanckProblem(grid=g, rho0=initial_density(g), D=1.0, dt=1e-3,
+                            t_end=1.0, drift=ZeroDrift())
+        assert "respected" in caplog.text
 
     def test_ou_relaxes_to_boltzmann_profile(self, ou_fp, ou_params):
         g = ou_fp.grid
