@@ -22,13 +22,13 @@ import os
 import struct
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import analytic, fieldcalc
-from .core import Grid1D, PhysicalParams, ScalarField
+from .core import Grid1D, PhysicalParams, ScalarField, trapezoid
 
 # pde, sde and diagnostics are imported inside the route functions: parsing a
 # spec does not need them, and they cost about 0.1 s of start-up
@@ -596,56 +596,73 @@ def _build_report(spec, results, gates) -> dict:
 # artifact writing
 
 
-def _fields_csv(slices, x) -> bytes:
-    order = ("rho", "S", "v", "u", "b", "Q")
-    lines = ["t,x,rho,S,v,u,b,Q"]
+# Every writer is a generator of bytes blocks, one per time slice or
+# particle snapshot, so no artifact is ever held whole in memory. Columns are
+# formatted with one %-call each and joined into rows; the text is that of
+# formatting every value with "%.17g".
+
+
+def _format_column(values) -> list:
+    """The "%.17g" text of every value of a float column."""
+    values = np.asarray(values, dtype=float).tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _csv_block(*columns) -> bytes:
+    """Comma-joined rows of equal-length text columns, each row ending in a
+    newline."""
+    text = "\n".join(map(",".join, zip(*columns, strict=True)))
+    return (text + "\n").encode() if text else b""
+
+
+def _fields_csv(slices, x_text):
+    """Blocks of fields_<route>.csv; x_text is the formatted grid column,
+    shared by every slice. A column a slice lacks is written as nan."""
+    yield b"t,x,rho,S,v,u,b,Q\n"
+    nan = ["nan"] * len(x_text)
     for t, cols in slices:
-        block = np.column_stack(
-            [np.full(x.size, t), x]
-            + [np.asarray(cols.get(k, np.full(x.size, np.nan)), dtype=float)
-               for k in order])
-        lines.extend(",".join("%.17g" % v for v in row) for row in block)
-    return ("\n".join(lines) + "\n").encode()
+        yield _csv_block(
+            repeat("%.17g" % float(t), len(x_text)), x_text,
+            *(_format_column(cols[k]) if k in cols else nan
+              for k in ("rho", "S", "v", "u", "b", "Q")))
 
 
-def _msd_csv(series) -> bytes:
+def _msd_csv(series):
     err = series.stderr
-    lines = ["t,msd,stderr"]
-    for i, t in enumerate(series.times):
-        e = 0.0 if err is None else float(err[i])
-        lines.append("%.17g,%.17g,%.17g" % (t, series.values[i], e))
-    return ("\n".join(lines) + "\n").encode()
+    yield b"t,msd,stderr\n"
+    yield _csv_block(*map(_format_column, (
+        series.times, series.values,
+        np.zeros(len(series.times)) if err is None else err)))
 
 
-def _energy_csv(report) -> bytes:
-    lines = ["t,kinetic,osmotic,potential,total"]
-    tot = report.total
-    for i, t in enumerate(report.times):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            t, report.kinetic[i], report.osmotic[i], report.potential[i], tot[i]))
-    return ("\n".join(lines) + "\n").encode()
+def _energy_csv(report):
+    yield b"t,kinetic,osmotic,potential,total\n"
+    yield _csv_block(*map(_format_column, (
+        report.times, report.kinetic, report.osmotic, report.potential,
+        report.total)))
 
 
-def _particles_csv(snapshots) -> bytes:
-    chunks = ["t,particle_index,x"]
+def _particles_csv(snapshots):
+    yield b"t,particle_index,x\n"
+    index = []
     for s in snapshots:
-        t = float(s.t)
-        chunks.extend("%.17g,%d,%.17g" % (t, i, v)
-                      for i, v in enumerate(s.positions))
-    return ("\n".join(chunks) + "\n").encode()
+        n = s.positions.size
+        if len(index) != n:
+            index = list(map(str, range(n)))
+        yield _csv_block(repeat("%.17g" % float(s.t), n), index,
+                         _format_column(s.positions))
 
 
 PARTICLE_MAGIC = b"RLABPT01"
 
 
-def _particles_binary(snapshots) -> bytes:
+def _particles_binary(snapshots):
     """Magic, uint64 snapshot count, then per snapshot: float64 t, uint64 n,
     n little-endian float64 positions."""
-    parts = [PARTICLE_MAGIC, struct.pack("<Q", len(snapshots))]
+    yield PARTICLE_MAGIC + struct.pack("<Q", len(snapshots))
     for s in snapshots:
-        parts.append(struct.pack("<dQ", float(s.t), s.positions.size))
-        parts.append(np.ascontiguousarray(s.positions, dtype="<f8").tobytes())
-    return b"".join(parts)
+        yield struct.pack("<dQ", float(s.t), s.positions.size)
+        yield np.ascontiguousarray(s.positions, dtype="<f8").tobytes()
 
 
 def read_particles_binary(path):
@@ -666,14 +683,43 @@ def read_particles_binary(path):
     return out
 
 
-def _write_artifacts(spec, results, report) -> dict:
-    os.makedirs(spec.out_dir, exist_ok=True)
-    x = spec.grid.x
-    files = {}
+def _json_blocks(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, in pieces."""
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj):
+        yield chunk.encode()
+    yield b"\n"
 
+
+def _write_blocks(path, blocks) -> dict:
+    """Write the blocks to path as they come; their sha256 and byte count."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
+            digest.update(block)
+            size += len(block)
+    return {"sha256": digest.hexdigest(), "bytes": size}
+
+
+def _write_artifacts(spec, results, report) -> dict:
+    """Write every artifact, then the manifest of their hashes.
+
+    An earlier manifest is removed before the first byte is written and the
+    new one is renamed into place last, so a run that dies partway leaves no
+    manifest vouching for half-written files.
+    """
+    os.makedirs(spec.out_dir, exist_ok=True)
+    manifest_path = os.path.join(spec.out_dir, "manifest.json")
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
+
+    x_text = _format_column(spec.grid.x)
+    files = {}
     for route, data in results.items():
         if data.slices:
-            files[f"fields_{route}.csv"] = _fields_csv(data.slices, x)
+            files[f"fields_{route}.csv"] = _fields_csv(data.slices, x_text)
         files[f"msd_{route}.csv"] = _msd_csv(data.msd)
         if data.energy is not None:
             files[f"energy_{route}.csv"] = _energy_csv(data.energy)
@@ -682,19 +728,14 @@ def _write_artifacts(spec, results, report) -> dict:
             files["particles_sde.bin"] = _particles_binary(results["sde"].snapshots)
         else:
             files["particles_sde.csv"] = _particles_csv(results["sde"].snapshots)
-
-    files["report.json"] = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    files["report.json"] = _json_blocks(report)
 
     manifest = {"name": spec.name, "seed": spec.seed, "files": {}}
     for name in sorted(files):
-        blob = files[name]
-        with open(os.path.join(spec.out_dir, name), "wb") as fh:
-            fh.write(blob)
-        manifest["files"][name] = {
-            "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-    blob = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-    with open(os.path.join(spec.out_dir, "manifest.json"), "wb") as fh:
-        fh.write(blob)
+        manifest["files"][name] = _write_blocks(
+            os.path.join(spec.out_dir, name), files[name])
+    _write_blocks(manifest_path + ".tmp", _json_blocks(manifest))
+    os.replace(manifest_path + ".tmp", manifest_path)
     return manifest
 
 

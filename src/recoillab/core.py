@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,21 @@ def laplacian(f: ScalarField) -> ScalarField:
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dx2
     return ScalarField(f.grid, out)
+
+
+def trapezoid(y, x=None, dx=1.0):
+    """Trapezoidal rule over a 1D array, with the terms and the summation of
+    scipy's trapezoid, so the result is bit-equal to it."""
+    y = np.asarray(y)
+    d = dx if x is None else np.diff(np.asarray(x))
+    return (d * (y[1:] + y[:-1]) / 2.0).sum()
+
+
+def cumulative_trapezoid(y, dx=1.0):
+    """Running trapezoidal integral with a leading 0.0, bit-equal to scipy's
+    cumulative_trapezoid(y, dx=dx, initial=0.0)."""
+    y = np.asarray(y)
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
 def integrate(f: ScalarField) -> float:

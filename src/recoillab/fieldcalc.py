@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .core import Grid1D, ScalarField, gradient, integrate_interval
+from .core import (Grid1D, ScalarField, cumulative_trapezoid, gradient,
+                   integrate_interval)
 
 
 class SignConvention(str, enum.Enum):
@@ -108,7 +108,7 @@ def pressure_potential(rho: ScalarField, D: float, rel_floor: float = 1e-300):
 def pressure_from_density(rho: ScalarField, Q: ScalarField) -> ScalarField:
     """Integrate grad P = rho grad Q from the left boundary (P(x_min) = 0)."""
     integrand = rho.values * gradient(Q).values
-    P = cumulative_trapezoid(integrand, dx=rho.grid.dx, initial=0.0)
+    P = cumulative_trapezoid(integrand, dx=rho.grid.dx)
     return ScalarField(rho.grid, P)
 
 

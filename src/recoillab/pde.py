@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
-from .core import ComplexField, Grid1D, ScalarField, gradient
+from .core import ComplexField, Grid1D, ScalarField, gradient, trapezoid
 from .fieldcalc import HydroFields, hydro_from_rho_S
 from .sde import DriftSource, TabulatedDrift
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .core import Grid1D, PhysicalParams, ScalarField
 
@@ -314,6 +313,9 @@ def kde_density(state: EnsembleState, grid: Grid1D,
     n >~ 100; fewer particles are accepted but noisy. Degenerate samples
     fall back to a one-grid-cell bandwidth.
     """
+    # scipy.ndimage loads only when a KDE runs, not with pde's import of sde
+    from scipy.ndimage import gaussian_filter1d
+
     pos = state.positions
     if np.any(pos < grid.x_min) or np.any(pos > grid.x_max):
         out = int(np.sum((pos < grid.x_min) | (pos > grid.x_max)))

@@ -6,6 +6,7 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -359,6 +360,31 @@ class TestSmokeArtifacts:
     def test_compare_runs_needs_manifests(self, smoke_run, tmp_path):
         _, a = smoke_run
         assert compare_runs(str(a), str(tmp_path / "missing")) == 2
+
+
+class TestCrashMidWrite:
+    def test_no_manifest_survives_a_failed_rerun(self, tmp_path, monkeypatch):
+        out, first = tmp_path / "run", tmp_path / "first"
+        assert run_smoke(out) == 0
+        shutil.copytree(out, first)
+        names = sorted(json.loads((out / "manifest.json").read_text())["files"])
+        second = out / names[1]
+        second.unlink()  # so the rerun's own copy marks that it got there
+
+        format_column = cli._format_column
+
+        def failing(values):
+            if second.exists():
+                raise RuntimeError("formatter failed")
+            return format_column(values)
+
+        monkeypatch.setattr(cli, "_format_column", failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            run_smoke(out)
+        assert (out / names[0]).read_bytes() == (first / names[0]).read_bytes()
+        assert second.stat().st_size < (first / names[1]).stat().st_size
+        assert not (out / "manifest.json").exists()
+        assert main(["compare", str(first), str(out)]) == 2
 
 
 class TestBinaryParticles:

@@ -1,0 +1,171 @@
+"""The streaming artifact writers of recoillab.cli against the row-by-row
+reference writers: byte for byte, block by block, and through the manifest."""
+
+import hashlib
+import json
+import os
+import tempfile
+from collections import namedtuple
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import reference_writers as ref
+from recoillab import cli
+from recoillab.core import Grid1D
+from recoillab.diagnostics import EnergyReport
+
+# duck-typed stand-ins: the writers read only these attributes, and unlike
+# EnsembleState and MsdSeries they accept non-finite values
+Snapshot = namedtuple("Snapshot", "t positions")
+Series = namedtuple("Series", "times values stderr")
+
+FIELD_COLUMNS = ("rho", "S", "v", "u", "b", "Q")
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+            1.0, -3.0, 2.0**53, 1e16, 0.1, 1e-5, 123456789.0]
+values = st.one_of(st.sampled_from(SPECIALS), st.floats(width=64))
+
+
+def columns(n):
+    return hnp.arrays(np.float64, n, elements=values)
+
+
+def joined(blocks):
+    return b"".join(blocks)
+
+
+@st.composite
+def field_slices(draw):
+    n = draw(st.integers(1, 12))
+    x = draw(columns(n))
+    slices = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = draw(st.lists(st.sampled_from(FIELD_COLUMNS), unique=True))
+        slices.append((draw(values), {k: draw(columns(n)) for k in keys}))
+    return x, slices
+
+
+@st.composite
+def snapshots(draw):
+    return [Snapshot(draw(values), draw(columns(draw(st.integers(1, 10)))))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+class TestFormatColumn:
+    @given(columns(st.integers(0, 20)))
+    def test_each_value_is_formatted_on_its_own(self, col):
+        assert cli._format_column(col) == ["%.17g" % v for v in col]
+
+
+class TestWritersMatchTheReference:
+    @settings(max_examples=150, deadline=None)
+    @given(field_slices())
+    def test_fields(self, case):
+        x, slices = case
+        blocks = list(cli._fields_csv(slices, cli._format_column(x)))
+        assert len(blocks) == 1 + len(slices)  # the header, then one per slice
+        assert joined(blocks) == ref.fields_csv(slices, x)
+
+    def test_fields_sde_slices_hold_rho_only(self):
+        # the particle route's slices carry a KDE density and nothing else
+        x = np.linspace(-1.0, 1.0, 9)
+        slices = [(0.0, {"rho": np.exp(-x**2)}), (0.5, {"rho": np.full(9, 1e-320)})]
+        text = joined(cli._fields_csv(slices, cli._format_column(x)))
+        assert text == ref.fields_csv(slices, x)
+        assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.tuples(columns(n), columns(n), st.none() | columns(n))))
+    def test_msd(self, cols):
+        series = Series(*cols)
+        assert joined(cli._msd_csv(series)) == ref.msd_csv(series)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # totals of ±inf and ±1e308
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(*[columns(n)] * 4)))
+    def test_energy(self, cols):
+        report = EnergyReport(*cols)
+        assert joined(cli._energy_csv(report)) == ref.energy_csv(report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshots())
+    def test_particles_csv(self, snaps):
+        blocks = list(cli._particles_csv(snaps))
+        assert len(blocks) == 1 + len(snaps)
+        assert joined(blocks) == ref.particles_csv(snaps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(snapshots())
+    def test_particles_binary_round_trip(self, snaps):
+        blob = joined(cli._particles_binary(snaps))
+        assert blob == ref.particles_binary(snaps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "particles_sde.bin")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            back = cli.read_particles_binary(path)
+        assert len(back) == len(snaps)
+        for (t, xs), s in zip(back, snaps):
+            assert np.float64(t).tobytes() == np.float64(s.t).tobytes()
+            assert xs.tobytes() == s.positions.tobytes()
+
+    @given(st.recursive(
+        st.none() | st.booleans() | values | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=20))
+    def test_json(self, obj):
+        expected = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        assert joined(cli._json_blocks(obj)) == expected
+
+
+@st.composite
+def run_results(draw):
+    """A spec stand-in and route results with every artifact kind."""
+    grid = Grid1D(-1.0, 1.0, draw(st.integers(8, 12)))
+    fmt = draw(st.sampled_from(["csv", "binary"]))
+    results = {}
+    for route in draw(st.lists(st.sampled_from(cli.ROUTES), min_size=1,
+                               unique=True)):
+        times = draw(columns(draw(st.integers(1, 4))))
+        slices = [(t, {k: draw(columns(grid.n)) for k in
+                       draw(st.lists(st.sampled_from(FIELD_COLUMNS), unique=True))})
+                  for t in times]
+        energy = None
+        if route in ("analytic", "schrodinger"):
+            energy = EnergyReport(times, *(draw(columns(times.size)) for _ in range(3)))
+        results[route] = cli.RouteData(
+            slices=slices, energy=energy,
+            msd=Series(times, draw(columns(times.size)),
+                       draw(columns(times.size)) if route == "sde" else None),
+            snapshots=draw(snapshots()) if route == "sde" else [])
+    report = {"name": "case", "gates": [], "values": draw(st.lists(values))}
+    spec = SimpleNamespace(name="case", seed=draw(st.integers(0, 2**32)),
+                           grid=grid, fmt=fmt)
+    return spec, results, report
+
+
+class TestWriteArtifacts:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(run_results())
+    def test_files_and_manifest_match_the_reference(self, case):
+        spec, results, report = case
+        files, manifest_bytes = ref.artifacts(spec, results, report)
+        with tempfile.TemporaryDirectory() as tmp:
+            spec.out_dir = tmp
+            manifest = cli._write_artifacts(spec, results, report)
+            assert sorted(os.listdir(tmp)) == sorted([*files, "manifest.json"])
+            for name, blob in files.items():
+                with open(os.path.join(tmp, name), "rb") as fh:
+                    assert fh.read() == blob, name
+                assert manifest["files"][name] == {
+                    "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+            with open(os.path.join(tmp, "manifest.json"), "rb") as fh:
+                assert fh.read() == manifest_bytes
