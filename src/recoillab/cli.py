@@ -28,10 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, fieldcalc
-from .core import Grid1D, PhysicalParams, ScalarField, trapezoid
+from .core import Grid1D, PhysicalParams, ScalarField, steps, trapezoid
 
 # pde, sde and diagnostics are imported inside the route functions: parsing a
-# spec does not need them, and they cost about 0.1 s of start-up
+# spec does not need them, and pde loads scipy.linalg (0.2-0.4 s of start-up)
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +146,6 @@ class ScenarioSpec:
     seed: int
     out_dir: str
     fmt: str                  # csv | binary
-    strict: bool
     tolerances: dict
     drift_file: str = ""
     omega_file: str = ""
@@ -164,8 +163,16 @@ def _get(cfg, section, key, cast, default):
     return default
 
 
-def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
-              strict=False) -> ScenarioSpec:
+def _check_steps(t_end, dt, key):
+    """core.steps as a spec check: dt must divide t_end (both > 0)."""
+    try:
+        steps(t_end, dt)
+    except ValueError as exc:
+        raise SpecError(f"{key} = {dt!r} must divide t_end = {t_end!r} into a "
+                        "positive whole number of steps") from exc
+
+
+def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     """Parse and validate a spec file; CLI flags override file values."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = cfg.read(path)
@@ -226,10 +233,12 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
     snapshot_stride = _get(cfg, "time", "snapshot_stride", int, d["snapshot_stride"])
     drift_stride = _get(cfg, "time", "drift_stride", int, d["drift_stride"])
     fp_dt = _get(cfg, "time", "fp_dt", float, max(dt, 1e-3))
-    if dt <= 0 or fp_dt <= 0 or t_end <= 0:
-        raise SpecError("dt, fp_dt and t_end must be > 0")
     if snapshot_stride < 1:
         raise SpecError("snapshot_stride must be >= 1")
+    # also without the wave route: the analytic route samples the wave's steps
+    _check_steps(t_end, dt, "[time] dt")
+    if "fp" in routes:
+        _check_steps(t_end, fp_dt, "[time] fp_dt")
 
     if scenario.peak_var is not None:
         sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
@@ -242,8 +251,13 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
 
     sde_n = _get(cfg, "sde", "n_particles", int, 100000)
     sde_dt = _get(cfg, "sde", "dt", float, 1e-3)
-    sde_stride = _get(cfg, "sde", "snapshot_stride", int,
-                      max(1, int(round(0.25 / sde_dt))))
+    sde_stride = 1
+    if "sde" in routes:
+        _check_steps(t_end, sde_dt, "[sde] dt")
+        sde_stride = _get(cfg, "sde", "snapshot_stride", int,
+                          max(1, int(round(0.25 / sde_dt))))
+        if sde_n < 1 or sde_stride < 1:
+            raise SpecError("[sde] n_particles and snapshot_stride must be >= 1")
 
     tolerances = dict(_TOLERANCE_DEFAULTS)
     if cfg.has_section("tolerances"):
@@ -286,7 +300,7 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
         dt=dt, fp_dt=fp_dt, t_end=t_end,
         snapshot_stride=snapshot_stride, drift_stride=drift_stride,
         sde_n=sde_n, sde_dt=sde_dt, sde_stride=sde_stride, seed=seed_val,
-        out_dir=out, fmt=fmt_val, strict=strict, tolerances=tolerances,
+        out_dir=out, fmt=fmt_val, tolerances=tolerances,
         **tables,
     )
 
@@ -299,10 +313,9 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None,
 class RouteData:
     """Everything one route contributes to artifacts and gates."""
 
-    slices: list = field(default_factory=list)   # (t, {col: array}) for CSV
+    slices: list = field(default_factory=list)   # (t, {col: array}); last = final state
     msd: object = None                           # MsdSeries
     energy: object = None                        # EnergyReport or None
-    rho_final: object = None                     # ScalarField at t_end
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
 
 
@@ -312,22 +325,16 @@ def _mask_sparse(rho, cols):
     return {k: np.where(thin, np.nan, v) for k, v in cols.items()}
 
 
-def _snap_times(spec):
-    n_steps = int(round(spec.t_end / spec.dt))
-    ks = np.arange(spec.snapshot_stride, n_steps + 1, spec.snapshot_stride)
-    times = [0.0] + [k * spec.dt for k in ks]
-    if abs(times[-1] - spec.t_end) > 1e-12:
-        times.append(spec.t_end)
-    return np.asarray(times)
-
-
 def _run_analytic(spec) -> RouteData:
     from .diagnostics import energy_report, msd_from_fields
 
     p, grid = spec.params, spec.grid
     sol = SCENARIOS[spec.kind].solution(p)
     omega = SCENARIOS[spec.kind].omega(spec)
-    times = _snap_times(spec)
+    # the steps the wave march stores: each snapshot_stride-th and the last
+    n = steps(spec.t_end, spec.dt)
+    times = spec.dt * np.array([k for k in range(n + 1)
+                                if k % spec.snapshot_stride == 0 or k == n])
     out = RouteData()
     hydro = []
     for t in times:
@@ -342,7 +349,6 @@ def _run_analytic(spec) -> RouteData:
     rhos = [ScalarField(grid, c["rho"]) for _, c in out.slices]
     out.msd = msd_from_fields(times, rhos, source="analytic")
     out.energy = energy_report(hydro)
-    out.rho_final = rhos[-1]
     return out
 
 
@@ -380,10 +386,8 @@ def _run_schrodinger(spec) -> tuple:
         cols = _mask_sparse(h.rho.values, cols)
         cols["rho"] = h.rho.values
         out.slices.append((float(t), cols))
-    rhos = [h.rho for h in hydro]
-    out.msd = msd_from_fields(wave.times, rhos, source="pde")
+    out.msd = msd_from_fields(wave.times, [h.rho for h in hydro], source="pde")
     out.energy = energy_report(hydro)
-    out.rho_final = rhos[-1]
     return out, wave
 
 
@@ -449,16 +453,14 @@ def _run_fp(spec, drift) -> RouteData:
 
     out = RouteData()
     for t, rho in zip(sol.times, sol.rhos):
-        u = fieldcalc.osmotic_velocity(rho, p.D).values
+        u = fieldcalc.osmotic_velocity(rho, p.D)
         b = np.asarray(drift(grid.x, float(t)), dtype=float)
-        Q, _ = fieldcalc.pressure_potential(rho, p.D)
         cols = _mask_sparse(rho.values, {
-            "S": np.full(grid.n, np.nan), "v": b - u, "u": u, "b": b,
-            "Q": Q.values})
+            "S": np.full(grid.n, np.nan), "v": b - u.values, "u": u.values,
+            "b": b, "Q": fieldcalc.osmotic_pressure(u, p.D).values})
         cols["rho"] = rho.values
         out.slices.append((float(t), cols))
     out.msd = msd_from_fields(sol.times, sol.rhos, source="pde")
-    out.rho_final = sol.rhos[-1]
     return out
 
 
@@ -478,7 +480,6 @@ def _run_sde(spec, drift) -> RouteData:
     for s in snaps:
         kde = kde_density(s, spec.grid)
         out.slices.append((float(s.t), {"rho": kde.values}))
-    out.rho_final = kde_density(snaps[-1], spec.grid)
     return out
 
 
@@ -499,64 +500,66 @@ def _dispersion_entry(spec, msd_series) -> dict:
 # gates and report
 
 
-def _gate_values(spec, results):
-    """(name, value, tolerance) of each gate in order, computed lazily so a
-    strict run stops computing at the first failure."""
-    from .diagnostics import compare_fields
-
+def _evaluate_gates(spec, results, comparisons) -> list:
+    """Ordered tolerance checks; each entry is a dict with a pass flag. The
+    density gates read the final-density comparisons."""
     tol = spec.tolerances
-    analytic = results.get("analytic")
-    for route in ("schrodinger", "fp"):
-        if analytic and route in results:
-            cmp = compare_fields(results[route].rho_final, analytic.rho_final)
-            yield f"linf_rho_{route}", cmp.linf, tol["linf_rho"]
-    if analytic and "sde" in results:
-        cmp = compare_fields(results["sde"].rho_final, analytic.rho_final)
-        yield "l1_rho_sde", cmp.l1, tol["l1_rho"]
+    checks = []
+    for c in comparisons:
+        a, b = c["a"], c["b"]
+        if a != "analytic":
+            checks.append((f"l1_rho_{a}_{b}", c["l1"], tol["l1_rho"]))
+        elif b == "sde":
+            checks.append(("l1_rho_sde", c["l1"], tol["l1_rho"]))
+        else:
+            checks.append((f"linf_rho_{b}", c["linf"], tol["linf_rho"]))
 
-    numeric = [r for r in ("schrodinger", "fp", "sde") if r in results]
-    for i, a in enumerate(numeric):
-        for b in numeric[i + 1:]:
-            cmp = compare_fields(results[a].rho_final, results[b].rho_final)
-            yield f"l1_rho_{a}_{b}", cmp.l1, tol["l1_rho"]
-
-    if analytic:
+    if "analytic" in results:
         msd_fn = SCENARIOS[spec.kind].solution(spec.params).msd
         for route in ("schrodinger", "fp"):
             if route in results:
                 series = results[route].msd
                 exact = float(msd_fn(series.times[-1]))
                 rel = abs(series.values[-1] - exact) / abs(exact)
-                yield f"msd_rel_{route}", rel, tol["msd_rel"]
+                checks.append((f"msd_rel_{route}", rel, tol["msd_rel"]))
         if "sde" in results:
             series = results["sde"].msd
             exact = float(msd_fn(series.times[-1]))
             nsig = abs(series.values[-1] - exact) / float(series.stderr[-1])
-            yield "msd_nsigma_sde", nsig, tol["msd_nsigma"]
+            checks.append(("msd_nsigma_sde", nsig, tol["msd_nsigma"]))
 
     if SCENARIOS[spec.kind].energy_gate:
         for route in ("analytic", "schrodinger"):
             if route in results:
                 tot = results[route].energy.total
                 spread = float(np.max(tot) - np.min(tot))
-                yield f"energy_drift_{route}", spread, tol["energy_drift"]
+                checks.append((f"energy_drift_{route}", spread, tol["energy_drift"]))
 
-
-def _evaluate_gates(spec, results) -> list:
-    """Ordered tolerance checks; each entry is a dict with a pass flag."""
     gates = []
-    for name, value, tolerance in _gate_values(spec, results):
+    for name, value, tolerance in checks:
         gates.append({"name": name, "value": float(value),
                       "tolerance": float(tolerance),
                       "passed": bool(value <= tolerance)})
         if not gates[-1]["passed"]:
             logger.warning("gate %s failed: %.3e > %.3e", name, value, tolerance)
-            if spec.strict:
-                break
     return gates
 
 
-def _build_report(spec, results, gates) -> dict:
+def _build_report(spec, results) -> dict:
+    """The run report: every pair of routes compared once at t_end, in route
+    order, and the gates evaluated on those comparisons."""
+    from .diagnostics import compare_fields
+
+    final = {r: ScalarField(spec.grid, results[r].slices[-1][1]["rho"])
+             for r in spec.routes}
+    comparisons = []
+    for i, a in enumerate(spec.routes):
+        for b in spec.routes[i + 1:]:
+            entry = {"a": a, "b": b, "t": spec.t_end}
+            entry.update(compare_fields(final[b], final[a]).as_dict())
+            comparisons.append(entry)
+    gates = _evaluate_gates(spec, results, comparisons)
+
     p = spec.params
     report = {
         "name": spec.name,
@@ -570,7 +573,7 @@ def _build_report(spec, results, gates) -> dict:
                  "sde_dt": spec.sde_dt},
         "tolerances": dict(spec.tolerances),
         "series": {}, "energy": {}, "dispersion": {},
-        "comparisons": [],
+        "comparisons": comparisons,
         "gates": gates,
         "passed": all(g["passed"] for g in gates),
     }
@@ -579,16 +582,6 @@ def _build_report(spec, results, gates) -> dict:
         if data.energy is not None:
             report["energy"][route] = data.energy.as_dict()
         report["dispersion"][route] = _dispersion_entry(spec, data.msd)
-
-    from .diagnostics import compare_fields
-
-    routes = [r for r in spec.routes if results[r].rho_final is not None]
-    for i, a in enumerate(routes):
-        for b in routes[i + 1:]:
-            cmp = compare_fields(results[b].rho_final, results[a].rho_final)
-            entry = {"a": a, "b": b, "t": spec.t_end}
-            entry.update(cmp.as_dict())
-            report["comparisons"].append(entry)
     return report
 
 
@@ -767,10 +760,10 @@ def run_scenario(spec: ScenarioSpec) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 
-    gates = _evaluate_gates(spec, results)
-    report = _build_report(spec, results, gates)
+    report = _build_report(spec, results)
     _write_artifacts(spec, results, report)
 
+    gates = report["gates"]
     for g in gates:
         status = "pass" if g["passed"] else "FAIL"
         print(f"{status}  {g['name']}: {g['value']:.3e} (tolerance {g['tolerance']:.3e})")
@@ -795,16 +788,18 @@ def list_scenarios(as_json: bool) -> int:
 
 
 def compare_runs(dir_a: str, dir_b: str) -> int:
-    manifests = []
+    hashes = []
     for d in (dir_a, dir_b):
         path = os.path.join(d, "manifest.json")
         try:
             with open(path, "rb") as fh:
-                manifests.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
+                files = json.load(fh)["files"]
+            # a manifest of any other shape raises TypeError, KeyError or AttributeError
+            hashes.append({name: e["sha256"] for name, e in files.items()})
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            print(f"cannot read {path}: {exc!r}", file=sys.stderr)
             return 2
-    fa, fb = manifests[0]["files"], manifests[1]["files"]
+    fa, fb = hashes
     names = sorted(set(fa) | set(fb))
     identical = True
     for name in names:
@@ -812,7 +807,7 @@ def compare_runs(dir_a: str, dir_b: str) -> int:
             status, same = "only in B", False
         elif name not in fb:
             status, same = "only in A", False
-        elif fa[name]["sha256"] == fb[name]["sha256"]:
+        elif fa[name] == fb[name]:
             status, same = "identical", True
         else:
             status, same = "DIFFERS", False
@@ -837,8 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="run seed (overrides spec)")
     p_run.add_argument("--format", choices=("csv", "binary"),
                        help="particle snapshot format (overrides spec)")
-    p_run.add_argument("--strict", action="store_true",
-                       help="stop at the first failed tolerance gate")
 
     p_list = sub.add_parser("list", help="show built-in scenarios")
     p_list.add_argument("--json", action="store_true",
@@ -860,7 +853,7 @@ def main(argv=None) -> int:
         return compare_runs(args.run_a, args.run_b)
     try:
         spec = load_spec(args.spec, out_dir=args.out, seed=args.seed,
-                         fmt=args.format, strict=args.strict)
+                         fmt=args.format)
         return run_scenario(spec)
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)

@@ -54,6 +54,17 @@ class PhysicalParams:
         return self.alpha**2 / (4.0 * self.D)
 
 
+def steps(t_end: float, dt: float, t0: float = 0.0) -> int:
+    """Number of dt steps from t0 to t_end; ValueError unless t_end - t0 is a
+    positive integer multiple of dt (to 1e-9 of t_end)."""
+    ratio = (t_end - t0) / dt if dt > 0 else np.nan
+    n = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n < 1 or abs(t0 + n * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end - t0 = {t_end - t0:g} is not a positive "
+                         f"integer multiple of dt = {dt:g}")
+    return n
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1D mesh with n nodes spanning [x_min, x_max] inclusive."""

@@ -100,9 +100,13 @@ def pressure_potential(rho: ScalarField, D: float, rel_floor: float = 1e-300):
 
     Returns (Q, P).
     """
-    u = osmotic_velocity(rho, D, rel_floor)
-    Q = ScalarField(rho.grid, 0.5 * u.values**2 + D * gradient(u).values)
+    Q = osmotic_pressure(osmotic_velocity(rho, D, rel_floor), D)
     return Q, pressure_from_density(rho, Q)
+
+
+def osmotic_pressure(u: ScalarField, D: float) -> ScalarField:
+    """Q = u^2/2 + D div(u) from the osmotic velocity u."""
+    return ScalarField(u.grid, 0.5 * u.values**2 + D * gradient(u).values)
 
 
 def pressure_from_density(rho: ScalarField, Q: ScalarField) -> ScalarField:
@@ -228,20 +232,14 @@ def comoving_interval_mass_check(h: HydroFields, rho_next: ScalarField, dt: floa
 
 
 def hydro_from_rho_S(t: float, rho: ScalarField, S: ScalarField, D: float,
-                     Omega: Optional[ScalarField] = None, rel_floor: float = 1e-300) -> HydroFields:
+                     Omega: Optional[ScalarField] = None) -> HydroFields:
     """Assemble a full slice from (rho, S) with every derived field computed
     on the mesh. Omega defaults to zeros (free dynamics)."""
-    grid = rho.grid
-    if Omega is None:
-        Omega = ScalarField(grid, np.zeros(grid.n))
-    v = gradient(S)
-    u = osmotic_velocity(rho, D, rel_floor)
-    b = ScalarField(grid, v.values + u.values)
-    Q, P = pressure_potential(rho, D, rel_floor)
-    safe, _ = floor_density(rho, rel_floor)
-    phi = ScalarField(grid, 0.5 * np.log(safe.values) + S.values / (2.0 * D))
-    j = ScalarField(grid, rho.values * v.values)
-    return HydroFields(t=t, rho=rho, S=S, v=v, u=u, b=b, Q=Q, Omega=Omega, P=P, j=j, phi=phi)
+    u = osmotic_velocity(rho, D)
+    return hydro_from_arrays(
+        t, rho.grid, D, rho=rho.values, S=S.values, v=gradient(S).values,
+        u=u.values, Q=osmotic_pressure(u, D).values,
+        Omega=None if Omega is None else Omega.values)
 
 
 def hydro_from_arrays(t: float, grid: Grid1D, D: float, *, rho, S, v, u, Q,

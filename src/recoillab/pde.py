@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
-from .core import ComplexField, Grid1D, ScalarField, gradient, trapezoid
+from .core import ComplexField, Grid1D, ScalarField, steps, trapezoid
 from .fieldcalc import HydroFields, hydro_from_rho_S
 from .sde import DriftSource, TabulatedDrift
 
@@ -163,9 +163,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     grid, dx, n = p.grid, p.grid.dx, p.grid.n
     x_half = grid.x[:-1] + 0.5 * dx
     kappa = 0.5 * p.dt
-    n_steps = int(round(p.t_end / p.dt))
-    if n_steps < 1 or abs(n_steps * p.dt - p.t_end) > 1e-9 * p.t_end:
-        raise ValueError("t_end must be a positive integer multiple of dt")
+    n_steps = steps(p.t_end, p.dt)
 
     time_dependent = getattr(p.drift, "time_dependent", True)
 
@@ -288,9 +286,7 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
                        overwrite_dl=True, overwrite_d=True, overwrite_du=True)
     _check_lapack(info, "zgttrf")
 
-    n_steps = int(round(p.t_end / p.dt))
-    if n_steps < 1 or abs(n_steps * p.dt - p.t_end) > 1e-9 * p.t_end:
-        raise ValueError("t_end must be a positive integer multiple of dt")
+    n_steps = steps(p.t_end, p.dt)
 
     psi = p.psi0.values.copy()
     work = np.empty_like(psi)

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Grid1D, PhysicalParams, ScalarField
+from .core import Grid1D, PhysicalParams, ScalarField, steps
 
 
 # particles per TabulatedDrift lookup pass; keeps the working buffers in cache
@@ -241,9 +241,7 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     beginning with the initial state and always including the final one."""
     if state.n != config.n_particles:
         raise ValueError(f"state holds {state.n} particles, config says {config.n_particles}")
-    n_steps = int(round((config.t_end - state.t) / config.dt))
-    if n_steps < 1 or abs(state.t + n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError("t_end - t must be a positive integer multiple of dt")
+    n_steps = steps(config.t_end, config.dt, state.t)
 
     # key word 1 separates the evolution stream from sample_initial's
     # (key=[seed, 0]); sharing the bare seed would correlate the first

@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from recoillab import cli, pde
+from recoillab import cli, pde, sde
 from recoillab.cli import (
     PARTICLE_MAGIC,
     SpecError,
@@ -181,6 +181,29 @@ routes = analytic
 bogus = 1.0
 """)
         assert self.rc(path) == 2
+
+    @pytest.mark.parametrize("section, setting", [
+        ("time", "dt = 0.3"),
+        ("time", "fp_dt = 0.3"),
+        ("sde", "dt = 0.3"),
+        ("sde", "snapshot_stride = 0"),
+        ("sde", "n_particles = 0"),
+    ])
+    def test_bad_step_or_ensemble_setting(self, tmp_path, capsys, section, setting):
+        # t_end defaults to 1; the solvers would reject these settings mid-run,
+        # as a solver failure (exit 3)
+        path = write_cfg(tmp_path, "bad.cfg", f"""
+[scenario]
+kind = free_brownian
+routes = analytic, fp, sde
+
+[{section}]
+{setting}
+""")
+        assert self.rc(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:")
+        assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -360,6 +383,107 @@ class TestSmokeArtifacts:
     def test_compare_runs_needs_manifests(self, smoke_run, tmp_path):
         _, a = smoke_run
         assert compare_runs(str(a), str(tmp_path / "missing")) == 2
+
+    @pytest.mark.parametrize("manifest", [
+        b"[]", b'{"name": 1}', b'{"files": []}', b'{"files": {"a.csv": 1}}',
+        b'{"files": {"a.csv": {}}}', b"\xff",
+    ])
+    def test_compare_rejects_malformed_manifests(self, smoke_run, tmp_path,
+                                                 capsys, manifest):
+        _, a = smoke_run
+        (tmp_path / "manifest.json").write_bytes(manifest)
+        assert main(["compare", str(a), str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read")
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def stepped_run(tmp_path_factory):
+    """All four routes on steps whose sum is not t_end in floating point:
+    7 * 0.1 = 0.7000000000000001."""
+    out = tmp_path_factory.mktemp("stepped")
+    path = write_cfg(out, "stepped.cfg", """
+[scenario]
+kind = free_recoil
+routes = analytic, schrodinger, fp, sde
+seed = 3
+
+[grid]
+x_min = -12
+x_max = 12
+n = 241
+
+[time]
+dt = 0.1
+fp_dt = 0.01
+t_end = 0.7
+snapshot_stride = 2
+drift_stride = 1
+
+[sde]
+n_particles = 2000
+dt = 0.01
+snapshot_stride = 20
+
+[tolerances]
+linf_rho = 1
+l1_rho = 1
+msd_rel = 1
+msd_nsigma = 1e9
+energy_drift = 1
+""")
+    rc = main(["run", path, "--out", str(out / "run")])
+    return rc, out / "run"
+
+
+class TestSingleSources:
+    def test_analytic_samples_the_wave_steps(self, stepped_run):
+        rc, out = stepped_run
+        assert rc == 0
+        t_analytic = np.loadtxt(out / "fields_analytic.csv", delimiter=",",
+                                skiprows=1, usecols=0)
+        t_wave = np.loadtxt(out / "fields_schrodinger.csv", delimiter=",",
+                            skiprows=1, usecols=0)
+        np.testing.assert_array_equal(t_analytic, t_wave)
+        assert t_wave[-1] == 7 * 0.1
+
+    @pytest.mark.parametrize("run", ["stepped_run", "smoke_run"])
+    def test_gates_read_the_comparisons(self, request, run):
+        rc, out = request.getfixturevalue(run)
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        cmp = {(c["a"], c["b"]): c for c in report["comparisons"]}
+        rho_gates = [g for g in report["gates"] if "_rho_" in g["name"]]
+        assert len(rho_gates) == len(cmp)
+        for g in rho_gates:
+            norm, _, routes = g["name"].split("_", 2)
+            pair = tuple(routes.split("_"))
+            if len(pair) == 1:
+                pair = ("analytic", *pair)
+            assert g["value"] == cmp[pair][norm]
+
+    def test_one_kde_per_snapshot(self, tmp_path, monkeypatch):
+        calls = []
+        kde_density = sde.kde_density
+
+        def counted(state, grid, *args, **kwargs):
+            calls.append(state.t)
+            return kde_density(state, grid, *args, **kwargs)
+
+        monkeypatch.setattr(sde, "kde_density", counted)
+        path = write_cfg(tmp_path, "sde.cfg", """
+[scenario]
+kind = free_brownian
+routes = sde
+
+[sde]
+n_particles = 500
+dt = 0.01
+snapshot_stride = 25
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestCrashMidWrite:
