@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, fieldcalc
-from .core import Grid1D, PhysicalParams, ScalarField, steps, trapezoid
+from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps, stride_for, trapezoid
 
 # pde, sde and diagnostics are imported inside the route functions: parsing a
 # spec does not need them, and pde loads scipy.linalg (0.2-0.4 s of start-up)
@@ -153,14 +153,21 @@ class ScenarioSpec:
 
 def _get(cfg, section, key, cast, default):
     if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
+        raw = cfg.get(section, key, raw=True)
+        try:  # a stray % in the value is a configparser interpolation error
+            return cast(cfg.get(section, key))
+        except (ValueError, configparser.Error) as exc:
             raise SpecError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     if default is None:
         raise SpecError(f"missing required option [{section}] {key}")
     return default
+
+
+def _finite_nonneg(value, key):
+    """value itself unless it is NaN, infinite or negative (SpecError)."""
+    if not 0 <= value < np.inf:
+        raise SpecError(f"{key} = {value!r} must be finite and >= 0")
+    return value
 
 
 def _check_steps(t_end, dt, key):
@@ -175,7 +182,10 @@ def _check_steps(t_end, dt, key):
 def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     """Parse and validate a spec file; CLI flags override file values."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot parse spec file {path!r}: {exc}") from exc
     if not read:
         raise SpecError(f"cannot read spec file {path!r}")
     if not cfg.has_section("scenario"):
@@ -226,7 +236,8 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         grid = Grid1D(x_min, x_max, n)
     except ValueError as exc:
         raise SpecError(f"bad [grid]: {exc}") from exc
-    min_half_sigmas = _get(cfg, "grid", "min_half_sigmas", float, 8.0)
+    min_half_sigmas = _finite_nonneg(_get(cfg, "grid", "min_half_sigmas", float, 8.0),
+                                     "[grid] min_half_sigmas")
 
     dt = _get(cfg, "time", "dt", float, d["dt"])
     t_end = _get(cfg, "time", "t_end", float, d["t_end"])
@@ -241,7 +252,10 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         _check_steps(t_end, fp_dt, "[time] fp_dt")
 
     if scenario.peak_var is not None:
-        sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
+        try:
+            sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
+        except ArithmeticError as exc:  # float ** overflows on huge [params]
+            raise SpecError(f"bad [params]: the expected spread overflows ({exc})") from exc
         half = min(-grid.x_min, grid.x_max)
         if half < min_half_sigmas * sigma:
             raise SpecError(
@@ -254,8 +268,7 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     sde_stride = 1
     if "sde" in routes:
         _check_steps(t_end, sde_dt, "[sde] dt")
-        sde_stride = _get(cfg, "sde", "snapshot_stride", int,
-                          max(1, int(round(0.25 / sde_dt))))
+        sde_stride = _get(cfg, "sde", "snapshot_stride", int, stride_for(0.25, sde_dt))
         if sde_n < 1 or sde_stride < 1:
             raise SpecError("[sde] n_particles and snapshot_stride must be >= 1")
 
@@ -265,13 +278,16 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
             if key not in tolerances:
                 raise SpecError(f"unknown tolerance {key!r}; "
                                 f"known: {sorted(tolerances)}")
-            tolerances[key] = _get(cfg, "tolerances", key, float, None)
+            tolerances[key] = _finite_nonneg(_get(cfg, "tolerances", key, float, None),
+                                             f"[tolerances] {key}")
 
     out = out_dir or _get(cfg, "output", "dir", str, os.path.join("runs", name))
     fmt_val = (fmt or _get(cfg, "output", "format", str, "csv")).strip()
     if fmt_val not in ("csv", "binary"):
         raise SpecError("output format must be csv or binary")
     seed_val = seed if seed is not None else _get(cfg, "scenario", "seed", int, 0)
+    if not 0 <= seed_val < 2**63:  # sde keys Philox with [seed, 1]: an int64 word
+        raise SpecError(f"seed = {seed_val} must be in [0, 2**63)")
 
     # table paths are relative to the spec file
     tables = {"drift_file": "", "omega_file": ""}
@@ -331,10 +347,8 @@ def _run_analytic(spec) -> RouteData:
     p, grid = spec.params, spec.grid
     sol = SCENARIOS[spec.kind].solution(p)
     omega = SCENARIOS[spec.kind].omega(spec)
-    # the steps the wave march stores: each snapshot_stride-th and the last
-    n = steps(spec.t_end, spec.dt)
-    times = spec.dt * np.array([k for k in range(n + 1)
-                                if k % spec.snapshot_stride == 0 or k == n])
+    # the steps the wave march stores
+    times = spec.dt * stored_steps(steps(spec.t_end, spec.dt), spec.snapshot_stride)
     out = RouteData()
     hydro = []
     for t in times:
@@ -442,7 +456,7 @@ def _run_fp(spec, drift) -> RouteData:
     from .pde import FokkerPlanckProblem, solve_fokker_planck
 
     p, grid = spec.params, spec.grid
-    stride = max(1, int(round(spec.snapshot_stride * spec.dt / spec.fp_dt)))
+    stride = stride_for(spec.snapshot_stride * spec.dt, spec.fp_dt)
     prob = FokkerPlanckProblem(grid=grid, drift=drift, D=p.D,
                                rho0=_initial_density(spec),
                                t_end=spec.t_end, dt=spec.fp_dt,

@@ -1,4 +1,4 @@
-"""Meshes, field containers, and finite-difference calculus shared by every solver.
+"""Meshes, field containers, the march schedule and the calculus every solver shares.
 
 All numerics in this package live on a uniform one-dimensional grid. The
 containers here are deliberately dumb: they hold validated arrays and expose
@@ -63,6 +63,24 @@ def steps(t_end: float, dt: float, t0: float = 0.0) -> int:
         raise ValueError(f"t_end - t0 = {t_end - t0:g} is not a positive "
                          f"integer multiple of dt = {dt:g}")
     return n
+
+
+def stride_for(interval: float, dt: float) -> int:
+    """Whole steps of dt nearest to interval, at least one."""
+    return max(1, int(round(interval / dt)))
+
+
+def stored_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Steps k of an n_steps march that are stored: k % stride == 0 or k == n_steps."""
+    return np.append(np.arange(0, n_steps, stride), n_steps)
+
+
+def stored_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored time t (to 1e-9 of max(1, |t|)); KeyError if none."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"no stored slice at t={t}; stored: {times}")
+    return idx
 
 
 @dataclass(frozen=True)

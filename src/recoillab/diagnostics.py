@@ -171,14 +171,13 @@ class DispersionVerdict:
 
 
 def classify_dispersion(series: MsdSeries, crossover: float,
-                        enhanced=(1.7, 2.3), normal=(0.7, 1.3),
                         flat_ratio: float = 1.5) -> DispersionVerdict:
     """Classify spreading from the msd tail past the crossover time.
 
     Boundedness is checked first: if max/min over the window stays below
     ``flat_ratio`` the verdict is NON_DISPERSIVE and no slope is fitted.
     Otherwise the log-log slope over the window decides ENHANCED (ballistic,
-    default [1.7, 2.3]) vs NORMAL (diffusive, default [0.7, 1.3]); a slope in
+    slope in [1.7, 2.3]) vs NORMAL (diffusive, in [0.7, 1.3]); a slope in
     neither band raises DispersionFitError carrying the fit. The window must
     span at least one decade in t past the crossover. Invariant under
     rescaling t -> c*t (the crossover rescales with it).
@@ -212,6 +211,7 @@ def classify_dispersion(series: MsdSeries, crossover: float,
     denom = float(np.sum((logt - logt.mean()) ** 2))
     ci = 1.96 * np.sqrt(resid / dof / denom) if denom > 0 else np.inf
 
+    enhanced, normal = (1.7, 2.3), (0.7, 1.3)
     if enhanced[0] <= slope <= enhanced[1]:
         regime = DispersionRegime.ENHANCED
     elif normal[0] <= slope <= normal[1]:

@@ -117,18 +117,18 @@ def pressure_from_density(rho: ScalarField, Q: ScalarField) -> ScalarField:
 
 
 def omega_from_drift(b: ScalarField, dphi_dt: ScalarField, D: float,
-                     phi: Optional[ScalarField] = None, gradient_tol: float = 1e-6) -> ScalarField:
+                     phi: Optional[ScalarField] = None) -> ScalarField:
     """Auxiliary potential from the drift of a diffusion, b = 2D grad(phi):
 
         Omega = 2D [ dphi/dt + (b^2/(2D) + div b)/2 ]
 
-    If ``phi`` is supplied, 2D grad(phi) is checked against b (the drift must
-    be the gradient field of phi).
+    If ``phi`` is supplied, 2D grad(phi) is checked against b to 1e-6 of
+    max(|b|, 1) (the drift must be the gradient field of phi).
     """
     if phi is not None:
         defect = 2.0 * D * gradient(phi).values - b.values
         scale = max(float(np.max(np.abs(b.values))), 1.0)
-        if np.max(np.abs(defect)) > gradient_tol * scale:
+        if np.max(np.abs(defect)) > 1e-6 * scale:
             raise ValueError("b is not 2D grad(phi) within tolerance; drift and potential disagree")
     div_b = gradient(b).values
     values = 2.0 * D * (dphi_dt.values + 0.5 * (b.values**2 / (2.0 * D) + div_b))
@@ -243,12 +243,12 @@ def hydro_from_rho_S(t: float, rho: ScalarField, S: ScalarField, D: float,
 
 
 def hydro_from_arrays(t: float, grid: Grid1D, D: float, *, rho, S, v, u, Q,
-                      Omega=None, P=None, b=None, check: bool = True) -> HydroFields:
+                      Omega=None, P=None, b=None) -> HydroFields:
     """Assemble a slice from exact (closed-form) arrays.
 
     v + u is used for b unless given; P is integrated from grad P = rho grad Q
-    unless given; phi and j are always derived. With ``check`` the b = v + u
-    consistency is asserted.
+    unless given; phi and j are always derived. A given b must equal v + u to
+    1e-9 of max(|b|, 1), else ValueError.
     """
     rho_f = ScalarField(grid, rho)
     S_f = ScalarField(grid, S)
@@ -256,7 +256,7 @@ def hydro_from_arrays(t: float, grid: Grid1D, D: float, *, rho, S, v, u, Q,
     u_f = ScalarField(grid, u)
     Q_f = ScalarField(grid, Q)
     b_arr = v_f.values + u_f.values if b is None else np.asarray(b, dtype=float)
-    if check and b is not None:
+    if b is not None:
         scale = max(float(np.max(np.abs(b_arr))), 1.0)
         if np.max(np.abs(b_arr - v_f.values - u_f.values)) > 1e-9 * scale:
             raise ValueError("b != v + u in supplied fields")

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
-from .core import ComplexField, Grid1D, ScalarField, steps, trapezoid
+from .core import ComplexField, Grid1D, ScalarField, steps, stored_index, stored_steps, trapezoid
 from .fieldcalc import HydroFields, hydro_from_rho_S
 from .sde import DriftSource, TabulatedDrift
 
@@ -60,8 +60,6 @@ class FokkerPlanckProblem:
     def __post_init__(self):
         if self.D <= 0:
             raise ValueError("D must be > 0")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be > 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if np.any(self.rho0.values < 0):
@@ -93,10 +91,7 @@ class FpSolution:
     min_density: float
 
     def rho_at(self, t: float) -> ScalarField:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no stored slice at t={t}; stored: {self.times}")
-        return self.rhos[idx]
+        return self.rhos[stored_index(self.times, t)]
 
 
 def _chang_cooper_delta(w: np.ndarray) -> np.ndarray:
@@ -164,6 +159,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     x_half = grid.x[:-1] + 0.5 * dx
     kappa = 0.5 * p.dt
     n_steps = steps(p.t_end, p.dt)
+    stored = stored_steps(n_steps, p.snapshot_stride)
 
     time_dependent = getattr(p.drift, "time_dependent", True)
 
@@ -184,7 +180,6 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     mass = float(np.sum(rho) * dx)
     mass_drift_max = 0.0
     min_density = float(np.min(rho))
-    times = [0.0]
     rhos = [ScalarField(grid, rho)]
     for k in range(n_steps):
         t_next = (k + 1) * p.dt
@@ -204,10 +199,9 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
         min_density = min(min_density, lo)
         if not lo >= -1e-12:
             raise SolverError(f"density undershoot {lo:.3e} at t={t_next}")
-        if (k + 1) % p.snapshot_stride == 0 or k == n_steps - 1:
-            times.append(t_next)
+        if k + 1 == stored[len(rhos)]:  # the next step to store
             rhos.append(ScalarField(grid, rho))
-    return FpSolution(grid=grid, times=np.asarray(times), rhos=rhos,
+    return FpSolution(grid=grid, times=p.dt * stored, rhos=rhos,
                       mass_drift_max=mass_drift_max, min_density=min_density)
 
 
@@ -237,8 +231,6 @@ class SchrodingerProblem:
     def __post_init__(self):
         if self.D <= 0:
             raise ValueError("D must be > 0")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be > 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.drift_stride is not None and self.drift_stride < 1:
@@ -261,10 +253,7 @@ class WaveSolution:
     norm_drift_max: float
 
     def psi_at(self, t: float) -> ComplexField:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no stored slice at t={t}; stored: {self.times}")
-        return self.psis[idx]
+        return self.psis[stored_index(self.times, t)]
 
 
 def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
@@ -287,23 +276,16 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     _check_lapack(info, "zgttrf")
 
     n_steps = steps(p.t_end, p.dt)
+    stored = stored_steps(n_steps, p.snapshot_stride)
+    drift_steps = () if p.drift_stride is None else stored_steps(n_steps, p.drift_stride)
 
     psi = p.psi0.values.copy()
     work = np.empty_like(psi)
     prob = np.empty(n)
     norm = float(np.sum(np.abs(psi) ** 2) * dx)
     norm_drift_max = 0.0
-    times = [0.0]
     psis = [ComplexField(grid, psi)]
-    drift_times, drift_rows = [], []
-
-    def record_drift(t, values):
-        drift_times.append(t)
-        drift_rows.append(_drift_slice(values, grid, p.D))
-
-    if p.drift_stride is not None:
-        record_drift(0.0, psi)
-
+    drift_rows = [] if p.drift_stride is None else [_drift_slice(psi, grid, p.D)]
     for k in range(n_steps):
         t_next = (k + 1) * p.dt
         np.copyto(work, psi)
@@ -327,16 +309,15 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
                 f"wave reached the boundary at t={t_next} "
                 f"(edge density {max(prob[0], prob[-1]) / peak:.2e} of peak); widen the domain"
             )
-        if p.drift_stride is not None and ((k + 1) % p.drift_stride == 0 or k == n_steps - 1):
-            record_drift(t_next, psi)
-        if (k + 1) % p.snapshot_stride == 0 or k == n_steps - 1:
-            times.append(t_next)
+        if drift_rows and k + 1 == drift_steps[len(drift_rows)]:
+            drift_rows.append(_drift_slice(psi, grid, p.D))
+        if k + 1 == stored[len(psis)]:  # the next step to store
             psis.append(ComplexField(grid, psi))
 
     table = None
     if p.drift_stride is not None:
-        table = TabulatedDrift(np.asarray(drift_times), grid, np.asarray(drift_rows))
-    return WaveSolution(grid=grid, times=np.asarray(times), psis=psis, D=p.D,
+        table = TabulatedDrift(p.dt * drift_steps, grid, np.asarray(drift_rows))
+    return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D,
                         Omega=p.Omega, drift_table=table, norm_drift_max=norm_drift_max)
 
 
@@ -351,31 +332,29 @@ def _unwrap_from_center(theta_raw: np.ndarray, grid: Grid1D) -> np.ndarray:
     return theta
 
 
-def _check_phase_resolution(theta: np.ndarray, rho: np.ndarray,
-                            dense_frac: float = 1e-6, jump_tol: float = 0.95 * np.pi):
+def _check_phase_resolution(theta: np.ndarray, rho: np.ndarray):
     """Under-resolution aliases neighbouring phase differences toward the
     +-pi boundary. Jumps at or beyond pi are unrecoverable, so anything within
-    5% of the limit inside the high-density region is treated as an error."""
-    dense = rho > dense_frac * np.max(rho)
+    5% of the limit where rho exceeds 1e-6 of its peak is treated as an error."""
+    dense = rho > 1e-6 * np.max(rho)
     pair = dense[1:] & dense[:-1]
     if not np.any(pair):
         return
     jumps = np.abs(np.diff(theta))[pair]
     worst = float(np.max(jumps))
-    if worst >= jump_tol:
+    if worst >= 0.95 * np.pi:
         raise MadelungError(
             f"phase jump {worst:.3f} rad between adjacent high-density nodes "
             f"(aliasing limit pi = {np.pi:.3f}); refine the grid"
         )
 
 
-def _drift_slice(psi: np.ndarray, grid: Grid1D, D: float, mask_frac: float = 1e-12) -> np.ndarray:
-    """Forward drift b = v + u of one wave slice, zeroed where rho < mask_frac
+def _drift_slice(psi: np.ndarray, grid: Grid1D, D: float) -> np.ndarray:
+    """Forward drift b = v + u of one wave slice, zeroed where rho < 1e-12
     of peak (the phase there is numerical noise; the region carries a mass
-    fraction below mask_frac, invisible at the tested tolerances)."""
+    fraction below 1e-12, invisible at the tested tolerances)."""
     rho = np.abs(psi) ** 2
-    peak = float(np.max(rho))
-    floor = mask_frac * peak
+    floor = 1e-12 * float(np.max(rho))
     theta = _unwrap_from_center(np.angle(psi), grid)
     S = ScalarField(grid, 2.0 * D * theta)
     v = np.gradient(S.values, grid.dx, edge_order=2)
@@ -383,17 +362,17 @@ def _drift_slice(psi: np.ndarray, grid: Grid1D, D: float, mask_frac: float = 1e-
     return np.where(rho >= floor, v + u, 0.0)
 
 
-def madelung_decompose(w: WaveSolution, t: float,
-                       dense_frac: float = 1e-6, jump_tol: float = 0.95 * np.pi) -> HydroFields:
+def madelung_decompose(w: WaveSolution, t: float) -> HydroFields:
     """Hydrodynamic slice of the wave at a stored time: rho = |psi|^2,
     S = 2D * theta (phase unwrapped from the center), everything else derived
     on the mesh. Raises MadelungError when the phase is under-resolved."""
-    psi = w.psi_at(t).values
+    i = stored_index(w.times, t)
+    psi = w.psis[i].values
     rho = np.abs(psi) ** 2
     theta = _unwrap_from_center(np.angle(psi), w.grid)
-    _check_phase_resolution(theta, rho, dense_frac, jump_tol)
+    _check_phase_resolution(theta, rho)
     return hydro_from_rho_S(
-        t=float(w.times[int(np.argmin(np.abs(w.times - t)))]),
+        t=float(w.times[i]),
         rho=ScalarField(w.grid, rho),
         S=ScalarField(w.grid, 2.0 * w.D * theta),
         D=w.D,
@@ -414,8 +393,8 @@ def build_recoil_problem(rho0: ScalarField, Omega: Optional[ScalarField], D: flo
                               drift_stride=drift_stride, edge_tol=edge_tol)
 
 
-def tabulate_drift(w: WaveSolution, mask_frac: float = 1e-12) -> TabulatedDrift:
+def tabulate_drift(w: WaveSolution) -> TabulatedDrift:
     """Drift table from the stored slices of a wave solution (for solves run
     without drift_stride)."""
-    rows = [_drift_slice(f.values, w.grid, w.D, mask_frac) for f in w.psis]
+    rows = [_drift_slice(f.values, w.grid, w.D) for f in w.psis]
     return TabulatedDrift(w.times, w.grid, np.asarray(rows))

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Grid1D, PhysicalParams, ScalarField, steps
+from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps
 
 
 # particles per TabulatedDrift lookup pass; keeps the working buffers in cache
@@ -198,8 +198,6 @@ class SdeConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be > 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.seed < 0:
@@ -242,6 +240,7 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     if state.n != config.n_particles:
         raise ValueError(f"state holds {state.n} particles, config says {config.n_particles}")
     n_steps = steps(config.t_end, config.dt, state.t)
+    stored = stored_steps(n_steps, config.snapshot_stride)
 
     # key word 1 separates the evolution stream from sample_initial's
     # (key=[seed, 0]); sharing the bare seed would correlate the first
@@ -260,7 +259,7 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
         rng.standard_normal(out=noise)
         noise *= sqrt_noise
         x += noise
-        if (k + 1) % config.snapshot_stride == 0 or k == n_steps - 1:
+        if k + 1 == stored[len(snapshots)]:  # the next step to store
             snapshots.append(EnsembleState(t=state.t + (k + 1) * config.dt, positions=x))
     return snapshots
 

@@ -7,9 +7,12 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoillab import cli, pde, sde
 from recoillab.cli import (
@@ -20,6 +23,7 @@ from recoillab.cli import (
     main,
     read_particles_binary,
 )
+from recoillab.core import steps
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 SMOKE = os.path.join(SPEC_DIR, "smoke_free_recoil.cfg")
@@ -188,6 +192,14 @@ bogus = 1.0
         ("sde", "dt = 0.3"),
         ("sde", "snapshot_stride = 0"),
         ("sde", "n_particles = 0"),
+        ("scenario", "name = twice"),         # a second [scenario] section
+        ("params", "D"),                      # a line without "="
+        ("params", "D = 5%"),                 # a stray interpolation sign
+        ("params", "alpha = 1e200"),          # alpha**2 overflows a float
+        ("grid", "min_half_sigmas = nan"),
+        ("tolerances", "l1_rho = nan"),
+        ("tolerances", "msd_rel = -1"),
+        ("tolerances", "linf_rho = inf"),
     ])
     def test_bad_step_or_ensemble_setting(self, tmp_path, capsys, section, setting):
         # t_end defaults to 1; the solvers would reject these settings mid-run,
@@ -204,6 +216,76 @@ routes = analytic, fp, sde
         err = capsys.readouterr().err
         assert err.startswith("invalid spec:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body", [
+        b"kind = free_brownian\n[scenario]\nroutes = analytic\n",   # key before a header
+        b"[scenario]\nkind = free_brownian\nroutes = analytic\nseed = -1\n",
+        b"[scenario]\nkind = free_brownian\nroutes = analytic\n# \xff\n",  # not UTF-8
+    ])
+    def test_broken_spec_file(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(body)
+        assert self.rc(str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
+        assert run_smoke(tmp_path / "out", "--seed", seed) == 2
+        assert capsys.readouterr().err.startswith("invalid spec: seed")
+
+
+# junk for every numeric spec key: non-finite, zero, negative, huge, text
+JUNK = ["nan", "-nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "-1e300",
+        "abc", "1,5", "5%", "", "0x10"]
+FUZZ_KEYS = [("scenario", "seed")] + [
+    (section, key) for section, keys in [
+        ("params", ("D", "m", "beta", "alpha", "gamma", "dim")),
+        ("grid", ("x_min", "x_max", "n", "min_half_sigmas")),
+        ("time", ("dt", "fp_dt", "t_end", "snapshot_stride", "drift_stride")),
+        ("sde", ("n_particles", "dt", "snapshot_stride")),
+        ("tolerances", tuple(cli._TOLERANCE_DEFAULTS)),
+    ] for key in keys]
+# ways to break the file itself rather than a value
+BREAKAGES = {
+    "none": lambda text: text.encode(),
+    "duplicate section": lambda text: (text + "[scenario]\nname = again\n").encode(),
+    "key before a header": lambda text: ("D = 1\n" + text).encode(),
+    "line without =": lambda text: (text + "oops\n").encode(),
+    "duplicate key": lambda text: (text + "[extra]\nk = 1\nk = 2\n").encode(),
+    "not UTF-8": lambda text: b"# \xff\n" + text.encode(),
+}
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["free_brownian", "free_recoil", "harmonic_recoil",
+                                 "smoluchowski_ou"]),
+           junk=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(JUNK),
+                                max_size=3),
+           breakage=st.sampled_from(sorted(BREAKAGES)))
+    def test_junk_spec_parses_or_exits_two(self, kind, junk, breakage):
+        sections = {"scenario": {"kind": kind, "routes": ", ".join(cli.SCENARIOS[kind].routes)},
+                    "params": {"gamma": "1"} if cli.SCENARIOS[kind].needs_gamma else {}}
+        for (section, key), value in junk.items():
+            sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                       for name, body in sections.items())
+        loaded = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # no route runs: the runner only records the spec it was given
+            mp.setattr(cli, "run_scenario", lambda spec: loaded.append(spec) or 0)
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "wb") as fh:
+                fh.write(BREAKAGES[breakage](text))
+            # any exception other than SpecError escapes main and fails here
+            rc = main(["run", path])
+        assert rc == (0 if loaded else 2)
+        for spec in loaded:
+            assert 0 <= spec.seed < 2**63
+            assert all(0 <= v < np.inf for v in spec.tolerances.values())
+            assert steps(spec.t_end, spec.dt) >= 1
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoillab.core import (
     ComplexField,
@@ -14,6 +16,9 @@ from recoillab.core import (
     integrate,
     integrate_interval,
     laplacian,
+    stored_index,
+    stored_steps,
+    stride_for,
 )
 
 
@@ -168,3 +173,25 @@ class TestIntegrateInterval:
             integrate_interval(f, 0.8, 0.2)
         with pytest.raises(ValueError):
             integrate_interval(f, -0.5, 0.5)
+
+
+class TestMarchSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2000), stride=st.integers(1, 2500))
+    def test_stored_steps_follow_the_march_rule(self, n, stride):
+        # the rule each march applied after step k of n: store step k + 1 when
+        # (k + 1) % stride == 0 or k == n - 1; step 0 is always stored
+        expected = [0] + [k + 1 for k in range(n) if (k + 1) % stride == 0 or k == n - 1]
+        assert stored_steps(n, stride).tolist() == expected
+
+    def test_stride_rounds_to_at_least_one_step(self):
+        assert stride_for(0.25, 1e-3) == 250
+        assert stride_for(100 * 1e-4, 1e-3) == 10
+        assert stride_for(1e-6, 1e-3) == 1
+
+    def test_stored_index_finds_only_stored_times(self):
+        times = 0.1 * stored_steps(7, 2)  # 0, 0.2, 0.4, 0.6, 0.7000000000000001
+        assert stored_index(times, 0.7) == 4
+        assert stored_index(times, 0.0) == 0
+        with pytest.raises(KeyError, match="no stored slice"):
+            stored_index(times, 0.3)
