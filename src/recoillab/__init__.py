@@ -25,7 +25,6 @@ from .core import (
     gradient,
     integrate,
     integrate_interval,
-    laplacian,
 )
 from .analytic import (
     FreeBrownianSolution,
@@ -52,7 +51,6 @@ __all__ = [
     "gradient",
     "integrate",
     "integrate_interval",
-    "laplacian",
     "ou_variance",
     "smoluchowski_omega",
 ]

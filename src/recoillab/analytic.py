@@ -1,17 +1,17 @@
 """Closed-form reference solutions for the built-in scenarios.
 
-Four families, all starting from the normalized Gaussian cloud
-rho0(x) = (pi alpha^2)^(-dim/2) exp(-x^2/alpha^2):
+Four families start from the Gaussian cloud rho0 ~ exp(-x^2/alpha^2) and
+stay centred Gaussians, so a variance history var(t) = <x^2>(t) fixes each.
+``CentredGaussian`` derives every field from var and its first two time
+derivatives; a family states only those (the free ones also the gauge of S):
 
-* ``FreeBrownianSolution`` -- overdamped diffusion with zero drift; the
-  density is the heat kernel shifted by the reference time t0 = alpha^2/(4D).
-* ``FreeRecoilSolution`` -- free dynamics with medium back-reaction; the
-  cloud spreads ballistically, <x^2> = alpha^2/2 + 2 D^2 t^2/alpha^2.
-* ``HarmonicRecoilSolution`` -- back-reacting dynamics in a harmonic
-  confinement of rate gamma; the width breathes periodically and is
-  stationary exactly when alpha^2 = 2D/gamma.
-* ``OrnsteinUhlenbeckSolution`` -- overdamped diffusion under the linear
-  restoring drift b = -gamma x; the variance relaxes to D/gamma.
+* ``FreeBrownianSolution`` -- zero drift; var = 2 D (t + t0), t0 = alpha^2/(4D).
+* ``FreeRecoilSolution`` -- free dynamics with medium back-reaction; ballistic
+  spreading, var = alpha^2/2 + 2 D^2 t^2/alpha^2.
+* ``HarmonicRecoilSolution`` -- back-reaction in a harmonic confinement of
+  rate gamma; the width breathes, and is frozen when alpha^2 = 2D/gamma.
+* ``OrnsteinUhlenbeckSolution`` -- overdamped diffusion under b = -gamma x;
+  the variance relaxes to D/gamma.
 
 Everything here is exact: no meshes, no finite differences. These formulas
 are the oracles that every solver route is measured against.
@@ -24,189 +24,135 @@ import numpy as np
 from .core import PhysicalParams, ScalarField, gradient
 
 
-def _free_fields(sol, x, t) -> dict:
-    """Every field method of a free solution evaluated at (x, t)."""
-    return {k: getattr(sol, k)(x, t) for k in ("rho", "v", "u", "b", "S", "Q", "P")}
+def _nonneg(t):
+    if np.any(np.asarray(t) < 0):
+        raise ValueError("t must be >= 0")
+    return t
 
 
 @dataclass(frozen=True)
-class FreeBrownianSolution:
-    """Zero-drift diffusion of a Gaussian cloud in ``dim`` dimensions (1 or 3).
+class CentredGaussian:
+    """Hydrodynamic fields of a centred Gaussian density with variance
+    var(t) = msd(t):
 
-    For dim = 3 the density factorizes over the axes, so scalar ``x`` below is
-    the radial distance and the printed fields are radially symmetric
-    profiles. ``axis_marginal_rho`` gives the one-axis marginal that lives on
-    a 1D mesh.
-    """
+        rho = exp(-x^2/(2 var)) / sqrt(2 pi var)
+        v = dvar/(2 var) x,  u = D d(ln rho)/dx = -D x/var,  b = v + u
+        S = dvar/(4 var) x^2 + gauge(t)  (so v = dS/dx)
+        Q = D^2 x^2/(2 var^2) - D^2/var,  P = -(D^2/var) rho
 
-    params: PhysicalParams
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.dim not in (1, 3):
-            raise ValueError(f"dim must be 1 or 3, got {self.dim}")
-
-    def _tau(self, t):
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("t must be >= 0")
-        return t + self.params.t0
-
-    def rho(self, x, t):
-        D = self.params.D
-        tau = self._tau(t)
-        return (4.0 * np.pi * D * tau) ** (-0.5 * self.dim) * np.exp(-(x**2) / (4.0 * D * tau))
-
-    def axis_marginal_rho(self, x, t):
-        """One-axis marginal of the dim-dimensional density (a normalized 1D
-        Gaussian of variance 2 D (t + t0))."""
-        D = self.params.D
-        tau = self._tau(t)
-        return (4.0 * np.pi * D * tau) ** -0.5 * np.exp(-(x**2) / (4.0 * D * tau))
-
-    def v(self, x, t):
-        return x / (2.0 * self._tau(t))
-
-    def u(self, x, t):
-        return -x / (2.0 * self._tau(t))
-
-    def b(self, x, t):
-        # current + osmotic velocity cancel: the process has zero drift
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def S(self, x, t):
-        D = self.params.D
-        tau = self._tau(t)
-        return x**2 / (4.0 * tau) + 0.5 * self.dim * D * np.log(4.0 * np.pi * D * tau)
-
-    def Q(self, x, t):
-        D = self.params.D
-        tau = self._tau(t)
-        return x**2 / (8.0 * tau**2) - self.dim * D / (2.0 * tau)
-
-    def P(self, x, t):
-        D = self.params.D
-        tau = self._tau(t)
-        return -(D / (2.0 * tau)) * self.rho(x, t)
-
-    def fields(self, x, t) -> dict:
-        """All hydrodynamic fields at (x, t) as plain arrays."""
-        return _free_fields(self, x, t)
-
-    def msd(self, t):
-        """<|x|^2>(t) = 2 dim D (t + t0)."""
-        return 2.0 * self.dim * self.params.D * self._tau(t)
-
-    def kinetic(self, t):
-        """Kinetic energy of the current velocity, dim*D/(4(t+t0));
-        equals dim*D^2/alpha^2 at t = 0 and decays to zero."""
-        return self.dim * self.params.D / (4.0 * self._tau(t))
-
-    def time_derivatives(self, x, t) -> dict:
-        """Exact time derivatives used by the residual operators."""
-        D = self.params.D
-        tau = self._tau(t)
-        return {
-            "dS_dt": -(x**2) / (4.0 * tau**2) + 0.5 * self.dim * D / tau,
-            "dv_dt": -x / (2.0 * tau**2),
-            "dlnrho_dt": -0.5 * self.dim / tau + x**2 / (4.0 * D * tau**2),
-        }
-
-
-@dataclass(frozen=True)
-class FreeRecoilSolution:
-    """Free (no external potential) dynamics with medium back-reaction, 1D.
-
-    den(t) = alpha^4 + 4 D^2 t^2 below. Total energy D^2/alpha^2 is conserved;
-    the spreading is ballistic at late times.
+    A subclass defines ``msd``, ``dvar``, ``ddvar`` and may override ``_gauge``.
     """
 
     params: PhysicalParams
 
-    def _den(self, t):
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("t must be >= 0")
-        p = self.params
-        return p.alpha**4 + 4.0 * p.D**2 * t**2
+    def _gauge(self, t):
+        """The x-independent part of S and its rate: (S(0, t), dS(0, t)/dt)."""
+        return 0.0, 0.0
 
     def rho(self, x, t):
-        a = self.params.alpha
-        den = self._den(t)
-        return a / np.sqrt(np.pi * den) * np.exp(-(x**2) * a**2 / den)
+        var = self.msd(t)
+        return np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
     def S(self, x, t):
-        p = self.params
-        den = self._den(t)
-        return 2.0 * p.D**2 * x**2 * t / den - p.D * np.arctan(2.0 * p.D * t / p.alpha**2)
+        return self.dvar(t) / (4.0 * self.msd(t)) * x**2 + self._gauge(t)[0]
 
     def v(self, x, t):
-        D = self.params.D
-        return 4.0 * D**2 * t * x / self._den(t)
+        # in this order of operations b = v + u is exactly 0 when dvar = 2D
+        return self.dvar(t) * x / (2.0 * self.msd(t))
 
     def u(self, x, t):
-        p = self.params
-        return -2.0 * p.D * p.alpha**2 * x / self._den(t)
+        return -self.params.D * x / self.msd(t)
 
     def b(self, x, t):
-        p = self.params
-        return 2.0 * p.D * (2.0 * p.D * t - p.alpha**2) * x / self._den(t)
+        return self.v(x, t) + self.u(x, t)
 
     def Q(self, x, t):
-        p = self.params
-        den = self._den(t)
-        c = 2.0 * p.D**2 * p.alpha**2 / den
-        return c * (p.alpha**2 * x**2 / den - 1.0)
+        D, var = self.params.D, self.msd(t)
+        return D**2 * x**2 / (2.0 * var**2) - D**2 / var
 
     def P(self, x, t):
-        p = self.params
-        den = self._den(t)
-        return -(2.0 * p.D**2 * p.alpha**2 / den) * self.rho(x, t)
+        return -(self.params.D**2 / self.msd(t)) * self.rho(x, t)
 
     def phi(self, x, t):
         """Drift potential with b = 2 D grad(phi): phi = ln(rho)/2 + S/(2D)."""
         return 0.5 * np.log(self.rho(x, t)) + self.S(x, t) / (2.0 * self.params.D)
 
+    def kinetic(self, t):
+        """Kinetic energy of the current velocity, <v^2>/2 = dvar^2/(8 var)."""
+        return self.dvar(t) ** 2 / (8.0 * self.msd(t))
+
     def fields(self, x, t) -> dict:
-        return _free_fields(self, x, t)
+        """The six hydrodynamic columns rho, S, v, u, b, Q at (x, t)."""
+        v, u = self.v(x, t), self.u(x, t)
+        return {"rho": self.rho(x, t), "S": self.S(x, t), "v": v, "u": u,
+                "b": v + u, "Q": self.Q(x, t)}
+
+    def time_derivatives(self, x, t) -> dict:
+        """Exact time derivatives used by the residual operators."""
+        var, dvar = self.msd(t), self.dvar(t)
+        dv_dt = (self.ddvar(t) - dvar**2 / var) / (2.0 * var) * x
+        dS_dt = 0.5 * x * dv_dt + self._gauge(t)[1]
+        dlnrho_dt = dvar / (2.0 * var) * (x**2 / var - 1.0)
+        return {"dS_dt": dS_dt, "dv_dt": dv_dt, "dlnrho_dt": dlnrho_dt,
+                "dphi_dt": 0.5 * dlnrho_dt + dS_dt / (2.0 * self.params.D)}
+
+
+@dataclass(frozen=True)
+class FreeBrownianSolution(CentredGaussian):
+    """Zero-drift diffusion of the Gaussian cloud: the heat kernel shifted by
+    the reference time t0, with the gauge S(0, t) = D/2 ln(2 pi var)."""
+
+    fields = CentredGaussian.fields  # in the class body, where bench/tracing.py wraps it
+
+    def msd(self, t):
+        """<x^2>(t) = 2 D (t + t0)."""
+        return 2.0 * self.params.D * (_nonneg(t) + self.params.t0)
+
+    def dvar(self, t):
+        return 2.0 * self.params.D
+
+    def ddvar(self, t):
+        return 0.0
+
+    def _gauge(self, t):
+        D, var = self.params.D, self.msd(t)
+        return 0.5 * D * np.log(2.0 * np.pi * var), D**2 / var
+
+
+@dataclass(frozen=True)
+class FreeRecoilSolution(CentredGaussian):
+    """Free (no external potential) dynamics with medium back-reaction: the
+    total energy D^2/alpha^2 is conserved and the spreading is ballistic at
+    late times. The gauge is S(0, t) = -D arctan(2 D t/alpha^2)."""
+
+    fields = CentredGaussian.fields  # see FreeBrownianSolution
 
     def msd(self, t):
         """<x^2>(t) = alpha^2/2 + 2 D^2 t^2 / alpha^2."""
         p = self.params
-        return p.alpha**2 / 2.0 + 2.0 * p.D**2 * t**2 / p.alpha**2
+        return p.alpha**2 / 2.0 + 2.0 * p.D**2 * _nonneg(t) ** 2 / p.alpha**2
 
-    def kinetic(self, t):
+    def dvar(self, t):
+        return 4.0 * self.params.D**2 * t / self.params.alpha**2
+
+    def ddvar(self, t):
+        return 4.0 * self.params.D**2 / self.params.alpha**2
+
+    def _gauge(self, t):
         p = self.params
-        return 4.0 * p.D**4 * t**2 / (p.alpha**2 * self._den(t))
+        return -p.D * np.arctan(2.0 * p.D * t / p.alpha**2), -p.D**2 / self.msd(t)
 
     @property
     def total_energy(self) -> float:
         """Conserved total (kinetic + osmotic) energy D^2/alpha^2."""
-        p = self.params
-        return p.D**2 / p.alpha**2
-
-    def time_derivatives(self, x, t) -> dict:
-        p = self.params
-        D, a = p.D, p.alpha
-        den = self._den(t)
-        dden = 8.0 * D**2 * t
-        dS_dt = (
-            2.0 * D**2 * x**2 * (den - t * dden) / den**2
-            - 2.0 * D**2 * a**2 / den
-        )
-        dv_dt = 4.0 * D**2 * x * (den - t * dden) / den**2
-        dlnrho_dt = -0.5 * dden / den + x**2 * a**2 * dden / den**2
-        return {
-            "dS_dt": dS_dt,
-            "dv_dt": dv_dt,
-            "dlnrho_dt": dlnrho_dt,
-            "dphi_dt": 0.5 * dlnrho_dt + dS_dt / (2.0 * D),
-        }
+        return self.params.D**2 / self.params.alpha**2
 
 
 @dataclass(frozen=True)
-class HarmonicRecoilSolution:
+class HarmonicRecoilSolution(CentredGaussian):
     """Back-reacting dynamics in harmonic confinement of rate gamma > 0.
 
-    The density stays a centered Gaussian whose variance breathes:
+    The variance breathes:
 
         sigma^2(t) = sigma0^2 cos^2(gamma t) + (D/gamma)^2/sigma0^2 sin^2(gamma t)
 
@@ -215,7 +161,7 @@ class HarmonicRecoilSolution:
     family (use FreeRecoilSolution).
     """
 
-    params: PhysicalParams
+    fields = CentredGaussian.fields  # see FreeBrownianSolution
 
     def __post_init__(self):
         if self.params.gamma <= 0:
@@ -236,22 +182,22 @@ class HarmonicRecoilSolution:
         """Period of the width oscillation, pi/gamma."""
         return np.pi / self.params.gamma
 
+    def _swing(self) -> float:
+        """(D/gamma)^2/sigma0^2 - sigma0^2, the range of the variance."""
+        return (self.params.D / self.params.gamma) ** 2 / self.sigma0_sq - self.sigma0_sq
+
     def msd(self, t):
-        p = self.params
-        s0 = self.sigma0_sq
+        p, s0 = self.params, self.sigma0_sq
         c, s = np.cos(p.gamma * t), np.sin(p.gamma * t)
         return s0 * c**2 + (p.D / p.gamma) ** 2 / s0 * s**2
 
-    def rho(self, x, t):
-        var = self.msd(t)
-        return np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    def dvar(self, t):
+        g = self.params.gamma
+        return g * np.sin(2 * g * t) * self._swing()
 
-    def fields(self, x, t) -> dict:
-        p = self.params
-        var = self.msd(t)
-        s0 = self.sigma0_sq
-        dvar = p.gamma * np.sin(2 * p.gamma * t) * ((p.D / p.gamma) ** 2 / s0 - s0)
-        return _gaussian_cols(x, var, dvar, p.D)
+    def ddvar(self, t):
+        g = self.params.gamma
+        return 2.0 * g**2 * np.cos(2 * g * t) * self._swing()
 
     def omega(self, x):
         """Auxiliary potential of the scenario: gamma^2 x^2 / 2 - D gamma."""
@@ -270,31 +216,19 @@ def ou_variance(params: PhysicalParams, t):
 
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeckSolution:
+class OrnsteinUhlenbeckSolution(CentredGaussian):
     """Overdamped diffusion under b = -gamma x started from the alpha-cloud;
-    the density stays a centered Gaussian of variance ``ou_variance``."""
-
-    params: PhysicalParams
+    the variance is ``ou_variance``, with dvar = 2D - 2 gamma var."""
 
     def msd(self, t):
         return ou_variance(self.params, t)
 
-    def fields(self, x, t) -> dict:
+    def dvar(self, t):
         p = self.params
-        var = ou_variance(p, t)
-        dvar = -2.0 * p.gamma * var + 2.0 * p.D
-        return _gaussian_cols(x, var, dvar, p.D)
+        return -2.0 * p.gamma * self.msd(t) + 2.0 * p.D
 
-
-def _gaussian_cols(x, var, dvar_dt, D):
-    """Closed-form hydro fields of a centered Gaussian with width history
-    var(t): v = (dvar/2var) x, u = -D x / var, S the quadratic v-potential."""
-    rho = np.exp(-(x**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    S = dvar_dt / (4.0 * var) * x**2
-    v = dvar_dt / (2.0 * var) * x
-    u = -D * x / var
-    Q = D**2 * x**2 / (2.0 * var**2) - D**2 / var
-    return {"rho": rho, "S": S, "v": v, "u": u, "b": v + u, "Q": Q}
+    def ddvar(self, t):
+        return -2.0 * self.params.gamma * self.dvar(t)
 
 
 def smoluchowski_omega(force: ScalarField, params: PhysicalParams) -> ScalarField:

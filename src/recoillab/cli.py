@@ -8,7 +8,8 @@ manifest.  ``recoillab list`` prints the built-in scenarios; ``recoillab
 compare A B`` diffs two finished run directories by content hash.
 
 Exit codes: 0 every tolerance gate passed; 1 at least one gate failed;
-2 invalid spec or usage; 3 solver failure.
+2 invalid spec or usage; 3 solver failure; 4 an unexpected error, whose
+traceback is printed to stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import logging
 import os
 import struct
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Optional
@@ -171,12 +173,13 @@ def _finite_nonneg(value, key):
 
 
 def _check_steps(t_end, dt, key):
-    """core.steps as a spec check: dt must divide t_end (both > 0)."""
+    """core.steps as a spec check: dt must divide t_end (both > 0) into at
+    most core.MAX_STEPS steps."""
     try:
         steps(t_end, dt)
     except ValueError as exc:
         raise SpecError(f"{key} = {dt!r} must divide t_end = {t_end!r} into a "
-                        "positive whole number of steps") from exc
+                        f"positive whole number of steps ({exc})") from exc
 
 
 def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
@@ -353,7 +356,6 @@ def _run_analytic(spec) -> RouteData:
     hydro = []
     for t in times:
         cols = sol.fields(grid.x, t)
-        cols.pop("P", None)  # the free solutions' pressure is not a CSV column
         out.slices.append((float(t), cols))
         hydro.append(fieldcalc.hydro_from_arrays(
             float(t), grid, p.D, rho=cols["rho"], S=cols["S"], v=cols["v"],
@@ -861,17 +863,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.command == "list":
-        return list_scenarios(args.json)
-    if args.command == "compare":
-        return compare_runs(args.run_a, args.run_b)
     try:
+        if args.command == "list":
+            return list_scenarios(args.json)
+        if args.command == "compare":
+            return compare_runs(args.run_a, args.run_b)
         spec = load_spec(args.spec, out_dir=args.out, seed=args.seed,
                          fmt=args.format)
         return run_scenario(spec)
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault of the program: keep it off the verdict codes 0-3
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

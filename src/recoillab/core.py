@@ -54,10 +54,18 @@ class PhysicalParams:
         return self.alpha**2 / (4.0 * self.D)
 
 
+# The most steps one march may take, 10**4 times the longest bundled march.
+# A longer march would run for days, and storing its steps can exhaust memory.
+MAX_STEPS = 10**8
+
+
 def steps(t_end: float, dt: float, t0: float = 0.0) -> int:
     """Number of dt steps from t0 to t_end; ValueError unless t_end - t0 is a
-    positive integer multiple of dt (to 1e-9 of t_end)."""
+    positive integer multiple of dt (to 1e-9 of t_end) of at most MAX_STEPS."""
     ratio = (t_end - t0) / dt if dt > 0 else np.nan
+    if ratio > MAX_STEPS:
+        raise ValueError(f"t_end - t0 = {t_end - t0:g} takes {ratio:.3g} steps of "
+                         f"dt = {dt:g}, over the ceiling MAX_STEPS = {MAX_STEPS}")
     n = int(round(ratio)) if np.isfinite(ratio) else 0
     if n < 1 or abs(t0 + n * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end - t0 = {t_end - t0:g} is not a positive "
@@ -149,18 +157,6 @@ def gradient(f: ScalarField) -> ScalarField:
     if f.grid.n < 3:
         raise ValueError("gradient needs at least 3 nodes")
     return ScalarField(f.grid, np.gradient(f.values, f.grid.dx, edge_order=2))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Second derivative via the 3-point stencil; 4-point one-sided second-order
-    formulas at the boundaries. Exact on polynomials of degree <= 2."""
-    v = f.values
-    dx2 = f.grid.dx**2
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dx2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dx2
-    return ScalarField(f.grid, out)
 
 
 def trapezoid(y, x=None, dx=1.0):

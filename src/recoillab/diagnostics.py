@@ -79,21 +79,16 @@ class MsdSeries:
         return out
 
 
-def msd_from_fields(times, rhos: Sequence[ScalarField], dim: int = 1,
-                    source: str = "pde") -> MsdSeries:
-    """Second moment of each density slice, times the dimension.
-
-    Field snapshots live on a 1D mesh; for isotropic product densities the
-    stored profile is the per-axis marginal and <|x|^2> = dim * <x1^2>.
-    Slices are renormalized by their own mass to keep quadrature honest.
-    """
+def msd_from_fields(times, rhos: Sequence[ScalarField], source: str = "pde") -> MsdSeries:
+    """Second moment <x^2> of each density slice. Slices are renormalized by
+    their own mass to keep quadrature honest."""
     values = []
     for rho in rhos:
         mass = integrate(rho)
         if mass <= 0:
             raise ValueError("density slice has non-positive mass")
         x = rho.grid.x
-        values.append(dim * integrate(ScalarField(rho.grid, x**2 * rho.values)) / mass)
+        values.append(integrate(ScalarField(rho.grid, x**2 * rho.values)) / mass)
     return MsdSeries(np.asarray(times, dtype=float), np.asarray(values), source=source)
 
 

@@ -130,7 +130,7 @@ def test_criterion_5_brownian_controls(zero_drift_snapshots, ou_fp, ou_params):
 def test_criterion_6_residual_suite():
     p = PhysicalParams(D=1.0, alpha=1.0)
     recoil = FreeRecoilSolution(p)
-    brownian = FreeBrownianSolution(p, dim=1)
+    brownian = FreeBrownianSolution(p)
 
     # exact route: closed-form fields and closed-form time derivatives
     g = Grid1D(-12.0, 12.0, 2401)
@@ -206,7 +206,7 @@ def test_criterion_8_asymptotic_velocity_ratio():
         return slope * t
 
     recoil = fitted_ratio(FreeRecoilSolution(p).v(x, t))
-    brownian = fitted_ratio(FreeBrownianSolution(p, dim=1).v(x, t))
+    brownian = fitted_ratio(FreeBrownianSolution(p).v(x, t))
     assert abs(recoil - 1.0) < 0.01
     assert abs(brownian - 0.5) / 0.5 < 0.01
 

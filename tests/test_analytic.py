@@ -10,6 +10,7 @@ from recoillab.analytic import (
     FreeBrownianSolution,
     FreeRecoilSolution,
     HarmonicRecoilSolution,
+    OrnsteinUhlenbeckSolution,
     ou_variance,
     smoluchowski_omega,
 )
@@ -18,73 +19,87 @@ P1 = PhysicalParams(D=1.0, alpha=1.0)
 
 
 class TestFreeBrownian:
-    def test_pressure_potential_at_origin_3d(self):
-        sol = FreeBrownianSolution(P1, dim=3)
-        assert sol.Q(0.0, 0.0) == pytest.approx(-6.0, abs=1e-14)
-
     def test_current_velocity_vanishes_at_origin(self):
-        for dim in (1, 3):
-            sol = FreeBrownianSolution(P1, dim=dim)
-            assert sol.v(0.0, 0.3) == 0.0
+        assert FreeBrownianSolution(P1).v(0.0, 0.3) == 0.0
 
     def test_velocities_cancel_into_zero_drift(self):
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         x = np.linspace(-3.0, 3.0, 13)
         np.testing.assert_allclose(sol.v(x, 0.75), x / 2.0, atol=1e-15)
         np.testing.assert_allclose(sol.u(x, 0.75), -x / 2.0, atol=1e-15)
         np.testing.assert_allclose(sol.b(x, 0.75), 0.0, atol=0.0)
 
     def test_msd_values(self):
-        sol3 = FreeBrownianSolution(P1, dim=3)
-        assert sol3.msd(0.0) == pytest.approx(1.5, abs=1e-14)
-        assert sol3.msd(1.0) == pytest.approx(7.5, abs=1e-14)
-        sol1 = FreeBrownianSolution(P1, dim=1)
-        assert sol1.msd(0.0) == pytest.approx(0.5, abs=1e-14)
+        assert FreeBrownianSolution(P1).msd(0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_kinetic_energy_decay(self):
-        sol3 = FreeBrownianSolution(P1, dim=3)
-        assert sol3.kinetic(0.0) == pytest.approx(3.0, abs=1e-14)
-        sol1 = FreeBrownianSolution(P1, dim=1)
-        assert sol1.kinetic(0.0) == pytest.approx(1.0, abs=1e-14)
-        assert sol1.kinetic(1e6) < 1e-6
+        sol = FreeBrownianSolution(P1)
+        assert sol.kinetic(0.0) == pytest.approx(1.0, abs=1e-14)
+        assert sol.kinetic(1e6) < 1e-6
 
     def test_kinetic_times_tau_is_constant(self):
-        for dim in (1, 3):
-            sol = FreeBrownianSolution(P1, dim=dim)
-            t = np.array([0.0, 0.5, 2.0, 10.0])
-            np.testing.assert_allclose(sol.kinetic(t) * (t + P1.t0),
-                                       dim * P1.D / 4.0, rtol=1e-14)
+        sol = FreeBrownianSolution(P1)
+        t = np.array([0.0, 0.5, 2.0, 10.0])
+        np.testing.assert_allclose(sol.kinetic(t) * (t + P1.t0),
+                                   P1.D / 4.0, rtol=1e-14)
 
     def test_pressure_is_proportional_to_density(self):
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         assert sol.P(0.0, 0.0) == pytest.approx(-2.0 / np.sqrt(np.pi), rel=1e-14)
 
     def test_hamilton_jacobi_identity_holds_exactly(self):
-        # dS/dt + v^2/2 + Q = 0 for the free expansion, any dim
-        for dim in (1, 3):
-            sol = FreeBrownianSolution(P1, dim=dim)
-            x = np.linspace(-5.0, 5.0, 41)
-            for t in (0.0, 0.4, 3.0):
-                res = (sol.time_derivatives(x, t)["dS_dt"]
-                       + 0.5 * sol.v(x, t) ** 2 + sol.Q(x, t))
-                assert np.max(np.abs(res)) < 1e-12
+        # dS/dt + v^2/2 + Q = 0 for the free expansion
+        sol = FreeBrownianSolution(P1)
+        x = np.linspace(-5.0, 5.0, 41)
+        for t in (0.0, 0.4, 3.0):
+            res = (sol.time_derivatives(x, t)["dS_dt"]
+                   + 0.5 * sol.v(x, t) ** 2 + sol.Q(x, t))
+            assert np.max(np.abs(res)) < 1e-12
 
     def test_normalization_every_time(self):
         g = Grid1D(-32.0, 32.0, 3201)
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         for t in (0.0, 1.0, 5.0):
             assert integrate(ScalarField(g, sol.rho(g.x, t))) == pytest.approx(1.0, abs=1e-10)
 
     def test_asymptotic_velocity_ratio_is_half(self):
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         t = 1e4
         assert sol.v(1.0, t) * t / 1.0 == pytest.approx(0.5, abs=1e-4)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            FreeBrownianSolution(P1, dim=2)
-        with pytest.raises(ValueError):
-            FreeBrownianSolution(P1, dim=1).rho(0.0, -0.1)
+            FreeBrownianSolution(P1).rho(0.0, -0.1)
+
+
+FAMILIES = {
+    "free_brownian": FreeBrownianSolution(PhysicalParams(D=1.3, alpha=0.8)),
+    "free_recoil": FreeRecoilSolution(PhysicalParams(D=0.7, alpha=1.2)),
+    "harmonic_recoil": HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=1.3)),
+    "smoluchowski_ou": OrnsteinUhlenbeckSolution(PhysicalParams(D=1.5, alpha=2.0, gamma=3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_family_is_one_consistent_centred_gaussian(kind):
+    sol = FAMILIES[kind]
+    D, gamma = sol.params.D, sol.params.gamma
+    x = np.linspace(-5.0, 5.0, 41)
+    for t in (0.0, 0.3, 1.7, 4.0):
+        f = sol.fields(x, t)
+        assert sorted(f) == ["Q", "S", "b", "rho", "u", "v"]
+        rho, v, u, b = f["rho"], f["v"], f["u"], f["b"]
+        # continuity rho dln(rho)/dt + d(v rho)/dx = 0, all closed-form: v is
+        # linear in x and d(ln rho)/dx = u/D, so d(v rho)/dx = rho (v(1, t) + v u/D)
+        drho_dt = rho * sol.time_derivatives(x, t)["dlnrho_dt"]
+        div_j = rho * (sol.v(1.0, t) + v * u / D)
+        assert np.max(np.abs(drho_dt + div_j)) < 1e-13
+        np.testing.assert_array_equal(b, v + u)
+        np.testing.assert_array_equal(sol.b(x, t), b)
+        if kind == "free_brownian":
+            assert np.all(b == 0.0)
+        if kind == "smoluchowski_ou":
+            np.testing.assert_allclose(b, -gamma * x, rtol=1e-15, atol=0.0)
 
 
 class TestFreeRecoil:

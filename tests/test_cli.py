@@ -200,22 +200,29 @@ bogus = 1.0
         ("tolerances", "l1_rho = nan"),
         ("tolerances", "msd_rel = -1"),
         ("tolerances", "linf_rho = inf"),
+        # marches over core.MAX_STEPS in scenarios whose spread stays
+        # bounded, so no other check rejects them first; here the section
+        # names the kind and the setting completes the spec
+        ("harmonic_recoil", "routes = analytic, schrodinger\n[params]\ngamma = 2\n"
+                            "[time]\nt_end = 1e12"),
+        ("smoluchowski_ou", "routes = analytic, fp, sde\n[params]\ngamma = 1\n"
+                            "[time]\nt_end = 1e300"),
     ])
     def test_bad_step_or_ensemble_setting(self, tmp_path, capsys, section, setting):
         # t_end defaults to 1; the solvers would reject these settings mid-run,
-        # as a solver failure (exit 3)
-        path = write_cfg(tmp_path, "bad.cfg", f"""
-[scenario]
-kind = free_brownian
-routes = analytic, fp, sde
-
-[{section}]
-{setting}
-""")
-        assert self.rc(path) == 2
+        # as a solver failure (exit 3), and a march over the step ceiling
+        # would run out of memory or never end
+        if section in cli.SCENARIOS:
+            body = f"[scenario]\nkind = {section}\n{setting}\n"
+        else:
+            body = ("[scenario]\nkind = free_brownian\nroutes = analytic, fp, sde\n"
+                    f"[{section}]\n{setting}\n")
+        assert self.rc(write_cfg(tmp_path, "bad.cfg", body)) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid spec:")
         assert "Traceback" not in err
+        if section in cli.SCENARIOS:
+            assert "MAX_STEPS = 100000000" in err
 
     @pytest.mark.parametrize("body", [
         b"kind = free_brownian\n[scenario]\nroutes = analytic\n",   # key before a header
@@ -342,6 +349,22 @@ drift_stride = 0
         err = capsys.readouterr().err
         assert "solver failure: phase jump" in err
         assert "Traceback" not in err
+
+    def test_unexpected_error_returns_four_with_a_traceback(self, tmp_path,
+                                                            monkeypatch, capsys):
+        def broken(spec):
+            raise KeyError("rho")
+
+        monkeypatch.setattr(cli, "_run_analytic", broken)
+        path = write_cfg(tmp_path, "analytic.cfg", """
+[scenario]
+kind = free_brownian
+routes = analytic
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "KeyError: 'rho'" in err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -569,7 +592,7 @@ snapshot_stride = 25
 
 
 class TestCrashMidWrite:
-    def test_no_manifest_survives_a_failed_rerun(self, tmp_path, monkeypatch):
+    def test_no_manifest_survives_a_failed_rerun(self, tmp_path, monkeypatch, capsys):
         out, first = tmp_path / "run", tmp_path / "first"
         assert run_smoke(out) == 0
         shutil.copytree(out, first)
@@ -585,8 +608,8 @@ class TestCrashMidWrite:
             return format_column(values)
 
         monkeypatch.setattr(cli, "_format_column", failing)
-        with pytest.raises(RuntimeError, match="formatter failed"):
-            run_smoke(out)
+        assert run_smoke(out) == 4
+        assert "RuntimeError: formatter failed" in capsys.readouterr().err
         assert (out / names[0]).read_bytes() == (first / names[0]).read_bytes()
         assert second.stat().st_size < (first / names[1]).stat().st_size
         assert not (out / "manifest.json").exists()

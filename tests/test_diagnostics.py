@@ -59,13 +59,6 @@ class TestMsdFromFields:
         series = msd_from_fields(times, rhos)
         np.testing.assert_allclose(series.values, [0.5, 2.5], rtol=0, atol=1e-8)
 
-    def test_isotropic_profile_scales_with_dimension(self):
-        g = Grid1D(-24.0, 24.0, 4801)
-        sol = FreeBrownianSolution(P1, dim=3)
-        rho = ScalarField(g, sol.axis_marginal_rho(g.x, 0.0))
-        series = msd_from_fields([0.0], [rho], dim=3)
-        assert series.values[0] == pytest.approx(1.5, abs=1e-8)
-
     def test_point_mass_has_zero_spread(self):
         g = Grid1D(-2.0, 2.0, 401)
         vals = np.zeros(g.n)
@@ -121,7 +114,7 @@ class TestEnergyReport:
 
     def test_brownian_kinetic_energy_decays_hyperbolically(self):
         g = self.grid()
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         t = 0.75  # tau = 1
         report = energy_report([exact_slice(sol, g, t)])
         assert report.kinetic[0] == pytest.approx(0.25, abs=1e-8)
@@ -147,7 +140,7 @@ class TestClassifyDispersion:
 
     def test_brownian_spreading_is_normal(self):
         t = np.linspace(5.0, 500.0, 100)
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         series = MsdSeries(t, sol.msd(t), source="analytic")
         verdict = classify_dispersion(series, self.crossover)
         assert verdict.regime is DispersionRegime.NORMAL

@@ -90,7 +90,7 @@ class TestPressurePotential:
     def test_free_brownian_depth(self):
         # Q(0) = -D/(2 tau); tau = 1 when t = 0.75 for alpha = 1
         g = Grid1D(-16.0, 16.0, 1601)
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         Q, _ = pressure_potential(ScalarField(g, sol.rho(g.x, 0.75)), D=1.0)
         mid = np.searchsorted(g.x, 0.0)
         assert Q.values[mid] == pytest.approx(-0.5, abs=1e-10)
@@ -158,7 +158,7 @@ class TestResiduals:
 
     def test_brownian_solution_satisfies_the_standard_convention(self):
         g = Grid1D(-16.0, 16.0, 1601)
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         t = 0.75
         h = exact_slice(sol, g, t)
         deriv = sol.time_derivatives(g.x, t)
@@ -224,7 +224,7 @@ class TestComovingMass:
 
     def test_brownian_interval_is_nearly_comoving(self):
         g = Grid1D(-12.0, 12.0, 2401)
-        sol = FreeBrownianSolution(P1, dim=1)
+        sol = FreeBrownianSolution(P1)
         h = exact_slice(sol, g, 1.0)
         rho_next = ScalarField(g, sol.rho(g.x, 1.0 + 1e-3))
         assert comoving_interval_mass_check(h, rho_next, 1e-3, (0.2, 1.4)) < 1e-5

@@ -49,7 +49,7 @@ class TestFokkerPlanck:
                                       drift=ZeroDrift(), D=1.0, dt=1e-3,
                                       t_end=1.0, snapshot_stride=1000)
         sol = solve_fokker_planck(problem)
-        exact = FreeBrownianSolution(P1, dim=1).rho(g.x, 1.0)
+        exact = FreeBrownianSolution(P1).rho(g.x, 1.0)
         assert np.max(np.abs(sol.rho_at(1.0).values - exact)) < 1e-4
         assert sol.mass_drift_max < 1e-12
         assert sol.min_density > -1e-12
