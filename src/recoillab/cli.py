@@ -289,7 +289,9 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     if fmt_val not in ("csv", "binary"):
         raise SpecError("output format must be csv or binary")
     seed_val = seed if seed is not None else _get(cfg, "scenario", "seed", int, 0)
-    if not 0 <= seed_val < 2**63:  # sde keys Philox with [seed, 1]: an int64 word
+    # one int64 word: sample_initial keys Philox with it, and evolve seeds
+    # its SFC64 noise with SeedSequence([seed, 1])
+    if not 0 <= seed_val < 2**63:
         raise SpecError(f"seed = {seed_val} must be in [0, 2**63)")
 
     # table paths are relative to the spec file

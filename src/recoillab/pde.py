@@ -117,15 +117,26 @@ def _fp_operator(bhalf: np.ndarray, D: float, dx: float, n: int):
     Zero-flux boundaries; columns of A sum to zero, so Sum(rho)*dx is
     conserved by any consistent time integrator.
     """
-    delta = _chang_cooper_delta(bhalf * dx / D)
+    w = bhalf * dx / D
+    delta = _chang_cooper_delta(w)
     inflow = (bhalf * delta + D / dx) / dx          # coefficient of rho_i in F_{i+1/2}
     outflow = (D / dx - bhalf * (1.0 - delta)) / dx  # coefficient of -rho_{i+1} in F_{i+1/2}
-    lower = inflow
-    upper = outflow
+    back = bhalf * (1.0 - delta) / dx - D / dx**2    # -outflow, as the diagonal takes it
+    # Past |w| = 1 the differences above cancel ever more digits (every one
+    # near |w| = 37), which breaks the Boltzmann ratio of a steep drift. There
+    # the rates come from the Bernoulli function B(w) = w/expm1(w), both to
+    # full relative precision: inflow = D/dx^2 B(-w), outflow = D/dx^2 B(w).
+    steep = np.abs(w) > 1.0
+    if np.any(steep):
+        ws = w[steep]
+        with np.errstate(over="ignore"):  # B(w) -> 0 as expm1(w) -> inf
+            inflow[steep] = D / dx**2 * (-ws / np.expm1(-ws))
+            outflow[steep] = D / dx**2 * (ws / np.expm1(ws))
+        back[steep] = -outflow[steep]
     diag = np.zeros(n)
     diag[:-1] -= inflow
-    diag[1:] += bhalf * (1.0 - delta) / dx - D / dx**2
-    return lower, diag, upper
+    diag[1:] += back
+    return inflow, diag, outflow
 
 
 def _tridiag_matvec(lower, diag, upper, v):

@@ -1,10 +1,13 @@
 """Particle-ensemble integrator for dX = b(X,t) dt + sqrt(2D) dW.
 
-Euler-Maruyama stepping (weak order 1) with a counter-based Philox stream
-keyed by the run seed: the noise consumed by particle i at step k is draw
-k*n + i of the stream, a pure function of (seed, k, i). The update is a
-single-threaded vectorized numpy expression, so trajectories are bitwise
-reproducible for a given seed regardless of BLAS/OMP thread settings.
+Euler-Maruyama stepping (weak order 1). The noise is one SFC64 stream
+seeded by SeedSequence([seed, 1]); particle i at step k consumes draw
+k*n + i. The stream is sequential, not counter-based: a draw is reached
+only by drawing every one before it. Each step moves the ensemble in place
+through its drift's ``advance`` hook, then adds the scaled noise; every
+update is a single-threaded vectorized numpy expression, so trajectories
+are bitwise reproducible for a given seed regardless of BLAS/OMP thread
+settings.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,12 @@ class DriftSource:
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def advance(self, x: np.ndarray, t: float, dt: float) -> None:
+        """The drift half of an Euler-Maruyama step: x += b(x, t) dt, in place."""
+        b = self(x, t)
+        b *= dt
+        x += b
+
 
 class ZeroDrift(DriftSource):
     """Free diffusion."""
@@ -43,6 +52,24 @@ class ZeroDrift(DriftSource):
 
     def __call__(self, x, t):
         return np.zeros_like(x)
+
+    def advance(self, x, t, dt):
+        pass
+
+
+class LinearDrift(DriftSource):
+    """Linear drift b = rate * x; its step is one in-place scaling."""
+
+    time_dependent = False
+
+    def __init__(self, rate: float):
+        self.rate = float(rate)
+
+    def __call__(self, x, t):
+        return self.rate * x
+
+    def advance(self, x, t, dt):
+        x *= 1.0 + self.rate * dt
 
 
 class SmoluchowskiDrift(DriftSource):
@@ -58,11 +85,11 @@ class SmoluchowskiDrift(DriftSource):
         return self.force(x) / (self.params.m * self.params.beta)
 
 
-def ou_drift(params: PhysicalParams) -> SmoluchowskiDrift:
+def ou_drift(params: PhysicalParams) -> LinearDrift:
     """Linear restoring force F = -m*beta*gamma*x, i.e. b = -gamma x."""
     if params.gamma <= 0:
         raise ValueError("ou_drift needs gamma > 0")
-    return SmoluchowskiDrift(lambda x: -params.m * params.beta * params.gamma * x, params)
+    return LinearDrift(-params.gamma)
 
 
 class AnalyticRecoilDrift(DriftSource):
@@ -119,14 +146,14 @@ class TabulatedDrift(DriftSource):
         w = (t - t0) / (t1 - t0)
         w = min(max(w, 0.0), 1.0)
 
-        # Linear interpolation in each of the two rows, in the operation order
-        # of np.interp: slope_i * (x - x_i) + f_i, slope_i = df_i / dx_i,
-        # returning f_i itself where x == x_i. Both rows share the cell index
-        # and the offset. The zero slope at index n-1 pads the table: only
-        # x == x_max reaches that index, and it sits on a node.
-        rows = self.values[k:k + 2]
-        slopes = np.zeros_like(rows)
-        np.divide(np.diff(rows, axis=1), np.diff(g.x), out=slopes[:, :-1])
+        # Blend the two time rows once, then interpolate the blended row in
+        # the operation order of np.interp: slope_i * (x - x_i) + f_i, with
+        # slope_i = df_i / dx_i, returning f_i itself where x == x_i. The
+        # zero slope at index n-1 pads the table: only x == x_max reaches
+        # that index, and it sits on a node.
+        f = (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        slope = np.zeros_like(f)
+        np.divide(np.diff(f), np.diff(g.x), out=slope[:-1])
         nodes = g.x
         # (x - x_min)/dx - 1/2 truncated is the cell index or one below it:
         # linspace nodes sit within far less than half a cell of x_min + i dx
@@ -138,11 +165,12 @@ class TabulatedDrift(DriftSource):
         m = min(flat.size, _LOOKUP_CHUNK)
         i = np.empty(m, dtype=np.intp)
         ahead = np.empty(m, dtype=bool)
-        off, buf, b0, b1 = (np.empty(m) for _ in range(4))
+        off, buf = np.empty(m), np.empty(m)
         for lo in range(0, flat.size, _LOOKUP_CHUNK):
             xc = flat[lo:lo + _LOOKUP_CHUNK]
             c = xc.size
             ic, ac, oc, bc = i[:c], ahead[:c], off[:c], buf[:c]
+            rc = result[lo:lo + c]
             np.subtract(xc, x_lo, out=oc)
             np.multiply(oc, inv_dx, out=ic, casting="unsafe")
             np.take(nodes[1:], ic, out=bc, mode="clip")
@@ -150,16 +178,12 @@ class TabulatedDrift(DriftSource):
             ic += ac
             np.take(nodes, ic, out=bc, mode="clip")
             np.subtract(xc, bc, out=oc)
+            np.take(slope, ic, out=rc, mode="clip")
+            rc *= oc
+            np.take(f, ic, out=bc, mode="clip")
+            rc += bc
             on_node = np.flatnonzero(oc == 0.0)
-            for f, s, bk in zip(rows, slopes, (b0[:c], b1[:c])):
-                np.take(s, ic, out=bk, mode="clip")
-                bk *= oc
-                np.take(f, ic, out=bc, mode="clip")
-                bk += bc
-                bk[on_node] = f[ic[on_node]]
-            b0[:c] *= 1.0 - w
-            b1[:c] *= w
-            np.add(b0[:c], b1[:c], out=result[lo:lo + c])
+            rc[on_node] = bc[on_node]
         return result.reshape(x.shape)
 
 
@@ -242,20 +266,16 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     n_steps = steps(config.t_end, config.dt, state.t)
     stored = stored_steps(n_steps, config.snapshot_stride)
 
-    # key word 1 separates the evolution stream from sample_initial's
-    # (key=[seed, 0]); sharing the bare seed would correlate the first
-    # step's noise with the initial positions
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
+    # SeedSequence hashes [seed, 1] into the SFC64 state; the word 1 marks
+    # the evolution stream, apart from sample_initial's bare-seed generator
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([config.seed, 1])))
     sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
     x = state.positions.copy()
-    step = np.empty_like(x)
     noise = np.empty_like(x)
     snapshots = [state]
     for k in range(n_steps):
-        t = state.t + k * config.dt
         # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
-        np.multiply(drift(x, t), config.dt, out=step)
-        x += step
+        drift.advance(x, state.t + k * config.dt, config.dt)
         rng.standard_normal(out=noise)
         noise *= sqrt_noise
         x += noise

@@ -2,16 +2,25 @@
 scheme, and the Madelung decomposition that links the two."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from recoillab import pde
-from recoillab.core import ComplexField, Grid1D, PhysicalParams, ScalarField, integrate
+from recoillab.core import (
+    ComplexField,
+    Grid1D,
+    PhysicalParams,
+    ScalarField,
+    integrate,
+    trapezoid,
+)
 from recoillab.analytic import (
     FreeBrownianSolution,
     FreeRecoilSolution,
@@ -300,6 +309,53 @@ class TestLedgers:
                                        dt=dt, t_end=20 * dt, edge_tol=1.5)
         wave = solve_schrodinger(problem)
         assert wave.norm_drift_max <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=hnp.arrays(float, st.integers(2, 60), elements=st.floats(-50.0, 50.0)),
+           D=st.floats(1e-2, 1e2), dx=st.floats(1e-3, 1.0))
+    def test_chang_cooper_zero_flux_state_is_boltzmann(self, w, D, dx):
+        # a static drift on the half nodes, |b dx / D| up to 50: the
+        # discrete Boltzmann profile rho_i ~ exp(sum_{j<i} b_j dx / D) is the
+        # zero-flux state, and every column of A sums to zero
+        b = w * D / dx
+        n = b.size + 1
+        lower, diag, upper = pde._fp_operator(b, D, dx, n)
+        # exponents summed exactly outward from the peak: a running sum
+        # would carry the rounding of exponents in the thousands
+        w = b * dx / D
+        top = int(np.argmax(np.concatenate(([0.0], np.cumsum(w)))))
+        rho = np.exp([math.fsum(w[top:i]) if i >= top else -math.fsum(w[i:top])
+                      for i in range(n)])
+        residual = pde._tridiag_matvec(lower, diag, upper, rho)
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(diag * rho))
+        column_sums = diag.copy()
+        column_sums[:-1] += lower
+        column_sums[1:] += upper
+        assert np.all(np.abs(column_sums) <= 1e-13 * np.abs(diag))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 4.0),
+           shift=st.floats(-50.0, 50.0))
+    def test_cayley_march_preserves_inner_products(self, seed, gamma, shift):
+        # two random states excite every grid mode; the Cayley march must
+        # keep both l2 norms and their inner product, not just the ledger.
+        # edge_tol > 1 disables the escape guard
+        g = self.grid
+        rng = np.random.default_rng(seed)
+        omega = ScalarField(g, 0.5 * gamma**2 * g.x**2 + shift)
+        start, end = [], []
+        for _ in range(2):
+            psi = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+            psi /= np.sqrt(trapezoid(np.abs(psi) ** 2, dx=g.dx))
+            problem = SchrodingerProblem(grid=g, psi0=ComplexField(g, psi), Omega=omega,
+                                         D=1.0, dt=1e-2, t_end=0.1, edge_tol=1.5)
+            start.append(psi)
+            end.append(solve_schrodinger(problem).psis[-1].values)
+        for a0, a1 in zip(start, end):
+            norm0 = np.linalg.norm(a0) * np.sqrt(g.dx)
+            assert abs(np.linalg.norm(a1) * np.sqrt(g.dx) - norm0) <= 1e-13
+        overlap = np.vdot(end[0], end[1]) - np.vdot(start[0], start[1])
+        assert abs(overlap) * g.dx <= 1e-13
 
     def test_nan_drift_fails_the_mass_ledger(self):
         drift = SmoluchowskiDrift(lambda x: np.where(np.abs(x) < 1.0, np.nan, 0.0),

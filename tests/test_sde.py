@@ -11,9 +11,13 @@ from hypothesis.extra import numpy as hnp
 from recoillab.core import Grid1D, PhysicalParams, ScalarField, integrate
 from recoillab.analytic import FreeRecoilSolution, ou_variance
 from recoillab.sde import (
+    AnalyticRecoilDrift,
     DriftDomainError,
+    DriftSource,
     EnsembleState,
+    LinearDrift,
     SdeConfig,
+    SmoluchowskiDrift,
     TabulatedDrift,
     ZeroDrift,
     empirical_moments,
@@ -152,14 +156,14 @@ class TestTabulatedDrift:
 
 
 def interp_lookup(drift, x, t):
-    """Reference bilinear lookup: one np.interp binary search per time row,
-    then the time blend, in the operation order TabulatedDrift must keep."""
+    """Reference bilinear lookup: the time blend of the two rows, then one
+    np.interp binary search on the blended row, in the operation order
+    TabulatedDrift must keep."""
     times = drift.times
     k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
     w = min(max((t - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
-    b0 = np.interp(x, drift.grid.x, drift.values[k])
-    b1 = np.interp(x, drift.grid.x, drift.values[k + 1])
-    return (1.0 - w) * b0 + w * b1
+    f = (1.0 - w) * drift.values[k] + w * drift.values[k + 1]
+    return np.interp(x, drift.grid.x, f)
 
 
 @st.composite
@@ -230,16 +234,66 @@ class TestTabulatedLookupIsBitExact:
             drift(x, drift.times[0])
 
 
-def euler_maruyama_reference(state, drift, params, config):
-    """The one-line update loop evolve() must reproduce bit for bit."""
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
+class SineDrift(DriftSource):
+    """A drift that only states __call__, so it steps through the base hook."""
+
+    def __call__(self, x, t):
+        return np.sin(x) * (1.0 + t)
+
+
+class TestAdvance:
+    """``advance`` is the drift half of one Euler-Maruyama step, in place."""
+
+    params = PhysicalParams(D=0.7, alpha=1.0, gamma=1.3)
+    x = np.random.default_rng(6).normal(0.0, 2.0, 5000)
+    t, dt = 0.35, 0.01
+
+    def stepped(self, drift):
+        x = self.x.copy()
+        assert drift.advance(x, self.t, self.dt) is None
+        return x
+
+    @pytest.mark.parametrize("kind", ["base", "tabulated", "smoluchowski", "recoil"])
+    def test_matches_x_plus_b_dt(self, kind):
+        g = Grid1D(-30.0, 30.0, 601)
+        drift = {
+            "base": SineDrift(),
+            "tabulated": TabulatedDrift([0.0, 0.5], g, np.stack([np.cos(g.x), g.x])),
+            "smoluchowski": SmoluchowskiDrift(lambda x: -np.tanh(x), self.params),
+            "recoil": AnalyticRecoilDrift(self.params),
+        }[kind]
+        want = self.x + drift(self.x, self.t) * self.dt
+        assert self.stepped(drift).tobytes() == want.tobytes()
+
+    def test_zero_drift_leaves_x(self):
+        assert self.stepped(ZeroDrift()).tobytes() == self.x.tobytes()
+
+    @pytest.mark.parametrize("rate", [-1.3, -0.2, 0.8])
+    def test_linear_drift_scales_x(self, rate):
+        drift = LinearDrift(rate)
+        got = self.stepped(drift)
+        assert got.tobytes() == (self.x * (1.0 + rate * self.dt)).tobytes()
+        euler = self.x + rate * self.x * self.dt
+        assert np.all(np.abs(got - euler) <= 2 * np.spacing(np.abs(euler)))
+        assert drift(self.x, self.t).tobytes() == (rate * self.x).tobytes()
+
+    def test_ou_drift_is_linear_in_gamma(self):
+        drift = ou_drift(self.params)
+        assert isinstance(drift, LinearDrift) and drift.rate == -self.params.gamma
+        assert not drift.time_dependent
+
+
+def euler_maruyama_reference(state, drift_step, params, config):
+    """The one-line update loop evolve() must reproduce bit for bit;
+    drift_step(x, t, dt) returns x moved by the drift alone."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([config.seed, 1])))
     sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
     n_steps = int(round((config.t_end - state.t) / config.dt))
     x = state.positions.copy()
     out = [x]
     for k in range(n_steps):
         t = state.t + k * config.dt
-        x = x + drift(x, t) * config.dt + sqrt_noise * rng.standard_normal(x.size)
+        x = drift_step(x, t, config.dt) + sqrt_noise * rng.standard_normal(x.size)
         if (k + 1) % config.snapshot_stride == 0 or k == n_steps - 1:
             out.append(x)
     return out
@@ -258,15 +312,18 @@ class TestEvolveIsBitExact:
         if kind == "tabulated":
             drift = self.tabulated()
 
-            def reference_drift(x, t):
-                return interp_lookup(drift, x, t)
+            def drift_step(x, t, dt):
+                return x + interp_lookup(drift, x, t) * dt
         else:
-            drift = reference_drift = ou_drift(self.params)
+            drift = ou_drift(self.params)
+
+            def drift_step(x, t, dt):
+                return x * (1.0 + -self.params.gamma * dt)
         config = SdeConfig(n_particles=2000, dt=0.01, t_end=0.5, seed=7,
                            snapshot_stride=7)
         state = sample_initial(self.params.alpha, config.n_particles, seed=7)
         got = evolve(state, drift, self.params, config)
-        want = euler_maruyama_reference(state, reference_drift, self.params, config)
+        want = euler_maruyama_reference(state, drift_step, self.params, config)
         assert len(got) == len(want)
         for snap, x in zip(got, want):
             assert snap.positions.tobytes() == x.tobytes()
