@@ -320,8 +320,9 @@ class TestLedgers:
         b = w * D / dx
         n = b.size + 1
         lower, diag, upper = pde._fp_operator(b, D, dx, n)
-        # exponents summed exactly outward from the peak: a running sum
-        # would carry the rounding of exponents in the thousands
+        # w as the operator computes it; exponents summed exactly outward
+        # from the peak, since a running sum would carry the rounding of
+        # exponents in the thousands
         w = b * dx / D
         top = int(np.argmax(np.concatenate(([0.0], np.cumsum(w)))))
         rho = np.exp([math.fsum(w[top:i]) if i >= top else -math.fsum(w[i:top])
