@@ -1,15 +1,27 @@
 """Particle-ensemble integrator for dX = b(X,t) dt + sqrt(2D) dW.
 
 Euler-Maruyama stepping (weak order 1). The noise is one SFC64 stream
-seeded by SeedSequence([seed, 1]); particle i at step k consumes draw
-k*n + i. The stream is sequential, not counter-based: a draw is reached
-only by drawing every one before it. Each step moves the ensemble in place
-through its drift's ``advance`` hook, then adds the scaled noise; every
-update is a single-threaded vectorized numpy expression, so trajectories
-are bitwise reproducible for a given seed regardless of BLAS/OMP thread
-settings.
+seeded by SeedSequence([seed, 1]). The stream is sequential, not
+counter-based: a draw is reached only by drawing every one before it.
+``evolve`` moves the ensemble from one stored step to the next through its
+drift's ``march`` hook, which consumes the stream in one of two orders:
+
+- per step, for a general drift: each step moves the ensemble in place
+  through ``advance``, then adds the scaled noise, so particle i at step k
+  consumes draw k*n + i;
+- per interval, for a drift linear in x (``LinearDrift``, ``ZeroDrift``):
+  m steps of the chain x <- a x + s z, a = 1 + rate dt, are one Gaussian
+  jump x <- a^m x + s sqrt(V) z, V = sum_{j<m} a^(2j), so particle i in the
+  j-th interval between stored steps consumes draw j*n + i. This is the law
+  of the discrete chain, not of the continuous process, so the route keeps
+  its O(dt) bias.
+
+Every update is a single-threaded vectorized numpy expression, so
+trajectories are bitwise reproducible for a given seed regardless of
+BLAS/OMP thread settings.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -44,21 +56,48 @@ class DriftSource:
         b *= dt
         x += b
 
+    def march(self, x: np.ndarray, t0: float, dt: float, steps: range,
+              rng: np.random.Generator, scale: float, noise: np.ndarray) -> None:
+        """Euler-Maruyama steps ``steps`` of the ensemble x, in place. Step k
+        starts at t0 + k*dt and adds ``scale`` times one standard normal per
+        particle, drawn into the buffer ``noise``."""
+        for k in steps:
+            # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
+            self.advance(x, t0 + k * dt, dt)
+            rng.standard_normal(out=noise)
+            noise *= scale
+            x += noise
 
-class ZeroDrift(DriftSource):
-    """Free diffusion."""
 
-    time_dependent = False
+def linear_em_law(rate_dt: float, m: int) -> tuple:
+    """Growth a^m and noise variance factor V = sum_{j<m} a^(2j) of m steps of
+    the chain x <- a x + s z, a = 1 + rate_dt: after them x = a^m x0 + s sqrt(V) z.
 
-    def __call__(self, x, t):
-        return np.zeros_like(x)
-
-    def advance(self, x, t, dt):
-        pass
+    With l = log a^2, V = expm1(m l)/expm1(l) keeps the digits that the
+    direct ratio (a^(2m) - 1)/(a^2 - 1) cancels near a = 1. For a > 1 the
+    factor a^(2(m-1)) comes out first, so V overflows to inf only where the
+    sum does.
+    """
+    if rate_dt == 0.0:
+        return 1.0, float(m)
+    a = 1.0 + rate_dt
+    with np.errstate(over="ignore", divide="ignore"):
+        # log1p keeps the digits of rate_dt that 1 + rate_dt rounds away;
+        # log(-0.0) = -inf gives V = 1 at a = 0
+        l = 2.0 * (np.log1p(rate_dt) if a > 0 else np.log(-a))
+        if l == 0.0:  # a = -1
+            v = float(m)
+        elif l < 0:
+            v = np.expm1(m * l) / np.expm1(l)
+        else:
+            v = np.exp((m - 1) * l) * (np.expm1(-m * l) / np.expm1(-l))
+        growth = np.exp(0.5 * m * l) if a > 0 else np.float64(a) ** m
+    return float(growth), float(v)
 
 
 class LinearDrift(DriftSource):
-    """Linear drift b = rate * x; its step is one in-place scaling."""
+    """Linear drift b = rate * x. Its step is one in-place scaling, and its
+    march jumps over a whole interval with one draw per particle."""
 
     time_dependent = False
 
@@ -70,6 +109,24 @@ class LinearDrift(DriftSource):
 
     def advance(self, x, t, dt):
         x *= 1.0 + self.rate * dt
+
+    def march(self, x, t0, dt, steps, rng, scale, noise):
+        growth, v = linear_em_law(self.rate * dt, len(steps))
+        x *= growth
+        rng.standard_normal(out=noise)
+        noise *= scale * math.sqrt(v)
+        x += noise
+
+
+class ZeroDrift(LinearDrift):
+    """Free diffusion: the linear drift of rate 0."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def __call__(self, x, t):
+        # zeros, not 0 * x, which is -0 at negative x
+        return np.zeros_like(x)
 
 
 class SmoluchowskiDrift(DriftSource):
@@ -264,7 +321,7 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     if state.n != config.n_particles:
         raise ValueError(f"state holds {state.n} particles, config says {config.n_particles}")
     n_steps = steps(config.t_end, config.dt, state.t)
-    stored = stored_steps(n_steps, config.snapshot_stride)
+    stored = stored_steps(n_steps, config.snapshot_stride).tolist()
 
     # SeedSequence hashes [seed, 1] into the SFC64 state; the word 1 marks
     # the evolution stream, apart from sample_initial's bare-seed generator
@@ -273,14 +330,9 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     x = state.positions.copy()
     noise = np.empty_like(x)
     snapshots = [state]
-    for k in range(n_steps):
-        # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
-        drift.advance(x, state.t + k * config.dt, config.dt)
-        rng.standard_normal(out=noise)
-        noise *= sqrt_noise
-        x += noise
-        if k + 1 == stored[len(snapshots)]:  # the next step to store
-            snapshots.append(EnsembleState(t=state.t + (k + 1) * config.dt, positions=x))
+    for first, last in zip(stored, stored[1:]):
+        drift.march(x, state.t, config.dt, range(first, last), rng, sqrt_noise, noise)
+        snapshots.append(EnsembleState(t=state.t + last * config.dt, positions=x))
     return snapshots
 
 
