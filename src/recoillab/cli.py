@@ -272,8 +272,9 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     if "sde" in routes:
         _check_steps(t_end, sde_dt, "[sde] dt")
         sde_stride = _get(cfg, "sde", "snapshot_stride", int, stride_for(0.25, sde_dt))
-        if sde_n < 1 or sde_stride < 1:
-            raise SpecError("[sde] n_particles and snapshot_stride must be >= 1")
+        if sde_n < 2 or sde_stride < 1:
+            raise SpecError("[sde] n_particles must be >= 2 (the msd's jackknife "
+                            "errors need two) and snapshot_stride >= 1")
 
     tolerances = dict(_TOLERANCE_DEFAULTS)
     if cfg.has_section("tolerances"):
@@ -360,7 +361,7 @@ def _run_analytic(spec) -> RouteData:
         cols = sol.fields(grid.x, t)
         out.slices.append((float(t), cols))
         hydro.append(fieldcalc.hydro_from_arrays(
-            float(t), grid, p.D, rho=cols["rho"], S=cols["S"], v=cols["v"],
+            float(t), grid, rho=cols["rho"], S=cols["S"], v=cols["v"],
             u=cols["u"], Q=cols["Q"], b=cols["b"],
             Omega=None if omega is None else omega.values))
 
@@ -426,17 +427,17 @@ def _load_drift_table(path):
 
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read drift table {path!r}: {exc}") from exc
     if data.shape[0] < 3 or data.shape[1] < 9:
         raise SpecError("drift table needs >= 2 times and >= 8 grid points")
     xs, ts, values = data[0, 1:], data[1:, 0], data[1:, 1:]
     dxs = np.diff(xs)
-    if np.any(dxs <= 0) or np.ptp(dxs) > 1e-9 * dxs[0]:
+    # the negated test also rejects NaN nodes
+    if not (np.all(dxs > 0) and np.ptp(dxs) <= 1e-9 * dxs[0]):
         raise SpecError("drift table x row must be uniformly increasing")
-    grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
     try:
-        return TabulatedDrift(ts, grid, values)
+        return TabulatedDrift(ts, Grid1D(float(xs[0]), float(xs[-1]), xs.size), values)
     except ValueError as exc:
         raise SpecError(f"bad drift table: {exc}") from exc
 
@@ -445,14 +446,17 @@ def _load_omega_table(path, grid):
     """Omega table CSV: rows `x, omega`; interpolated onto the run grid."""
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read omega table {path!r}: {exc}") from exc
     if data.shape[1] != 2:
         raise SpecError("omega table must have two columns: x, omega")
     xs, vals = data[:, 0], data[:, 1]
     if xs[0] > grid.x_min or xs[-1] < grid.x_max:
         raise SpecError("omega table must cover the run grid")
-    return ScalarField(grid, np.interp(grid.x, xs, vals))
+    try:
+        return ScalarField(grid, np.interp(grid.x, xs, vals))
+    except ValueError as exc:
+        raise SpecError(f"bad omega table: {exc}") from exc
 
 
 def _run_fp(spec, drift) -> RouteData:
@@ -474,8 +478,8 @@ def _run_fp(spec, drift) -> RouteData:
         u = fieldcalc.osmotic_velocity(rho, p.D)
         b = np.asarray(drift(grid.x, float(t)), dtype=float)
         cols = _mask_sparse(rho.values, {
-            "S": np.full(grid.n, np.nan), "v": b - u.values, "u": u.values,
-            "b": b, "Q": fieldcalc.osmotic_pressure(u, p.D).values})
+            "v": b - u.values, "u": u.values, "b": b,
+            "Q": fieldcalc.osmotic_pressure(u, p.D).values})
         cols["rho"] = rho.values
         out.slices.append((float(t), cols))
     out.msd = msd_from_fields(sol.times, sol.rhos, source="pde")

@@ -92,7 +92,7 @@ def msd_from_fields(times, rhos: Sequence[ScalarField], source: str = "pde") -> 
     return MsdSeries(np.asarray(times, dtype=float), np.asarray(values), source=source)
 
 
-def msd_from_ensemble(states: Sequence[EnsembleState], source: str = "sde") -> MsdSeries:
+def msd_from_ensemble(states: Sequence[EnsembleState]) -> MsdSeries:
     """Second moment of each ensemble snapshot with jackknife standard errors."""
     times, values, errs = [], [], []
     for s in states:
@@ -100,7 +100,7 @@ def msd_from_ensemble(states: Sequence[EnsembleState], source: str = "sde") -> M
         times.append(s.t)
         values.append(m.value)
         errs.append(m.stderr)
-    return MsdSeries(np.asarray(times), np.asarray(values), source=source,
+    return MsdSeries(np.asarray(times), np.asarray(values), source="sde",
                      stderr=np.asarray(errs))
 
 

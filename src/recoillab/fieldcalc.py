@@ -41,9 +41,6 @@ class HydroFields:
     b     forward drift, v + u
     Q     osmotic pressure potential, u^2/2 + D div u
     Omega auxiliary potential of the dynamics (zeros when free)
-    P     pressure, integrated from grad P = rho grad Q with P(x_min) = 0
-    j     probability current, rho v
-    phi   drift potential, ln(rho)/2 + S/(2D), so b = 2D grad phi
     """
 
     t: float
@@ -54,13 +51,10 @@ class HydroFields:
     b: ScalarField
     Q: ScalarField
     Omega: ScalarField
-    P: ScalarField
-    j: ScalarField
-    phi: ScalarField
 
     def __post_init__(self):
         grids = {f.grid for f in (self.rho, self.S, self.v, self.u, self.b,
-                                  self.Q, self.Omega, self.P, self.j, self.phi)}
+                                  self.Q, self.Omega)}
         if len(grids) != 1:
             raise ValueError("all fields of a slice must share one grid")
         if np.any(self.rho.values < -1e-12):
@@ -87,20 +81,20 @@ def floor_density(rho: ScalarField, rel_floor: float = 1e-300):
     return ScalarField(rho.grid, clipped), fraction
 
 
-def osmotic_velocity(rho: ScalarField, D: float, rel_floor: float = 1e-300) -> ScalarField:
+def osmotic_velocity(rho: ScalarField, D: float) -> ScalarField:
     """u = D grad(ln rho), with the density floored before the log."""
-    safe, _ = floor_density(rho, rel_floor)
+    safe, _ = floor_density(rho)
     return ScalarField(rho.grid, D * gradient(ScalarField(rho.grid, np.log(safe.values))).values)
 
 
-def pressure_potential(rho: ScalarField, D: float, rel_floor: float = 1e-300):
+def pressure_potential(rho: ScalarField, D: float):
     """Osmotic pressure potential Q = u^2/2 + D div(u) and the pressure P,
 
         grad P = rho grad Q,   P(x_min) = 0.
 
     Returns (Q, P).
     """
-    Q = osmotic_pressure(osmotic_velocity(rho, D, rel_floor), D)
+    Q = osmotic_pressure(osmotic_velocity(rho, D), D)
     return Q, pressure_from_density(rho, Q)
 
 
@@ -203,9 +197,17 @@ def girsanov_residual(h: HydroFields, dphi_dt: ScalarField, Omega_r: ScalarField
     return ScalarField(h.grid, Omega_r.values - rhs.values)
 
 
+def drift_potential(h: HydroFields, D: float) -> ScalarField:
+    """phi = ln(rho)/2 + S/(2D), so b = 2D grad(phi); the density is floored
+    before the log."""
+    safe, _ = floor_density(h.rho)
+    return ScalarField(h.grid, 0.5 * np.log(safe.values) + h.S.values / (2.0 * D))
+
+
 def girsanov_residual_from_slices(slices: Sequence[HydroFields], Omega_r: ScalarField, D: float) -> ScalarField:
     prev, mid, nxt = _three(slices)
-    return girsanov_residual(mid, time_derivative(prev.phi, nxt.phi, nxt.t - prev.t), Omega_r, D)
+    dphi_dt = time_derivative(drift_potential(prev, D), drift_potential(nxt, D), nxt.t - prev.t)
+    return girsanov_residual(mid, dphi_dt, Omega_r, D)
 
 
 def volume_momentum_rate(h: HydroFields, interval) -> float:
@@ -216,58 +218,34 @@ def volume_momentum_rate(h: HydroFields, interval) -> float:
     return integrate_interval(ScalarField(h.grid, integrand), a, b)
 
 
-def comoving_interval_mass_check(h: HydroFields, rho_next: ScalarField, dt: float, interval) -> float:
-    """Advect interval endpoints with the current velocity and report the
-    mass defect |M(t+dt, advected) - M(t, fixed)|; O(dt^2) for consistent
-    fields. ``rho_next`` is the density at t + dt."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    a, b = interval
-    g = h.grid
-    va = float(np.interp(a, g.x, h.v.values))
-    vb = float(np.interp(b, g.x, h.v.values))
-    mass_now = integrate_interval(h.rho, a, b)
-    mass_next = integrate_interval(rho_next, a + va * dt, b + vb * dt)
-    return abs(mass_next - mass_now)
-
-
 def hydro_from_rho_S(t: float, rho: ScalarField, S: ScalarField, D: float,
                      Omega: Optional[ScalarField] = None) -> HydroFields:
     """Assemble a full slice from (rho, S) with every derived field computed
     on the mesh. Omega defaults to zeros (free dynamics)."""
     u = osmotic_velocity(rho, D)
     return hydro_from_arrays(
-        t, rho.grid, D, rho=rho.values, S=S.values, v=gradient(S).values,
+        t, rho.grid, rho=rho.values, S=S.values, v=gradient(S).values,
         u=u.values, Q=osmotic_pressure(u, D).values,
         Omega=None if Omega is None else Omega.values)
 
 
-def hydro_from_arrays(t: float, grid: Grid1D, D: float, *, rho, S, v, u, Q,
-                      Omega=None, P=None, b=None) -> HydroFields:
+def hydro_from_arrays(t: float, grid: Grid1D, *, rho, S, v, u, Q,
+                      Omega=None, b=None) -> HydroFields:
     """Assemble a slice from exact (closed-form) arrays.
 
-    v + u is used for b unless given; P is integrated from grad P = rho grad Q
-    unless given; phi and j are always derived. A given b must equal v + u to
-    1e-9 of max(|b|, 1), else ValueError.
+    v + u is used for b unless given. A given b must equal v + u to 1e-9 of
+    max(|b|, 1), else ValueError.
     """
-    rho_f = ScalarField(grid, rho)
-    S_f = ScalarField(grid, S)
     v_f = ScalarField(grid, v)
     u_f = ScalarField(grid, u)
-    Q_f = ScalarField(grid, Q)
     b_arr = v_f.values + u_f.values if b is None else np.asarray(b, dtype=float)
     if b is not None:
         scale = max(float(np.max(np.abs(b_arr))), 1.0)
         if np.max(np.abs(b_arr - v_f.values - u_f.values)) > 1e-9 * scale:
             raise ValueError("b != v + u in supplied fields")
-    b_f = ScalarField(grid, b_arr)
-    Omega_f = ScalarField(grid, np.zeros(grid.n) if Omega is None else Omega)
-    P_f = pressure_from_density(rho_f, Q_f) if P is None else ScalarField(grid, P)
-    safe, _ = floor_density(rho_f)
-    phi_f = ScalarField(grid, 0.5 * np.log(safe.values) + S_f.values / (2.0 * D))
-    j_f = ScalarField(grid, rho_f.values * v_f.values)
-    return HydroFields(t=t, rho=rho_f, S=S_f, v=v_f, u=u_f, b=b_f, Q=Q_f,
-                       Omega=Omega_f, P=P_f, j=j_f, phi=phi_f)
+    return HydroFields(t=t, rho=ScalarField(grid, rho), S=ScalarField(grid, S),
+                       v=v_f, u=u_f, b=ScalarField(grid, b_arr), Q=ScalarField(grid, Q),
+                       Omega=ScalarField(grid, np.zeros(grid.n) if Omega is None else Omega))
 
 
 def _three(slices: Sequence[HydroFields]):

@@ -6,9 +6,9 @@ counter-based: a draw is reached only by drawing every one before it.
 ``evolve`` moves the ensemble from one stored step to the next through its
 drift's ``march`` hook, which consumes the stream in one of two orders:
 
-- per step, for a general drift: each step moves the ensemble in place
-  through ``advance``, then adds the scaled noise, so particle i at step k
-  consumes draw k*n + i;
+- per step, for a general drift: each step adds b(x, t) dt to the ensemble
+  in place, then the scaled noise, so particle i at step k consumes draw
+  k*n + i;
 - per interval, for a drift linear in x (``LinearDrift``, ``ZeroDrift``):
   m steps of the chain x <- a x + s z, a = 1 + rate dt, are one Gaussian
   jump x <- a^m x + s sqrt(V) z, V = sum_{j<m} a^(2j), so particle i in the
@@ -23,7 +23,6 @@ BLAS/OMP thread settings.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -50,12 +49,6 @@ class DriftSource:
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def advance(self, x: np.ndarray, t: float, dt: float) -> None:
-        """The drift half of an Euler-Maruyama step: x += b(x, t) dt, in place."""
-        b = self(x, t)
-        b *= dt
-        x += b
-
     def march(self, x: np.ndarray, t0: float, dt: float, steps: range,
               rng: np.random.Generator, scale: float, noise: np.ndarray) -> None:
         """Euler-Maruyama steps ``steps`` of the ensemble x, in place. Step k
@@ -63,7 +56,9 @@ class DriftSource:
         particle, drawn into the buffer ``noise``."""
         for k in steps:
             # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
-            self.advance(x, t0 + k * dt, dt)
+            b = self(x, t0 + k * dt)
+            b *= dt
+            x += b
             rng.standard_normal(out=noise)
             noise *= scale
             x += noise
@@ -96,8 +91,8 @@ def linear_em_law(rate_dt: float, m: int) -> tuple:
 
 
 class LinearDrift(DriftSource):
-    """Linear drift b = rate * x. Its step is one in-place scaling, and its
-    march jumps over a whole interval with one draw per particle."""
+    """Linear drift b = rate * x. Its march jumps over a whole interval with
+    one draw per particle."""
 
     time_dependent = False
 
@@ -106,9 +101,6 @@ class LinearDrift(DriftSource):
 
     def __call__(self, x, t):
         return self.rate * x
-
-    def advance(self, x, t, dt):
-        x *= 1.0 + self.rate * dt
 
     def march(self, x, t0, dt, steps, rng, scale, noise):
         growth, v = linear_em_law(self.rate * dt, len(steps))
@@ -174,7 +166,7 @@ class TabulatedDrift(DriftSource):
         self.values = np.asarray(values, dtype=float)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two tabulated times")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # also rejects NaN times
             raise ValueError("tabulated times must be strictly increasing")
         if self.values.shape != (self.times.size, grid.n):
             raise ValueError(
@@ -285,32 +277,15 @@ class SdeConfig:
             raise ValueError("seed must be >= 0")
 
 
-def sample_initial(rho0_spec: Union[float, ScalarField], n: int, seed: int) -> EnsembleState:
-    """Draw n initial positions.
-
-    A float is the Gaussian-cloud width alpha (std alpha/sqrt(2)); a
-    ScalarField is a tabulated density sampled by inverse-CDF with linear
-    interpolation between nodes.
-    """
+def sample_initial(alpha: float, n: int, seed: int) -> EnsembleState:
+    """Draw n initial positions from the Gaussian cloud of width alpha
+    (std alpha/sqrt(2))."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if isinstance(rho0_spec, ScalarField):
-        rho = rho0_spec.values
-        if np.any(rho < 0):
-            raise ValueError("tabulated density must be >= 0")
-        x = rho0_spec.grid.x
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))))
-        if cdf[-1] <= 0:
-            raise ValueError("tabulated density is not normalizable")
-        cdf /= cdf[-1]
-        u = rng.random(n)
-        positions = np.interp(u, cdf, x)
-    else:
-        alpha = float(rho0_spec)
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        positions = rng.normal(0.0, alpha / np.sqrt(2.0), size=n)
+    positions = rng.normal(0.0, alpha / np.sqrt(2.0), size=n)
     return EnsembleState(t=0.0, positions=positions)
 
 
@@ -372,9 +347,9 @@ def silverman_bandwidth(positions: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde_density(state: EnsembleState, grid: Grid1D,
-                bandwidth: Union[str, float] = "silverman") -> ScalarField:
-    """Gaussian kernel density estimate evaluated on the grid.
+def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
+    """Gaussian kernel density estimate evaluated on the grid, with
+    Silverman's bandwidth.
 
     Particles are linearly binned onto the nodes and the counts convolved
     with a Gaussian kernel (equivalent to the direct kernel sum up to
@@ -389,16 +364,8 @@ def kde_density(state: EnsembleState, grid: Grid1D,
     if np.any(pos < grid.x_min) or np.any(pos > grid.x_max):
         out = int(np.sum((pos < grid.x_min) | (pos > grid.x_max)))
         raise ValueError(f"{out} particle(s) fall outside the KDE grid; widen it")
-    if isinstance(bandwidth, str):
-        if bandwidth != "silverman":
-            raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
-        h = silverman_bandwidth(pos)
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ValueError("bandwidth must be > 0")
-    if h < grid.dx:
-        h = grid.dx  # degenerate or under-resolved sample: one-cell kernel
+    # degenerate or under-resolved sample: one-cell kernel
+    h = max(silverman_bandwidth(pos), grid.dx)
 
     # linear binning: each particle splits its weight between the two
     # neighbouring nodes, preserving total mass and the first moment

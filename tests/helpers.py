@@ -18,8 +18,8 @@ def exact_slice(solution, grid: Grid1D, t: float, Omega=None) -> HydroFields:
     """HydroFields slice built from a closed-form solution's field arrays."""
     f = solution.fields(grid.x, t)
     return hydro_from_arrays(
-        t, grid, solution.params.D, rho=f["rho"], S=f["S"], v=f["v"],
-        u=f["u"], Q=f["Q"], b=f["b"], P=solution.P(grid.x, t), Omega=Omega)
+        t, grid, rho=f["rho"], S=f["S"], v=f["v"], u=f["u"], Q=f["Q"],
+        b=f["b"], Omega=Omega)
 
 
 def wave_density(wave, t: float) -> np.ndarray:

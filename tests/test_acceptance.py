@@ -163,8 +163,8 @@ def test_criterion_6_residual_suite():
         slices = [exact_slice(recoil, grid, tt) for tt in (t - dt, t, t + dt)]
         prev, mid, nxt = slices
         omega_r = ScalarField(grid, 2.0 * mid.Q.values)
-        cont = (time_derivative(prev.rho, nxt.rho, 2.0 * dt).values
-                + gradient(mid.j).values)
+        j = ScalarField(grid, mid.rho.values * mid.v.values)
+        cont = time_derivative(prev.rho, nxt.rho, 2.0 * dt).values + gradient(j).values
         return {
             "hj": np.max(np.abs(hj_residual_from_slices(
                 slices, SignConvention.RECOIL).values)),

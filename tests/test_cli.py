@@ -54,6 +54,11 @@ def binary_run(tmp_path_factory):
     return rc, out
 
 
+# nine drift-table nodes on [-10, 10] and one row of drift values
+NODES = "-10,-7.5,-5,-2.5,0,2.5,5,7.5,10"
+ONES = ",".join(["1"] * 9)
+
+
 def write_cfg(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(body)
@@ -192,6 +197,7 @@ bogus = 1.0
         ("sde", "dt = 0.3"),
         ("sde", "snapshot_stride = 0"),
         ("sde", "n_particles = 0"),
+        ("sde", "n_particles = 1"),           # no jackknife error from one particle
         ("scenario", "name = twice"),         # a second [scenario] section
         ("params", "D"),                      # a line without "="
         ("params", "D = 5%"),                 # a stray interpolation sign
@@ -233,6 +239,32 @@ bogus = 1.0
         path = tmp_path / "bad.cfg"
         path.write_bytes(body)
         assert self.rc(str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, rows", [
+        ("drift_file", ["nan," + NODES, "0," + ONES, "1," + ONES[:-1] + "a"]),
+        ("drift_file", ["nan,nan," + NODES[4:], "0," + ONES, "1," + ONES]),
+        ("drift_file", ["nan," + NODES, "0," + ONES, "nan," + ONES]),
+        ("omega_file", ["-10,0", "0,nan", "10,0"]),
+    ], ids=["non-numeric cell", "nan node", "nan time", "nan omega"])
+    def test_malformed_table(self, tmp_path, capsys, key, rows):
+        # read when the routes start, not in load_spec; still a bad spec
+        (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+        route = "schrodinger" if key == "omega_file" else "fp"
+        path = write_cfg(tmp_path, "custom.cfg", f"""
+[scenario]
+kind = custom
+routes = {route}
+
+[time]
+t_end = 0.2
+
+[tables]
+{key} = table.csv
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid spec:")
         assert "Traceback" not in err

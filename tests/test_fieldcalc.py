@@ -10,7 +10,6 @@ from recoillab.analytic import FreeBrownianSolution, FreeRecoilSolution
 from recoillab.fieldcalc import (
     HydroFields,
     SignConvention,
-    comoving_interval_mass_check,
     floor_density,
     girsanov_residual,
     hj_residual,
@@ -35,7 +34,7 @@ RECOIL = FreeRecoilSolution(P1)
 
 def uniform_slice(grid, value=0.1):
     zeros = np.zeros(grid.n)
-    return hydro_from_arrays(0.0, grid, 1.0, rho=np.full(grid.n, value),
+    return hydro_from_arrays(0.0, grid, rho=np.full(grid.n, value),
                              S=zeros, v=zeros, u=zeros, Q=zeros)
 
 
@@ -204,38 +203,6 @@ class TestVolumeMomentumRate:
         assert volume_momentum_rate(h, (0.0, 2.0)) == pytest.approx(frozen, abs=1e-4)
 
 
-class TestComovingMass:
-    def test_stationary_interval_loses_nothing(self):
-        g = Grid1D(-4.0, 4.0, 101)
-        h = uniform_slice(g)
-        assert comoving_interval_mass_check(h, h.rho, 0.1, (-1.0, 1.0)) == 0.0
-
-    def test_defect_shrinks_quadratically_in_dt(self):
-        g = Grid1D(-12.0, 12.0, 2401)
-        t, interval = 0.5, (0.2, 1.4)
-        h = exact_slice(RECOIL, g, t)
-
-        def defect(dt):
-            rho_next = ScalarField(g, RECOIL.rho(g.x, t + dt))
-            return comoving_interval_mass_check(h, rho_next, dt, interval)
-
-        ratio = defect(2e-3) / defect(1e-3)
-        assert 3.0 < ratio < 5.5
-
-    def test_brownian_interval_is_nearly_comoving(self):
-        g = Grid1D(-12.0, 12.0, 2401)
-        sol = FreeBrownianSolution(P1)
-        h = exact_slice(sol, g, 1.0)
-        rho_next = ScalarField(g, sol.rho(g.x, 1.0 + 1e-3))
-        assert comoving_interval_mass_check(h, rho_next, 1e-3, (0.2, 1.4)) < 1e-5
-
-    def test_rejects_nonpositive_dt(self):
-        g = Grid1D(-4.0, 4.0, 101)
-        h = uniform_slice(g)
-        with pytest.raises(ValueError):
-            comoving_interval_mass_check(h, h.rho, 0.0, (-1.0, 1.0))
-
-
 class TestSliceAssembly:
     def test_hydro_from_rho_s_builds_consistent_drift(self):
         g = Grid1D(-12.0, 12.0, 2401)
@@ -244,14 +211,13 @@ class TestSliceAssembly:
         S = ScalarField(g, RECOIL.S(g.x, t))
         h = hydro_from_rho_S(t, rho, S, D=1.0)
         np.testing.assert_array_equal(h.b.values, h.v.values + h.u.values)
-        np.testing.assert_array_equal(h.j.values, h.rho.values * h.v.values)
         assert np.max(np.abs(h.Omega.values)) == 0.0
 
     def test_hydro_from_arrays_rejects_inconsistent_drift(self):
         g = Grid1D(-4.0, 4.0, 101)
         zeros = np.zeros(g.n)
         with pytest.raises(ValueError, match="b != v \\+ u"):
-            hydro_from_arrays(0.0, g, 1.0, rho=np.full(g.n, 0.1), S=zeros,
+            hydro_from_arrays(0.0, g, rho=np.full(g.n, 0.1), S=zeros,
                               v=zeros, u=zeros, Q=zeros, b=np.full(g.n, 1e-3))
 
     def test_slice_rejects_mixed_grids(self):
@@ -261,8 +227,7 @@ class TestSliceAssembly:
         bad_S = ScalarField(g2, np.zeros(g2.n))
         with pytest.raises(ValueError, match="share one grid"):
             HydroFields(t=0.0, rho=good.rho, S=bad_S, v=good.v, u=good.u,
-                        b=good.b, Q=good.Q, Omega=good.Omega, P=good.P,
-                        j=good.j, phi=good.phi)
+                        b=good.b, Q=good.Q, Omega=good.Omega)
 
     def test_slice_rejects_negative_density(self):
         g = Grid1D(-4.0, 4.0, 101)
@@ -270,8 +235,7 @@ class TestSliceAssembly:
         bad_rho = ScalarField(g, np.full(g.n, -0.1))
         with pytest.raises(ValueError, match="density"):
             HydroFields(t=0.0, rho=bad_rho, S=good.S, v=good.v, u=good.u,
-                        b=good.b, Q=good.Q, Omega=good.Omega, P=good.P,
-                        j=good.j, phi=good.phi)
+                        b=good.b, Q=good.Q, Omega=good.Omega)
 
 
 class TestSliceBookkeeping:
