@@ -451,6 +451,8 @@ def _load_omega_table(path, grid):
     if data.shape[1] != 2:
         raise SpecError("omega table must have two columns: x, omega")
     xs, vals = data[:, 0], data[:, 1]
+    if not np.all(np.diff(xs) > 0):
+        raise SpecError("omega table x column must be strictly increasing")
     if xs[0] > grid.x_min or xs[-1] < grid.x_max:
         raise SpecError("omega table must cover the run grid")
     try:
@@ -611,10 +613,11 @@ def _build_report(spec, results) -> dict:
 # artifact writing
 
 
-# Every writer is a generator of bytes blocks, one per time slice or
-# particle snapshot, so no artifact is ever held whole in memory. Columns are
-# formatted with one %-call each and joined into rows; the text is that of
-# formatting every value with "%.17g".
+# Every writer is a generator of bytes blocks of at most _BLOCK_ROWS rows
+# each, so no artifact, time slice or particle snapshot is ever held whole as
+# text. Each block formats only its own rows, with one %-call per column, and
+# joins them; the text is that of formatting every value with "%.17g".
+_BLOCK_ROWS = 2048
 
 
 def _format_column(values) -> list:
@@ -624,48 +627,56 @@ def _format_column(values) -> list:
 
 
 def _csv_block(*columns) -> bytes:
-    """Comma-joined rows of equal-length text columns, each row ending in a
-    newline."""
-    text = "\n".join(map(",".join, zip(*columns, strict=True)))
-    return (text + "\n").encode() if text else b""
+    """Comma-joined rows of equal-length text columns, at least one row, each
+    row ending in a newline."""
+    return ("\n".join(map(",".join, zip(*columns, strict=True))) + "\n").encode()
+
+
+def _row_blocks(n):
+    """The (lo, hi) row bounds of the blocks of an n-row table."""
+    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _columns_csv(*columns):
+    """Blocks of the rows of equal-length float columns."""
+    for lo, hi in _row_blocks(len(columns[0])):
+        yield _csv_block(*(_format_column(c[lo:hi]) for c in columns))
 
 
 def _fields_csv(slices, x_text):
     """Blocks of fields_<route>.csv; x_text is the formatted grid column,
     shared by every slice. A column a slice lacks is written as nan."""
     yield b"t,x,rho,S,v,u,b,Q\n"
-    nan = ["nan"] * len(x_text)
     for t, cols in slices:
-        yield _csv_block(
-            repeat("%.17g" % float(t), len(x_text)), x_text,
-            *(_format_column(cols[k]) if k in cols else nan
-              for k in ("rho", "S", "v", "u", "b", "Q")))
+        t_text = "%.17g" % float(t)
+        for lo, hi in _row_blocks(len(x_text)):
+            yield _csv_block(
+                repeat(t_text, hi - lo), x_text[lo:hi],
+                *(_format_column(cols[k][lo:hi]) if k in cols
+                  else repeat("nan", hi - lo)
+                  for k in ("rho", "S", "v", "u", "b", "Q")))
 
 
 def _msd_csv(series):
     err = series.stderr
     yield b"t,msd,stderr\n"
-    yield _csv_block(*map(_format_column, (
-        series.times, series.values,
-        np.zeros(len(series.times)) if err is None else err)))
+    yield from _columns_csv(series.times, series.values,
+                            np.zeros(len(series.times)) if err is None else err)
 
 
 def _energy_csv(report):
     yield b"t,kinetic,osmotic,potential,total\n"
-    yield _csv_block(*map(_format_column, (
-        report.times, report.kinetic, report.osmotic, report.potential,
-        report.total)))
+    yield from _columns_csv(report.times, report.kinetic, report.osmotic,
+                            report.potential, report.total)
 
 
 def _particles_csv(snapshots):
     yield b"t,particle_index,x\n"
-    index = []
     for s in snapshots:
-        n = s.positions.size
-        if len(index) != n:
-            index = list(map(str, range(n)))
-        yield _csv_block(repeat("%.17g" % float(s.t), n), index,
-                         _format_column(s.positions))
+        t_text = "%.17g" % float(s.t)
+        for lo, hi in _row_blocks(s.positions.size):
+            yield _csv_block(repeat(t_text, hi - lo), map(str, range(lo, hi)),
+                             _format_column(s.positions[lo:hi]))
 
 
 PARTICLE_MAGIC = b"RLABPT01"

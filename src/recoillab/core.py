@@ -174,6 +174,24 @@ def cumulative_trapezoid(y, dx=1.0):
     return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
+def gaussian_smooth(y, sigma):
+    """Gaussian smoothing of a 1D array with zero padding and the kernel cut
+    at 8 sigma, bit-equal to scipy's
+    gaussian_filter1d(y, sigma, mode="constant", truncate=8.0): the same
+    normalised weights, the centre term first, then the symmetric pairs
+    (y[i-j] + y[i+j]) * w[j] from the outermost j inward."""
+    y = np.asarray(y, dtype=float)
+    r = int(8.0 * float(sigma) + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (w / w.sum())[r:]  # w[j] weighs the neighbours at distance j
+    n = y.size
+    padded = np.concatenate((np.zeros(r), y, np.zeros(r)))
+    out = y * w[0]
+    for j in range(r, 0, -1):
+        out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[j]
+    return out
+
+
 def integrate(f: ScalarField) -> float:
     """Trapezoidal quadrature of f over the whole grid."""
     return float(trapezoid(f.values, dx=f.grid.dx))

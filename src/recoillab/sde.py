@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps
+from .core import (Grid1D, PhysicalParams, ScalarField, gaussian_smooth, steps,
+                   stored_steps)
 
 
 # particles per TabulatedDrift lookup pass; keeps the working buffers in cache
@@ -353,13 +354,13 @@ def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
 
     Particles are linearly binned onto the nodes and the counts convolved
     with a Gaussian kernel (equivalent to the direct kernel sum up to
-    O(dx^2), and O(n + m) instead of O(n*m)). Statistical quality needs
-    n >~ 100; fewer particles are accepted but noisy. Degenerate samples
-    fall back to a one-grid-cell bandwidth.
+    O(dx^2), and O(n + m) instead of O(n*m)). The convolution is
+    ``core.gaussian_smooth`` (zero padding, kernel cut at 8 bandwidths),
+    plain numpy and bit-equal to scipy.ndimage's gaussian_filter1d, so no
+    run imports scipy.ndimage. Statistical quality needs n >~ 100; fewer
+    particles are accepted but noisy. Degenerate samples fall back to a
+    one-grid-cell bandwidth.
     """
-    # scipy.ndimage loads only when a KDE runs, not with pde's import of sde
-    from scipy.ndimage import gaussian_filter1d
-
     pos = state.positions
     if np.any(pos < grid.x_min) or np.any(pos > grid.x_max):
         out = int(np.sum((pos < grid.x_min) | (pos > grid.x_max)))
@@ -376,5 +377,4 @@ def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
     np.add.at(counts, idx, 1.0 - frac)
     np.add.at(counts, idx + 1, frac)
     density = counts / (pos.size * grid.dx)
-    smoothed = gaussian_filter1d(density, sigma=h / grid.dx, mode="constant", truncate=8.0)
-    return ScalarField(grid, smoothed)
+    return ScalarField(grid, gaussian_smooth(density, h / grid.dx))

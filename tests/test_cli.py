@@ -248,7 +248,9 @@ bogus = 1.0
         ("drift_file", ["nan,nan," + NODES[4:], "0," + ONES, "1," + ONES]),
         ("drift_file", ["nan," + NODES, "0," + ONES, "nan," + ONES]),
         ("omega_file", ["-10,0", "0,nan", "10,0"]),
-    ], ids=["non-numeric cell", "nan node", "nan time", "nan omega"])
+        ("omega_file", ["-10,0", "5,1", "0,2", "10,0"]),
+    ], ids=["non-numeric cell", "nan node", "nan time", "nan omega",
+            "non-increasing x"])
     def test_malformed_table(self, tmp_path, capsys, key, rows):
         # read when the routes start, not in load_spec; still a bad spec
         (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")

@@ -1,5 +1,7 @@
-"""Start-up path: the numpy quadrature of recoillab.core is bit-equal to
-scipy.integrate, and importing the runner loads no scipy module."""
+"""Start-up path: the numpy quadrature and Gaussian smoothing of
+recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
+the runner loads no scipy module, and the particle KDE loads no
+scipy.ndimage."""
 
 import os
 import subprocess
@@ -8,12 +10,13 @@ import sys
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import recoillab
-from recoillab.core import cumulative_trapezoid, trapezoid
+from recoillab.core import cumulative_trapezoid, gaussian_smooth, trapezoid
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 arrays = hnp.arrays(np.float64, st.integers(1, 50), elements=finite)
@@ -48,6 +51,34 @@ class TestQuadratureMatchesScipy:
         assert bits(ours) == bits(theirs)
 
 
+@st.composite
+def smoothing_cases(draw):
+    """A grid column (zero, smooth or spiky) and a kernel width in cells from
+    one to well past n/8, where the 8-sigma kernel is wider than the grid."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["zero", "random", "spikes"]))
+    if kind == "zero":
+        y = np.zeros(n)
+    elif kind == "random":
+        y = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    else:
+        y = np.zeros(n)
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)):
+            y[i] = draw(st.floats(1e-300, 1e300))
+    sigma = draw(st.floats(1.0, max(2.0, n / 2)))
+    return y, sigma
+
+
+class TestSmoothingMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(smoothing_cases())
+    def test_gaussian_smooth(self, case):
+        y, sigma = case
+        theirs = scipy.ndimage.gaussian_filter1d(y, sigma, mode="constant",
+                                                 truncate=8.0)
+        assert bits(gaussian_smooth(y, sigma)) == bits(theirs)
+
+
 def modules_after(statement):
     """Names of the scipy modules loaded by a fresh interpreter after it runs
     the statement."""
@@ -67,4 +98,13 @@ class TestImports:
     def test_grid_solvers_load_no_ndimage(self):
         loaded = modules_after("import recoillab.pde")
         assert "scipy.linalg" in loaded  # the LAPACK solves
+        assert "scipy.ndimage" not in loaded
+
+    def test_kde_loads_no_ndimage(self):
+        loaded = modules_after(
+            "import numpy as np\n"
+            "from recoillab.core import Grid1D\n"
+            "from recoillab.sde import EnsembleState, kde_density\n"
+            "kde_density(EnsembleState(0.0, np.linspace(-1.0, 1.0, 200)),"
+            " Grid1D(-2.0, 2.0, 81))")
         assert "scipy.ndimage" not in loaded

@@ -1,12 +1,16 @@
 """The streaming artifact writers of recoillab.cli against the row-by-row
-reference writers: byte for byte, block by block, and through the manifest."""
+reference writers: byte for byte, block by block, and through the manifest.
+Each writer runs at the module's block size and at three rows per block, so
+slices and snapshots span several blocks."""
 
 import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 from collections import namedtuple
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +43,21 @@ def joined(blocks):
     return b"".join(blocks)
 
 
+BLOCK_ROWS = (cli._BLOCK_ROWS, 3)
+
+
+def blocks_of(writer, *args, rows):
+    """Every block the writer yields with rows rows per block."""
+    with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+        return list(writer(*args))
+
+
+def assert_blocked(blocks, table_rows, rows):
+    """A header block, then each table in blocks of at most rows rows."""
+    assert len(blocks) == 1 + sum(-(-n // rows) for n in table_rows)
+    assert all(block.count(b"\n") <= rows for block in blocks)
+
+
 @st.composite
 def field_slices(draw):
     n = draw(st.integers(1, 12))
@@ -67,38 +86,62 @@ class TestWritersMatchTheReference:
     @given(field_slices())
     def test_fields(self, case):
         x, slices = case
-        blocks = list(cli._fields_csv(slices, cli._format_column(x)))
-        assert len(blocks) == 1 + len(slices)  # the header, then one per slice
-        assert joined(blocks) == ref.fields_csv(slices, x)
+        for rows in BLOCK_ROWS:
+            blocks = blocks_of(cli._fields_csv, slices, cli._format_column(x),
+                               rows=rows)
+            assert_blocked(blocks, [x.size] * len(slices), rows)
+            assert joined(blocks) == ref.fields_csv(slices, x)
 
     def test_fields_sde_slices_hold_rho_only(self):
         # the particle route's slices carry a KDE density and nothing else
         x = np.linspace(-1.0, 1.0, 9)
         slices = [(0.0, {"rho": np.exp(-x**2)}), (0.5, {"rho": np.full(9, 1e-320)})]
-        text = joined(cli._fields_csv(slices, cli._format_column(x)))
-        assert text == ref.fields_csv(slices, x)
-        assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
+        for rows in BLOCK_ROWS:
+            text = joined(blocks_of(cli._fields_csv, slices,
+                                    cli._format_column(x), rows=rows))
+            assert text == ref.fields_csv(slices, x)
+            assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 12).flatmap(
         lambda n: st.tuples(columns(n), columns(n), st.none() | columns(n))))
     def test_msd(self, cols):
         series = Series(*cols)
-        assert joined(cli._msd_csv(series)) == ref.msd_csv(series)
+        for rows in BLOCK_ROWS:
+            blocks = blocks_of(cli._msd_csv, series, rows=rows)
+            assert_blocked(blocks, [series.times.size], rows)
+            assert joined(blocks) == ref.msd_csv(series)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # totals of ±inf and ±1e308
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 12).flatmap(lambda n: st.tuples(*[columns(n)] * 4)))
     def test_energy(self, cols):
         report = EnergyReport(*cols)
-        assert joined(cli._energy_csv(report)) == ref.energy_csv(report)
+        for rows in BLOCK_ROWS:
+            blocks = blocks_of(cli._energy_csv, report, rows=rows)
+            assert_blocked(blocks, [report.times.size], rows)
+            assert joined(blocks) == ref.energy_csv(report)
 
     @settings(max_examples=100, deadline=None)
     @given(snapshots())
     def test_particles_csv(self, snaps):
-        blocks = list(cli._particles_csv(snaps))
-        assert len(blocks) == 1 + len(snaps)
-        assert joined(blocks) == ref.particles_csv(snaps)
+        for rows in BLOCK_ROWS:
+            blocks = blocks_of(cli._particles_csv, snaps, rows=rows)
+            assert_blocked(blocks, [s.positions.size for s in snaps], rows)
+            assert joined(blocks) == ref.particles_csv(snaps)
+
+    def test_particles_csv_holds_one_block_at_a_time(self):
+        # a 200 000-particle snapshot is about 8 MB of text; drained block by
+        # block, the writer never holds more than a few blocks of it
+        snaps = [Snapshot(0.5, np.random.default_rng(0).normal(size=200_000))]
+        tracemalloc.start()
+        try:
+            for _ in cli._particles_csv(snaps):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @settings(max_examples=100, deadline=None)
     @given(snapshots())
@@ -158,14 +201,17 @@ class TestWriteArtifacts:
     def test_files_and_manifest_match_the_reference(self, case):
         spec, results, report = case
         files, manifest_bytes = ref.artifacts(spec, results, report)
-        with tempfile.TemporaryDirectory() as tmp:
-            spec.out_dir = tmp
-            manifest = cli._write_artifacts(spec, results, report)
-            assert sorted(os.listdir(tmp)) == sorted([*files, "manifest.json"])
-            for name, blob in files.items():
-                with open(os.path.join(tmp, name), "rb") as fh:
-                    assert fh.read() == blob, name
-                assert manifest["files"][name] == {
-                    "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-            with open(os.path.join(tmp, "manifest.json"), "rb") as fh:
-                assert fh.read() == manifest_bytes
+        for rows in BLOCK_ROWS:
+            with tempfile.TemporaryDirectory() as tmp:
+                spec.out_dir = tmp
+                with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+                    manifest = cli._write_artifacts(spec, results, report)
+                assert sorted(os.listdir(tmp)) == sorted([*files, "manifest.json"])
+                for name, blob in files.items():
+                    with open(os.path.join(tmp, name), "rb") as fh:
+                        assert fh.read() == blob, name
+                    assert manifest["files"][name] == {
+                        "sha256": hashlib.sha256(blob).hexdigest(),
+                        "bytes": len(blob)}
+                with open(os.path.join(tmp, "manifest.json"), "rb") as fh:
+                    assert fh.read() == manifest_bytes
