@@ -33,7 +33,7 @@ from . import analytic, fieldcalc
 from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps, stride_for, trapezoid
 
 # pde, sde and diagnostics are imported inside the route functions: parsing a
-# spec does not need them, and pde loads scipy.linalg (0.2-0.4 s of start-up)
+# spec does not need them, and pde loads scipy's compiled LAPACK module
 
 logger = logging.getLogger(__name__)
 
@@ -728,13 +728,13 @@ def _write_blocks(path, blocks) -> dict:
 
 
 def _write_artifacts(spec, results, report) -> dict:
-    """Write every artifact, then the manifest of their hashes.
+    """Write every artifact, then the manifest of their hashes, into
+    spec.out_dir, which run_scenario made before the first route ran.
 
     An earlier manifest is removed before the first byte is written and the
     new one is renamed into place last, so a run that dies partway leaves no
     manifest vouching for half-written files.
     """
-    os.makedirs(spec.out_dir, exist_ok=True)
     manifest_path = os.path.join(spec.out_dir, "manifest.json")
     try:
         os.remove(manifest_path)
@@ -772,6 +772,11 @@ def _write_artifacts(spec, results, report) -> dict:
 def run_scenario(spec: ScenarioSpec) -> int:
     from .pde import SolverError
     from .sde import DriftDomainError
+
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot create output directory {spec.out_dir!r}: {exc}") from exc
 
     results = {}
     wave = None

@@ -12,25 +12,58 @@ factors. The Fokker-Planck march uses dgttrf/dgttrs, refactoring each step
 only when the drift depends on time. The wave march factors I + i dt/2 H once
 with zgttrf and takes each step with a single zgttrs solve through the Cayley
 identity psi' = 2 (I + i dt/2 H)^-1 psi - psi, so no explicit product with H
-is formed. A singular step matrix raises SolverError.
+is formed. A singular step matrix raises SolverError. The four routines come
+from scipy's compiled module scipy.linalg._flapack, loaded without the
+scipy.linalg package.
 
 The bridge between the two descriptions is ``madelung_decompose``: rho = |psi|^2
 and S = 2D * theta with the phase theta unwrapped from x = 0 outward, giving
 v = grad S and the full hydrodynamic slice.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .core import ComplexField, Grid1D, ScalarField, steps, stored_index, stored_steps, trapezoid
 from .fieldcalc import HydroFields, hydro_from_rho_S
 from .sde import DriftSource, TabulatedDrift
 
 logger = logging.getLogger(__name__)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, found in the scipy.linalg directory and
+    run without the scipy.linalg package (which costs about 0.3 s and 18 MB).
+
+    It is registered under its own name, so a later ``import scipy.linalg``
+    reuses it; where the path finder cannot see it, the ordinary import
+    loads the same module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    dirs = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        return importlib.import_module(name)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs, zgttrf, zgttrs = (_flapack.dgttrf, _flapack.dgttrs,
+                                  _flapack.zgttrf, _flapack.zgttrs)
 
 
 class SolverError(RuntimeError):

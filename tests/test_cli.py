@@ -400,6 +400,21 @@ routes = analytic
         assert "Traceback" in err
         assert "KeyError: 'rho'" in err
 
+    def test_uncreatable_out_dir_exits_two_before_any_route(self, tmp_path,
+                                                           monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("a route ran")
+
+        for route in ("_run_schrodinger", "_resolve_drift", "_run_fp", "_run_sde",
+                      "_run_analytic"):
+            monkeypatch.setattr(cli, route, never)
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file")
+        assert run_smoke(taken) == 2
+        err = capsys.readouterr().err
+        assert "invalid spec: cannot create output directory" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

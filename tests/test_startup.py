@@ -1,7 +1,8 @@
 """Start-up path: the numpy quadrature and Gaussian smoothing of
 recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
-the runner loads no scipy module, and the particle KDE loads no
-scipy.ndimage."""
+the runner loads no scipy module, the particle KDE loads no scipy.ndimage,
+and the grid solvers load scipy's compiled LAPACK module without the
+scipy.linalg package, which a whole run never loads either."""
 
 import os
 import subprocess
@@ -81,14 +82,59 @@ class TestSmoothingMatchesScipy:
 
 def modules_after(statement):
     """Names of the scipy modules loaded by a fresh interpreter after it runs
-    the statement."""
+    the statement (which must not raise)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(recoillab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = (f"{statement}\nimport sys\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(out.split())
+    return set(out.splitlines()[-1].split())
+
+
+SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "specs",
+                     "smoke_free_recoil.cfg")
+
+SAME_ROUTINES = """
+import sys
+import scipy.linalg.lapack
+from recoillab import pde
+assert sys.modules["scipy.linalg._flapack"] is pde._flapack
+for name in ("dgttrf", "dgttrs", "zgttrf", "zgttrs"):
+    assert getattr(pde, name) is getattr(scipy.linalg.lapack, name), name
+"""
+
+# the path finder misses the extension once, as under a custom import finder,
+# so the grid solvers fall back to the ordinary import of the package
+PATH_FINDER_MISSES_IT = """
+import sys
+from importlib.machinery import PathFinder
+real, missed = PathFinder.find_spec.__func__, []
+def find_spec(cls, name, path=None, target=None):
+    if name == "scipy.linalg._flapack" and not missed:
+        missed.append(name)
+        return None
+    return real(cls, name, path, target)
+PathFinder.find_spec = classmethod(find_spec)
+import recoillab.pde
+assert missed and "scipy.linalg" in sys.modules
+"""
+
+# a diagonally dominant tridiagonal system with the solution 1, 2, ..., 6
+TRIDIAGONAL_SOLVES = """
+import numpy as np
+import scipy.sparse
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
+n = 6
+lower, diag, upper = np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -2.0)
+x = np.arange(1.0, n + 1)
+a = scipy.sparse.diags([lower, diag, upper], [-1, 0, 1], format="csc")
+b = a @ x
+bands = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+assert np.allclose(solve_banded((1, 1), bands, b), x)
+assert np.allclose(splu(a).solve(b), x)
+"""
 
 
 class TestImports:
@@ -97,8 +143,21 @@ class TestImports:
 
     def test_grid_solvers_load_no_ndimage(self):
         loaded = modules_after("import recoillab.pde")
-        assert "scipy.linalg" in loaded  # the LAPACK solves
+        assert "scipy.linalg._flapack" in loaded  # the LAPACK solves
+        assert "scipy.linalg" not in loaded
         assert "scipy.ndimage" not in loaded
+
+    def test_lapack_routines_are_scipys_however_loaded(self):
+        modules_after("import recoillab.pde" + SAME_ROUTINES + TRIDIAGONAL_SOLVES)
+        modules_after("import scipy.linalg" + SAME_ROUTINES)
+        modules_after(PATH_FINDER_MISSES_IT + SAME_ROUTINES)
+
+    def test_a_full_run_loads_no_scipy_linalg(self, tmp_path):
+        loaded = modules_after(
+            "from recoillab.cli import main\n"
+            f"assert main(['run', {SMOKE!r}, '--out', {str(tmp_path)!r}]) == 0")
+        assert "scipy.linalg._flapack" in loaded
+        assert "scipy.linalg" not in loaded
 
     def test_kde_loads_no_ndimage(self):
         loaded = modules_after(
