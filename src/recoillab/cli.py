@@ -32,8 +32,8 @@ import numpy as np
 from . import analytic, fieldcalc
 from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps, stride_for, trapezoid
 
-# pde, sde and diagnostics are imported inside the route functions: parsing a
-# spec does not need them, and pde loads scipy's compiled LAPACK module
+# pde, sde and diagnostics are imported where they are used: parsing a spec
+# needs at most sde, and pde loads scipy's compiled LAPACK module
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +114,7 @@ SCENARIOS = {
         routes=("schrodinger", "fp", "sde"),
         defaults=dict(x_min=-10.0, x_max=10.0, n=1001, dt=1e-3,
                       t_end=1.0, snapshot_stride=100, drift_stride=0),
-        omega=lambda spec: _load_omega_table(spec.omega_file, spec.grid),
+        omega=lambda spec: spec.omega_table,
         tables=True),
 }
 
@@ -149,8 +149,8 @@ class ScenarioSpec:
     out_dir: str
     fmt: str                  # csv | binary
     tolerances: dict
-    drift_file: str = ""
-    omega_file: str = ""
+    drift_table: object = None                  # TabulatedDrift from [tables] drift_file
+    omega_table: Optional[ScalarField] = None   # from [tables] omega_file
 
 
 def _get(cfg, section, key, cast, default):
@@ -295,19 +295,23 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     if not 0 <= seed_val < 2**63:
         raise SpecError(f"seed = {seed_val} must be in [0, 2**63)")
 
-    # table paths are relative to the spec file
-    tables = {"drift_file": "", "omega_file": ""}
+    # tables are read here, so a malformed one exits 2 before any route runs;
+    # their paths are relative to the spec file
+    drift_table = omega_table = None
     if scenario.tables:
         base = os.path.dirname(os.path.abspath(path))
-        for key in tables:
-            value = _get(cfg, "tables", key, str, "").strip()
-            tables[key] = os.path.join(base, value) if value else ""
-        if "schrodinger" in routes and not tables["omega_file"]:
+        drift_file = _get(cfg, "tables", "drift_file", str, "").strip()
+        omega_file = _get(cfg, "tables", "omega_file", str, "").strip()
+        if "schrodinger" in routes and not omega_file:
             raise SpecError(f"scenario {kind!r} route 'schrodinger' needs "
                             "[tables] omega_file")
+        if drift_file and ("fp" in routes or "sde" in routes):
+            drift_table = _load_drift_table(os.path.join(base, drift_file))
+        if omega_file and "schrodinger" in routes:
+            omega_table = _load_omega_table(os.path.join(base, omega_file), grid)
     # fp/sde take the drift_file if given, else the wave's drift table if the
     # wave route runs, else the scenario's closed-form drift
-    if ("fp" in routes or "sde" in routes) and not tables["drift_file"]:
+    if ("fp" in routes or "sde" in routes) and drift_table is None:
         if "schrodinger" in routes and drift_stride < 1:
             raise SpecError("drift_stride must be >= 1 to tabulate the "
                             "wave drift for fp/sde routes")
@@ -323,7 +327,7 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         snapshot_stride=snapshot_stride, drift_stride=drift_stride,
         sde_n=sde_n, sde_dt=sde_dt, sde_stride=sde_stride, seed=seed_val,
         out_dir=out, fmt=fmt_val, tolerances=tolerances,
-        **tables,
+        drift_table=drift_table, omega_table=omega_table,
     )
 
 
@@ -386,7 +390,7 @@ def _run_schrodinger(spec) -> tuple:
     p = spec.params
     # the drift table costs a Madelung slice per row; tabulate it only for
     # the fp/sde routes that _resolve_drift feeds from the wave
-    feeds_table = ("fp" in spec.routes or "sde" in spec.routes) and not spec.drift_file
+    feeds_table = ("fp" in spec.routes or "sde" in spec.routes) and spec.drift_table is None
     prob = build_recoil_problem(
         _initial_density(spec), SCENARIOS[spec.kind].omega(spec), D=p.D, dt=spec.dt,
         t_end=spec.t_end, snapshot_stride=spec.snapshot_stride,
@@ -414,8 +418,8 @@ def _resolve_drift(spec, wave):
     """The fp/sde drift, chosen by the rule load_spec checks."""
     from . import sde
 
-    if spec.drift_file:
-        return _load_drift_table(spec.drift_file)
+    if spec.drift_table is not None:
+        return spec.drift_table
     if wave is not None:
         return wave.drift_table
     return SCENARIOS[spec.kind].drift(sde, spec.params)
@@ -727,19 +731,35 @@ def _write_blocks(path, blocks) -> dict:
     return {"sha256": digest.hexdigest(), "bytes": size}
 
 
+_MANIFEST_ERRORS = (OSError, ValueError, TypeError, KeyError, AttributeError)
+
+
+def _manifest_hashes(path) -> dict:
+    """{file name: sha256} of a run manifest; one of _MANIFEST_ERRORS when
+    it is missing, not JSON, or of another shape."""
+    with open(path, "rb") as fh:
+        files = json.load(fh)["files"]
+    return {name: e["sha256"] for name, e in files.items()}
+
+
 def _write_artifacts(spec, results, report) -> dict:
     """Write every artifact, then the manifest of their hashes, into
     spec.out_dir, which run_scenario made before the first route ran.
 
-    An earlier manifest is removed before the first byte is written and the
-    new one is renamed into place last, so a run that dies partway leaves no
-    manifest vouching for half-written files.
+    An earlier manifest, then every plain file name it lists, is removed
+    before the first byte is written, and the new one is renamed into place
+    last: no earlier file stays beside it, and a run that dies partway leaves
+    no manifest vouching for half-written files.
     """
     manifest_path = os.path.join(spec.out_dir, "manifest.json")
     try:
-        os.remove(manifest_path)
-    except FileNotFoundError:
-        pass
+        stale = _manifest_hashes(manifest_path)
+    except _MANIFEST_ERRORS:
+        stale = {}
+    for name in ["manifest.json", *stale]:
+        path = os.path.join(spec.out_dir, name)
+        if os.path.basename(name) == name and os.path.isfile(path):
+            os.remove(path)
 
     x_text = _format_column(spec.grid.x)
     files = {}
@@ -792,8 +812,6 @@ def run_scenario(spec: ScenarioSpec) -> int:
             results["sde"] = _run_sde(spec, drift)
         if "analytic" in spec.routes:
             results["analytic"] = _run_analytic(spec)
-    except SpecError:
-        raise
     except (SolverError, DriftDomainError, ValueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -830,11 +848,8 @@ def compare_runs(dir_a: str, dir_b: str) -> int:
     for d in (dir_a, dir_b):
         path = os.path.join(d, "manifest.json")
         try:
-            with open(path, "rb") as fh:
-                files = json.load(fh)["files"]
-            # a manifest of any other shape raises TypeError, KeyError or AttributeError
-            hashes.append({name: e["sha256"] for name, e in files.items()})
-        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            hashes.append(_manifest_hashes(path))
+        except _MANIFEST_ERRORS as exc:
             print(f"cannot read {path}: {exc!r}", file=sys.stderr)
             return 2
     fa, fb = hashes

@@ -1,7 +1,7 @@
 """Grid solvers: Fokker-Planck in flux form and the linearizing wave equation.
 
 Both march with Crank-Nicolson. The Fokker-Planck operator uses Chang-Cooper
-flux weights, which keep the density positive without clipping and reproduce
+flux rates, which keep the density positive without clipping and reproduce
 the exact nodal Boltzmann profile for linear drift. The wave solver is the
 Cayley form (I + i dt/2 H) psi' = (I - i dt/2 H) psi, unitary in the discrete
 l2 norm, so the norm ledger holds to solver roundoff.
@@ -127,48 +127,32 @@ class FpSolution:
         return self.rhos[stored_index(self.times, t)]
 
 
-def _chang_cooper_delta(w: np.ndarray) -> np.ndarray:
-    """Weight of the left node in the advective flux
-    F = b [(1-delta) rho_{i+1} + delta rho_i] - D (rho_{i+1}-rho_i)/dx,
-
-        delta(w) = 1 + 1/expm1(w) - 1/w,     w = b dx / D,
-
-    the unique choice whose zero-flux state has the exact nodal ratio
-    rho_{i+1}/rho_i = e^w (discrete Boltzmann profile). Upwind in both
-    limits; series value 1/2 + w/12 near w = 0."""
-    w = np.clip(w, -500.0, 500.0)  # overflow guard; weights saturate anyway
-    small = np.abs(w) < 1e-6
-    ws = np.where(small, 1.0, w)
-    delta = 1.0 + 1.0 / np.expm1(ws) - 1.0 / ws
-    return np.where(small, 0.5 + w / 12.0, delta)
+def _bernoulli(w: np.ndarray) -> np.ndarray:
+    """B(w) = w/expm1(w), B(0) = 1, to full relative precision. expm1 is
+    capped at w = 700, below its overflow at 709.8, so B stays finite and
+    positive where it would round to 0."""
+    e = np.expm1(np.minimum(w, 700.0))
+    return np.divide(w, e, out=np.ones_like(w), where=e != 0.0)
 
 
 def _fp_operator(bhalf: np.ndarray, D: float, dx: float, n: int):
-    """Tridiagonal flux-divergence operator A with rho_dot = A rho.
+    """Tridiagonal Chang-Cooper flux-divergence operator A with rho_dot = A rho.
 
-    Returns (lower, diag, upper): lower[i] = A[i+1, i], upper[i] = A[i, i+1].
-    Zero-flux boundaries; columns of A sum to zero, so Sum(rho)*dx is
-    conserved by any consistent time integrator.
+    Across face i+1/2, with w = b dx / D, node i sends mass at the rate
+    D/dx^2 B(-w) and node i+1 sends it back at D/dx^2 B(w): the exact
+    Chang-Cooper (Scharfetter-Gummel) rates, both positive. Their ratio e^w
+    makes the discrete Boltzmann profile rho_{i+1}/rho_i = e^w the zero-flux
+    state. Returns (lower, diag, upper): lower[i] = A[i+1, i], upper[i] =
+    A[i, i+1]. Zero-flux boundaries; columns of A sum to zero, so
+    Sum(rho)*dx is conserved by any consistent time integrator.
     """
-    w = bhalf * dx / D
-    delta = _chang_cooper_delta(w)
-    inflow = (bhalf * delta + D / dx) / dx          # coefficient of rho_i in F_{i+1/2}
-    outflow = (D / dx - bhalf * (1.0 - delta)) / dx  # coefficient of -rho_{i+1} in F_{i+1/2}
-    back = bhalf * (1.0 - delta) / dx - D / dx**2    # -outflow, as the diagonal takes it
-    # Past |w| = 1 the differences above cancel ever more digits (every one
-    # near |w| = 37), which breaks the Boltzmann ratio of a steep drift. There
-    # the rates come from the Bernoulli function B(w) = w/expm1(w), both to
-    # full relative precision: inflow = D/dx^2 B(-w), outflow = D/dx^2 B(w).
-    steep = np.abs(w) > 1.0
-    if np.any(steep):
-        ws = w[steep]
-        with np.errstate(over="ignore"):  # B(w) -> 0 as expm1(w) -> inf
-            inflow[steep] = D / dx**2 * (-ws / np.expm1(-ws))
-            outflow[steep] = D / dx**2 * (ws / np.expm1(ws))
-        back[steep] = -outflow[steep]
+    with np.errstate(under="ignore"):  # a subnormal w flushes to 0, where B = 1
+        w = bhalf * dx / D
+    inflow = D / dx**2 * _bernoulli(-w)
+    outflow = D / dx**2 * _bernoulli(w)
     diag = np.zeros(n)
     diag[:-1] -= inflow
-    diag[1:] += back
+    diag[1:] -= outflow
     return inflow, diag, outflow
 
 

@@ -252,7 +252,7 @@ bogus = 1.0
     ], ids=["non-numeric cell", "nan node", "nan time", "nan omega",
             "non-increasing x"])
     def test_malformed_table(self, tmp_path, capsys, key, rows):
-        # read when the routes start, not in load_spec; still a bad spec
+        # read by load_spec, so a bad table is a bad spec before any route runs
         (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
         route = "schrodinger" if key == "omega_file" else "fp"
         path = write_cfg(tmp_path, "custom.cfg", f"""
@@ -266,9 +266,40 @@ t_end = 0.2
 [tables]
 {key} = table.csv
 """)
+        with pytest.raises(SpecError, match="table"):
+            load_spec(path)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid spec:")
+        assert "Traceback" not in err
+
+    def test_malformed_drift_table_stops_the_wave_route_too(self, tmp_path,
+                                                           monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("a route ran")
+
+        for route in ("_run_schrodinger", "_resolve_drift", "_run_fp", "_run_sde"):
+            monkeypatch.setattr(cli, route, never)
+        np.savetxt(tmp_path / "omega.csv", [[-10.0, 0.0], [10.0, 0.0]],
+                   delimiter=",")
+        (tmp_path / "drift.csv").write_text(
+            "\n".join(["nan," + NODES, "0," + ONES, "1," + ONES[:-1] + "a"]) + "\n")
+        path = write_cfg(tmp_path, "custom.cfg", """
+[scenario]
+kind = custom
+routes = schrodinger, fp
+
+[time]
+t_end = 0.2
+drift_stride = 5
+
+[tables]
+omega_file = omega.csv
+drift_file = drift.csv
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec: cannot read drift table")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63)])
@@ -663,6 +694,35 @@ class TestCrashMidWrite:
         assert second.stat().st_size < (first / names[1]).stat().st_size
         assert not (out / "manifest.json").exists()
         assert main(["compare", str(first), str(out)]) == 2
+
+
+class TestRerunIntoTheSameDirectory:
+    def test_no_file_of_the_earlier_run_stays(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_smoke(out) == 0
+        assert (out / "particles_sde.csv").is_file()
+        with open(SMOKE) as fh:
+            text = fh.read().replace("routes = schrodinger, fp, sde",
+                                     "routes = schrodinger")
+        path = write_cfg(tmp_path, "wave_only.cfg", text)
+        assert main(["run", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"fields_schrodinger.csv", "msd_schrodinger.csv",
+                                          "energy_schrodinger.csv", "report.json"}
+        assert set(os.listdir(out)) == set(manifest["files"]) | {"manifest.json"}
+
+    @pytest.mark.parametrize("manifest", [
+        b"\xff", b'{"files": {"../outside.csv": {"sha256": ""}, "sub": {"sha256": ""}}}',
+    ], ids=["unreadable", "foreign names"])
+    def test_only_plain_listed_files_are_removed(self, tmp_path, manifest):
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        (out / "manifest.json").write_bytes(manifest)
+        (out / "unlisted.txt").write_text("kept")
+        (tmp_path / "outside.csv").write_text("kept")
+        assert run_smoke(out) == 0
+        assert (out / "unlisted.txt").is_file() and (out / "sub").is_dir()
+        assert (tmp_path / "outside.csv").is_file()
 
 
 class TestBinaryParticles:

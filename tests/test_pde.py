@@ -283,6 +283,13 @@ class TestTridiagonalSolvesMatchSuperLU:
         assert wave.norm_drift_max <= 1e-12
 
 
+def peclet(limit):
+    """Face Peclet numbers w = b dx / D: exact zeros, subnormals, and
+    everything up to |w| = limit."""
+    return st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, -2.2e-308]),
+                     st.floats(-limit, limit))
+
+
 class TestLedgers:
     grid = Grid1D(-12.0, 12.0, 241)
 
@@ -311,15 +318,17 @@ class TestLedgers:
         assert wave.norm_drift_max <= 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(w=hnp.arrays(float, st.integers(2, 60), elements=st.floats(-50.0, 50.0)),
+    @given(w=hnp.arrays(float, st.integers(2, 60), elements=peclet(700.0)),
            D=st.floats(1e-2, 1e2), dx=st.floats(1e-3, 1.0))
     def test_chang_cooper_zero_flux_state_is_boltzmann(self, w, D, dx):
-        # a static drift on the half nodes, |b dx / D| up to 50: the
-        # discrete Boltzmann profile rho_i ~ exp(sum_{j<i} b_j dx / D) is the
-        # zero-flux state, and every column of A sums to zero
+        # a static drift on the half nodes, |b dx / D| up to 700, where the
+        # expm1 cap of the rates starts: the discrete Boltzmann profile
+        # rho_i ~ exp(sum_{j<i} b_j dx / D) is the zero-flux state, and every
+        # column of A sums to zero
         b = w * D / dx
         n = b.size + 1
-        lower, diag, upper = pde._fp_operator(b, D, dx, n)
+        with np.errstate(all="raise"):
+            lower, diag, upper = pde._fp_operator(b, D, dx, n)
         # w as the operator computes it; exponents summed exactly outward
         # from the peak, since a running sum would carry the rounding of
         # exponents in the thousands
@@ -333,6 +342,22 @@ class TestLedgers:
         column_sums[:-1] += lower
         column_sums[1:] += upper
         assert np.all(np.abs(column_sums) <= 1e-13 * np.abs(diag))
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=hnp.arrays(float, st.integers(2, 60), elements=peclet(1000.0)),
+           D=st.floats(1e-2, 1e2), dx=st.floats(1e-3, 1.0))
+    def test_chang_cooper_rates_are_bernoulli_rates(self, w, D, dx):
+        # past expm1's overflow at w = 709.8 too: no floating-point exception,
+        # and both rates finite and positive (the off-diagonals of an M-matrix)
+        b = w * D / dx
+        with np.errstate(all="raise"):
+            lower, diag, upper = pde._fp_operator(b, D, dx, b.size + 1)
+        for rate in (lower, upper):
+            assert np.all(np.isfinite(rate)) and np.all(rate > 0.0)
+        # B(-w) - B(w) = w, to a few ulps of the larger rate
+        w = w[np.abs(w) <= 30.0]
+        into, out = pde._bernoulli(-w), pde._bernoulli(w)
+        assert np.all(np.abs(into - out - w) <= 4 * np.spacing(np.maximum(into, out)))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 4.0),
