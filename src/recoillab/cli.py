@@ -5,32 +5,31 @@ requested route (closed-form fields, particle ensemble, Fokker-Planck,
 wave pair), cross-validates the routes against each other, and writes
 plot-ready CSV artifacts plus a machine-readable report and a content-hash
 manifest.  ``recoillab list`` prints the built-in scenarios; ``recoillab
-compare A B`` diffs two finished run directories by content hash.
+compare A B`` diffs two finished run directories by content hash. This
+module decides which files a run has; ``artifacts`` holds their format.
 
 Exit codes: 0 every tolerance gate passed; 1 at least one gate failed;
-2 invalid spec or usage; 3 solver failure; 4 an unexpected error, whose
-traceback is printed to stderr.
+2 invalid spec or usage; 3 a route raised ``core.SolverError``; 4 any other
+exception, a fault of the program, whose traceback is printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import logging
 import os
-import struct
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import analytic, fieldcalc
-from .core import Grid1D, PhysicalParams, ScalarField, steps, stored_steps, stride_for, trapezoid
+from . import analytic, artifacts, fieldcalc
+from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, steps, stored_steps,
+                   stride_for, trapezoid)
 
 # pde, sde and diagnostics are imported where they are used: parsing a spec
 # needs at most sde, and pde loads scipy's compiled LAPACK module
@@ -617,172 +616,23 @@ def _build_report(spec, results) -> dict:
 # artifact writing
 
 
-# Every writer is a generator of bytes blocks of at most _BLOCK_ROWS rows
-# each, so no artifact, time slice or particle snapshot is ever held whole as
-# text. Each block formats only its own rows, with one %-call per column, and
-# joins them; the text is that of formatting every value with "%.17g".
-_BLOCK_ROWS = 2048
-
-
-def _format_column(values) -> list:
-    """The "%.17g" text of every value of a float column."""
-    values = np.asarray(values, dtype=float).tolist()
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
-
-
-def _csv_block(*columns) -> bytes:
-    """Comma-joined rows of equal-length text columns, at least one row, each
-    row ending in a newline."""
-    return ("\n".join(map(",".join, zip(*columns, strict=True))) + "\n").encode()
-
-
-def _row_blocks(n):
-    """The (lo, hi) row bounds of the blocks of an n-row table."""
-    return ((lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
-
-
-def _columns_csv(*columns):
-    """Blocks of the rows of equal-length float columns."""
-    for lo, hi in _row_blocks(len(columns[0])):
-        yield _csv_block(*(_format_column(c[lo:hi]) for c in columns))
-
-
-def _fields_csv(slices, x_text):
-    """Blocks of fields_<route>.csv; x_text is the formatted grid column,
-    shared by every slice. A column a slice lacks is written as nan."""
-    yield b"t,x,rho,S,v,u,b,Q\n"
-    for t, cols in slices:
-        t_text = "%.17g" % float(t)
-        for lo, hi in _row_blocks(len(x_text)):
-            yield _csv_block(
-                repeat(t_text, hi - lo), x_text[lo:hi],
-                *(_format_column(cols[k][lo:hi]) if k in cols
-                  else repeat("nan", hi - lo)
-                  for k in ("rho", "S", "v", "u", "b", "Q")))
-
-
-def _msd_csv(series):
-    err = series.stderr
-    yield b"t,msd,stderr\n"
-    yield from _columns_csv(series.times, series.values,
-                            np.zeros(len(series.times)) if err is None else err)
-
-
-def _energy_csv(report):
-    yield b"t,kinetic,osmotic,potential,total\n"
-    yield from _columns_csv(report.times, report.kinetic, report.osmotic,
-                            report.potential, report.total)
-
-
-def _particles_csv(snapshots):
-    yield b"t,particle_index,x\n"
-    for s in snapshots:
-        t_text = "%.17g" % float(s.t)
-        for lo, hi in _row_blocks(s.positions.size):
-            yield _csv_block(repeat(t_text, hi - lo), map(str, range(lo, hi)),
-                             _format_column(s.positions[lo:hi]))
-
-
-PARTICLE_MAGIC = b"RLABPT01"
-
-
-def _particles_binary(snapshots):
-    """Magic, uint64 snapshot count, then per snapshot: float64 t, uint64 n,
-    n little-endian float64 positions."""
-    yield PARTICLE_MAGIC + struct.pack("<Q", len(snapshots))
-    for s in snapshots:
-        yield struct.pack("<dQ", float(s.t), s.positions.size)
-        yield np.ascontiguousarray(s.positions, dtype="<f8").tobytes()
-
-
-def read_particles_binary(path):
-    """Inverse of the binary writer; returns a list of (t, positions)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != PARTICLE_MAGIC:
-        raise ValueError(f"{path!r} is not a particle snapshot file")
-    (count,) = struct.unpack_from("<Q", blob, 8)
-    offset = 16
-    out = []
-    for _ in range(count):
-        t, n = struct.unpack_from("<dQ", blob, offset)
-        offset += 16
-        xs = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-        out.append((t, xs))
-    return out
-
-
-def _json_blocks(obj):
-    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, in pieces."""
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj):
-        yield chunk.encode()
-    yield b"\n"
-
-
-def _write_blocks(path, blocks) -> dict:
-    """Write the blocks to path as they come; their sha256 and byte count."""
-    digest, size = hashlib.sha256(), 0
-    with open(path, "wb") as fh:
-        for block in blocks:
-            fh.write(block)
-            digest.update(block)
-            size += len(block)
-    return {"sha256": digest.hexdigest(), "bytes": size}
-
-
-_MANIFEST_ERRORS = (OSError, ValueError, TypeError, KeyError, AttributeError)
-
-
-def _manifest_hashes(path) -> dict:
-    """{file name: sha256} of a run manifest; one of _MANIFEST_ERRORS when
-    it is missing, not JSON, or of another shape."""
-    with open(path, "rb") as fh:
-        files = json.load(fh)["files"]
-    return {name: e["sha256"] for name, e in files.items()}
-
-
 def _write_artifacts(spec, results, report) -> dict:
-    """Write every artifact, then the manifest of their hashes, into
-    spec.out_dir, which run_scenario made before the first route ran.
-
-    An earlier manifest, then every plain file name it lists, is removed
-    before the first byte is written, and the new one is renamed into place
-    last: no earlier file stays beside it, and a run that dies partway leaves
-    no manifest vouching for half-written files.
-    """
-    manifest_path = os.path.join(spec.out_dir, "manifest.json")
-    try:
-        stale = _manifest_hashes(manifest_path)
-    except _MANIFEST_ERRORS:
-        stale = {}
-    for name in ["manifest.json", *stale]:
-        path = os.path.join(spec.out_dir, name)
-        if os.path.basename(name) == name and os.path.isfile(path):
-            os.remove(path)
-
-    x_text = _format_column(spec.grid.x)
+    """Name the run's files by route; artifacts.write_run writes them."""
+    x_text = artifacts._format_column(spec.grid.x)
     files = {}
     for route, data in results.items():
         if data.slices:
-            files[f"fields_{route}.csv"] = _fields_csv(data.slices, x_text)
-        files[f"msd_{route}.csv"] = _msd_csv(data.msd)
+            files[f"fields_{route}.csv"] = artifacts._fields_csv(data.slices, x_text)
+        files[f"msd_{route}.csv"] = artifacts._msd_csv(data.msd)
         if data.energy is not None:
-            files[f"energy_{route}.csv"] = _energy_csv(data.energy)
+            files[f"energy_{route}.csv"] = artifacts._energy_csv(data.energy)
     if "sde" in results:
         if spec.fmt == "binary":
-            files["particles_sde.bin"] = _particles_binary(results["sde"].snapshots)
+            files["particles_sde.bin"] = artifacts._particles_binary(results["sde"].snapshots)
         else:
-            files["particles_sde.csv"] = _particles_csv(results["sde"].snapshots)
-    files["report.json"] = _json_blocks(report)
-
-    manifest = {"name": spec.name, "seed": spec.seed, "files": {}}
-    for name in sorted(files):
-        manifest["files"][name] = _write_blocks(
-            os.path.join(spec.out_dir, name), files[name])
-    _write_blocks(manifest_path + ".tmp", _json_blocks(manifest))
-    os.replace(manifest_path + ".tmp", manifest_path)
-    return manifest
+            files["particles_sde.csv"] = artifacts._particles_csv(results["sde"].snapshots)
+    files["report.json"] = artifacts._json_blocks(report)
+    return artifacts.write_run(spec.out_dir, spec.name, spec.seed, files)
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +640,6 @@ def _write_artifacts(spec, results, report) -> dict:
 
 
 def run_scenario(spec: ScenarioSpec) -> int:
-    from .pde import SolverError
-    from .sde import DriftDomainError
-
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
     except OSError as exc:
@@ -812,7 +659,7 @@ def run_scenario(spec: ScenarioSpec) -> int:
             results["sde"] = _run_sde(spec, drift)
         if "analytic" in spec.routes:
             results["analytic"] = _run_analytic(spec)
-    except (SolverError, DriftDomainError, ValueError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 
@@ -841,33 +688,6 @@ def list_scenarios(as_json: bool) -> int:
         print(f"{r['name']:<{widths[0]}} {','.join(r['routes']):<{widths[1]}} "
               f"{r['summary']}")
     return 0
-
-
-def compare_runs(dir_a: str, dir_b: str) -> int:
-    hashes = []
-    for d in (dir_a, dir_b):
-        path = os.path.join(d, "manifest.json")
-        try:
-            hashes.append(_manifest_hashes(path))
-        except _MANIFEST_ERRORS as exc:
-            print(f"cannot read {path}: {exc!r}", file=sys.stderr)
-            return 2
-    fa, fb = hashes
-    names = sorted(set(fa) | set(fb))
-    identical = True
-    for name in names:
-        if name not in fa:
-            status, same = "only in B", False
-        elif name not in fb:
-            status, same = "only in A", False
-        elif fa[name] == fb[name]:
-            status, same = "identical", True
-        else:
-            status, same = "DIFFERS", False
-        identical &= same
-        print(f"{name:<24} {status}")
-    print("runs are byte-identical" if identical else "runs differ")
-    return 0 if identical else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -904,7 +724,7 @@ def main(argv=None) -> int:
         if args.command == "list":
             return list_scenarios(args.json)
         if args.command == "compare":
-            return compare_runs(args.run_a, args.run_b)
+            return artifacts.compare_runs(args.run_a, args.run_b)
         spec = load_spec(args.spec, out_dir=args.out, seed=args.seed,
                          fmt=args.format)
         return run_scenario(spec)

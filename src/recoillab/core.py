@@ -12,6 +12,10 @@ from functools import cached_property
 import numpy as np
 
 
+class SolverError(RuntimeError):
+    """A route failed on a valid spec (`recoillab run` exits 3 on this alone)."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants of a diffusing ensemble.

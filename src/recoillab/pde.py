@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ComplexField, Grid1D, ScalarField, steps, stored_index, stored_steps, trapezoid
+from .core import (ComplexField, Grid1D, ScalarField, SolverError, steps, stored_index,
+                   stored_steps, trapezoid)
 from .fieldcalc import HydroFields, hydro_from_rho_S
 from .sde import DriftSource, TabulatedDrift
 
@@ -64,10 +65,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 dgttrf, dgttrs, zgttrf, zgttrs = (_flapack.dgttrf, _flapack.dgttrs,
                                   _flapack.zgttrf, _flapack.zgttrs)
-
-
-class SolverError(RuntimeError):
-    """A stability or conservation ledger was violated mid-run."""
 
 
 class MadelungError(SolverError):

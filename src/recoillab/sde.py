@@ -26,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Grid1D, PhysicalParams, ScalarField, gaussian_smooth, steps,
-                   stored_steps)
+from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, gaussian_smooth,
+                   steps, stored_steps)
 
 
 # particles per TabulatedDrift lookup pass; keeps the working buffers in cache
 _LOOKUP_CHUNK = 8192
 
 
-class DriftDomainError(RuntimeError):
-    """A particle left the domain on which the drift is defined."""
+class DriftDomainError(SolverError):
+    """A particle left the domain of the drift or of the density estimate."""
 
 
 class DriftSource:
@@ -292,8 +292,8 @@ def sample_initial(alpha: float, n: int, seed: int) -> EnsembleState:
 
 def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
            config: SdeConfig) -> list:
-    """Integrate the ensemble to t_end; returns the stored snapshots,
-    beginning with the initial state and always including the final one."""
+    """Integrate the ensemble to t_end; returns the stored snapshots from the
+    initial to the final state. SolverError once <x^2> is not finite."""
     if state.n != config.n_particles:
         raise ValueError(f"state holds {state.n} particles, config says {config.n_particles}")
     n_steps = steps(config.t_end, config.dt, state.t)
@@ -308,7 +308,10 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     snapshots = [state]
     for first, last in zip(stored, stored[1:]):
         drift.march(x, state.t, config.dt, range(first, last), rng, sqrt_noise, noise)
-        snapshots.append(EnsembleState(t=state.t + last * config.dt, positions=x))
+        t = state.t + last * config.dt
+        if not np.isfinite(np.dot(x, x)):  # inf or nan once any x or x^2 is
+            raise SolverError(f"the ensemble diverged: <x^2> is not finite at t = {t:g}")
+        snapshots.append(EnsembleState(t=t, positions=x))
     return snapshots
 
 
@@ -364,7 +367,7 @@ def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
     pos = state.positions
     if np.any(pos < grid.x_min) or np.any(pos > grid.x_max):
         out = int(np.sum((pos < grid.x_min) | (pos > grid.x_max)))
-        raise ValueError(f"{out} particle(s) fall outside the KDE grid; widen it")
+        raise DriftDomainError(f"{out} particle(s) fall outside the KDE grid; widen it")
     # degenerate or under-resolved sample: one-cell kernel
     h = max(silverman_bandwidth(pos), grid.dx)
 

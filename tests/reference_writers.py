@@ -1,5 +1,5 @@
 """Row-by-row artifact writers, kept as the reference for the streaming
-writers of ``recoillab.cli``: every value goes through ``"%.17g" % v`` on
+writers of ``recoillab.artifacts``: every value goes through ``"%.17g" % v`` on
 its own and every file is built whole in memory."""
 
 import hashlib
@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from recoillab.cli import PARTICLE_MAGIC
+from recoillab.artifacts import PARTICLE_MAGIC
 
 
 def fields_csv(slices, x) -> bytes:

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from recoillab.core import Grid1D, PhysicalParams, ScalarField, gradient, integrate
 from recoillab.analytic import FreeBrownianSolution, FreeRecoilSolution
-from recoillab.cli import compare_runs
+from recoillab.artifacts import compare_runs
 from recoillab.diagnostics import energy_report, msd_from_ensemble
 from recoillab.fieldcalc import (
     SignConvention,

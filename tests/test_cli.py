@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import tempfile
 
 import numpy as np
@@ -14,15 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoillab import cli, pde, sde
-from recoillab.cli import (
-    PARTICLE_MAGIC,
-    SpecError,
-    compare_runs,
-    load_spec,
-    main,
-    read_particles_binary,
-)
+from recoillab import artifacts, cli, pde, sde
+from recoillab.artifacts import PARTICLE_MAGIC, compare_runs, read_particles_binary
+from recoillab.cli import SpecError, load_spec, main
 from recoillab.core import steps
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
@@ -383,10 +378,10 @@ linf_rho = 1e-12
 """)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
 
-    def test_solver_failure_returns_three(self, tmp_path):
+    @pytest.mark.parametrize("body", [
         # domain deliberately too small: the guard is relaxed at parse time,
         # then the wave reaches the boundary and the solver aborts
-        path = write_cfg(tmp_path, "escape.cfg", """
+        """
 [scenario]
 kind = free_recoil
 routes = schrodinger
@@ -402,8 +397,56 @@ dt = 1e-3
 t_end = 1.0
 snapshot_stride = 1000
 drift_stride = 0
-""")
+""",
+        # particles leave a narrow grid before the density estimate
+        """
+[scenario]
+kind = free_brownian
+routes = sde
+
+[grid]
+x_min = -3
+x_max = 3
+n = 301
+min_half_sigmas = 1
+
+[sde]
+n_particles = 2000
+""",
+        # gamma dt = 3 makes the Euler chain grow 2x a step until x^2 overflows,
+        # and gamma dt = 100 until the positions themselves do
+        """
+[scenario]
+kind = smoluchowski_ou
+routes = sde
+
+[params]
+gamma = 3000
+
+[sde]
+dt = 1e-3
+n_particles = 1000
+""",
+        """
+[scenario]
+kind = smoluchowski_ou
+routes = sde
+
+[params]
+gamma = 100000
+
+[sde]
+dt = 1e-3
+n_particles = 1000
+""",
+    ], ids=["wave_escape", "kde_escape", "msd_overflow", "position_overflow"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solver_failure_returns_three(self, tmp_path, capsys, body):
+        path = write_cfg(tmp_path, "diverges.cfg", body)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure:" in err
+        assert "Traceback" not in err
 
     def test_madelung_failure_returns_three(self, tmp_path, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):
@@ -415,10 +458,14 @@ drift_stride = 0
         assert "solver failure: phase jump" in err
         assert "Traceback" not in err
 
-    def test_unexpected_error_returns_four_with_a_traceback(self, tmp_path,
-                                                            monkeypatch, capsys):
+    @pytest.mark.parametrize("error, shown", [
+        (KeyError("rho"), "KeyError: 'rho'"),
+        (ValueError("a bug"), "ValueError: a bug"),
+    ], ids=["KeyError", "ValueError"])
+    def test_unexpected_error_returns_four_with_a_traceback(self, tmp_path, monkeypatch,
+                                                            capsys, error, shown):
         def broken(spec):
-            raise KeyError("rho")
+            raise error
 
         monkeypatch.setattr(cli, "_run_analytic", broken)
         path = write_cfg(tmp_path, "analytic.cfg", """
@@ -429,7 +476,7 @@ routes = analytic
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err
-        assert "KeyError: 'rho'" in err
+        assert shown in err
 
     def test_uncreatable_out_dir_exits_two_before_any_route(self, tmp_path,
                                                            monkeypatch, capsys):
@@ -680,14 +727,14 @@ class TestCrashMidWrite:
         second = out / names[1]
         second.unlink()  # so the rerun's own copy marks that it got there
 
-        format_column = cli._format_column
+        format_column = artifacts._format_column
 
         def failing(values):
             if second.exists():
                 raise RuntimeError("formatter failed")
             return format_column(values)
 
-        monkeypatch.setattr(cli, "_format_column", failing)
+        monkeypatch.setattr(artifacts, "_format_column", failing)
         assert run_smoke(out) == 4
         assert "RuntimeError: formatter failed" in capsys.readouterr().err
         assert (out / names[0]).read_bytes() == (first / names[0]).read_bytes()
@@ -744,11 +791,25 @@ class TestBinaryParticles:
             assert row["t"] == t
             assert row["msd"] == np.mean(xs**2)
 
-    def test_rejects_foreign_files(self, tmp_path):
+    one_snapshot = (PARTICLE_MAGIC + struct.pack("<QdQ", 1, 0.5, 2)
+                    + struct.pack("<2d", 0.1, -0.2))
+
+    @pytest.mark.parametrize("blob, match", [
+        (b"NOTMAGIC" + b"\x00" * 16, "not a particle snapshot"),
+        (PARTICLE_MAGIC + b"\x00", "truncated"),
+        # the header promises two snapshots and the file holds one
+        (PARTICLE_MAGIC + struct.pack("<Q", 2) + one_snapshot[16:], "truncated"),
+        (one_snapshot[:-1], "truncated"),
+        (PARTICLE_MAGIC + struct.pack("<QdQ", 1, 0.5, 2**64 - 1), "truncated"),
+        (one_snapshot + b"\x00", "1 byte"),
+    ], ids=["magic", "no_count", "missing_snapshot", "short_positions", "huge_count",
+         "trailing"])
+    def test_rejects_foreign_files(self, tmp_path, blob, match):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="not a particle snapshot"):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=match) as exc:
             read_particles_binary(path)
+        assert "junk.bin" in str(exc.value)
 
 
 class TestListScenarios:

@@ -454,7 +454,7 @@ class TestKde:
     def test_particles_outside_grid_rejected(self):
         g = Grid1D(-1.0, 1.0, 101)
         state = EnsembleState(t=0.0, positions=np.array([0.0, 1.5]))
-        with pytest.raises(ValueError, match="outside the KDE grid"):
+        with pytest.raises(DriftDomainError, match="outside the KDE grid"):
             kde_density(state, g)
 
     def test_silverman_shrinks_with_sample_size(self):

@@ -1,4 +1,4 @@
-"""The streaming artifact writers of recoillab.cli against the row-by-row
+"""The streaming artifact writers of recoillab.artifacts against the row-by-row
 reference writers: byte for byte, block by block, and through the manifest.
 Each writer runs at the module's block size and at three rows per block, so
 slices and snapshots span several blocks."""
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_writers as ref
-from recoillab import cli
+from recoillab import artifacts, cli
 from recoillab.core import Grid1D
 from recoillab.diagnostics import EnergyReport
 
@@ -43,12 +43,12 @@ def joined(blocks):
     return b"".join(blocks)
 
 
-BLOCK_ROWS = (cli._BLOCK_ROWS, 3)
+BLOCK_ROWS = (artifacts._BLOCK_ROWS, 3)
 
 
 def blocks_of(writer, *args, rows):
     """Every block the writer yields with rows rows per block."""
-    with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+    with mock.patch.object(artifacts, "_BLOCK_ROWS", rows):
         return list(writer(*args))
 
 
@@ -78,7 +78,7 @@ def snapshots(draw):
 class TestFormatColumn:
     @given(columns(st.integers(0, 20)))
     def test_each_value_is_formatted_on_its_own(self, col):
-        assert cli._format_column(col) == ["%.17g" % v for v in col]
+        assert artifacts._format_column(col) == ["%.17g" % v for v in col]
 
 
 class TestWritersMatchTheReference:
@@ -87,7 +87,7 @@ class TestWritersMatchTheReference:
     def test_fields(self, case):
         x, slices = case
         for rows in BLOCK_ROWS:
-            blocks = blocks_of(cli._fields_csv, slices, cli._format_column(x),
+            blocks = blocks_of(artifacts._fields_csv, slices, artifacts._format_column(x),
                                rows=rows)
             assert_blocked(blocks, [x.size] * len(slices), rows)
             assert joined(blocks) == ref.fields_csv(slices, x)
@@ -97,8 +97,8 @@ class TestWritersMatchTheReference:
         x = np.linspace(-1.0, 1.0, 9)
         slices = [(0.0, {"rho": np.exp(-x**2)}), (0.5, {"rho": np.full(9, 1e-320)})]
         for rows in BLOCK_ROWS:
-            text = joined(blocks_of(cli._fields_csv, slices,
-                                    cli._format_column(x), rows=rows))
+            text = joined(blocks_of(artifacts._fields_csv, slices,
+                                    artifacts._format_column(x), rows=rows))
             assert text == ref.fields_csv(slices, x)
             assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
 
@@ -108,7 +108,7 @@ class TestWritersMatchTheReference:
     def test_msd(self, cols):
         series = Series(*cols)
         for rows in BLOCK_ROWS:
-            blocks = blocks_of(cli._msd_csv, series, rows=rows)
+            blocks = blocks_of(artifacts._msd_csv, series, rows=rows)
             assert_blocked(blocks, [series.times.size], rows)
             assert joined(blocks) == ref.msd_csv(series)
 
@@ -118,7 +118,7 @@ class TestWritersMatchTheReference:
     def test_energy(self, cols):
         report = EnergyReport(*cols)
         for rows in BLOCK_ROWS:
-            blocks = blocks_of(cli._energy_csv, report, rows=rows)
+            blocks = blocks_of(artifacts._energy_csv, report, rows=rows)
             assert_blocked(blocks, [report.times.size], rows)
             assert joined(blocks) == ref.energy_csv(report)
 
@@ -126,7 +126,7 @@ class TestWritersMatchTheReference:
     @given(snapshots())
     def test_particles_csv(self, snaps):
         for rows in BLOCK_ROWS:
-            blocks = blocks_of(cli._particles_csv, snaps, rows=rows)
+            blocks = blocks_of(artifacts._particles_csv, snaps, rows=rows)
             assert_blocked(blocks, [s.positions.size for s in snaps], rows)
             assert joined(blocks) == ref.particles_csv(snaps)
 
@@ -136,7 +136,7 @@ class TestWritersMatchTheReference:
         snaps = [Snapshot(0.5, np.random.default_rng(0).normal(size=200_000))]
         tracemalloc.start()
         try:
-            for _ in cli._particles_csv(snaps):
+            for _ in artifacts._particles_csv(snaps):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -146,13 +146,13 @@ class TestWritersMatchTheReference:
     @settings(max_examples=100, deadline=None)
     @given(snapshots())
     def test_particles_binary_round_trip(self, snaps):
-        blob = joined(cli._particles_binary(snaps))
+        blob = joined(artifacts._particles_binary(snaps))
         assert blob == ref.particles_binary(snaps)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "particles_sde.bin")
             with open(path, "wb") as fh:
                 fh.write(blob)
-            back = cli.read_particles_binary(path)
+            back = artifacts.read_particles_binary(path)
         assert len(back) == len(snaps)
         for (t, xs), s in zip(back, snaps):
             assert np.float64(t).tobytes() == np.float64(s.t).tobytes()
@@ -165,7 +165,7 @@ class TestWritersMatchTheReference:
         max_leaves=20))
     def test_json(self, obj):
         expected = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-        assert joined(cli._json_blocks(obj)) == expected
+        assert joined(artifacts._json_blocks(obj)) == expected
 
 
 @st.composite
@@ -204,7 +204,7 @@ class TestWriteArtifacts:
         for rows in BLOCK_ROWS:
             with tempfile.TemporaryDirectory() as tmp:
                 spec.out_dir = tmp
-                with mock.patch.object(cli, "_BLOCK_ROWS", rows):
+                with mock.patch.object(artifacts, "_BLOCK_ROWS", rows):
                     manifest = cli._write_artifacts(spec, results, report)
                 assert sorted(os.listdir(tmp)) == sorted([*files, "manifest.json"])
                 for name, blob in files.items():
