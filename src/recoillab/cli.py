@@ -395,8 +395,8 @@ def _run_schrodinger(spec) -> tuple:
         t_end=spec.t_end, snapshot_stride=spec.snapshot_stride,
         drift_stride=spec.drift_stride if feeds_table else None)
     wave = solve_schrodinger(prob)
-    logger.info("wave route: %d slices, norm drift %.2e",
-                len(wave.times), wave.norm_drift_max)
+    logger.info("wave route: %d slices, norm drift %.2e (%s march)",
+                len(wave.times), wave.norm_drift_max, wave.march)
 
     out = RouteData()
     hydro = []

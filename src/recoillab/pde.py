@@ -6,15 +6,23 @@ the exact nodal Boltzmann profile for linear drift. The wave solver is the
 Cayley form (I + i dt/2 H) psi' = (I - i dt/2 H) psi, unitary in the discrete
 l2 norm, so the norm ledger holds to solver roundoff.
 
-Every implicit side is tridiagonal and goes through LAPACK's banded LU:
-?gttrf factors it (partial pivoting, O(n)) and ?gttrs solves with the
-factors. The Fokker-Planck march uses dgttrf/dgttrs, refactoring each step
-only when the drift depends on time. The wave march factors I + i dt/2 H once
-with zgttrf and takes each step with a single zgttrs solve through the Cayley
-identity psi' = 2 (I + i dt/2 H)^-1 psi - psi, so no explicit product with H
-is formed. A singular step matrix raises SolverError. The four routines come
+The Fokker-Planck implicit side, and the wave's when it has a potential, is
+tridiagonal and goes through LAPACK's banded LU: ?gttrf factors it (partial
+pivoting, O(n)) and ?gttrs solves with the factors. The Fokker-Planck march
+uses dgttrf/dgttrs, refactoring each step only when the drift depends on
+time. The wave march with a potential factors I + i dt/2 H once with zgttrf
+and takes each step with a single zgttrs solve through the Cayley identity
+psi' = 2 (I + i dt/2 H)^-1 psi - psi, so no explicit product with H is
+formed. A singular step matrix raises SolverError. The four routines come
 from scipy's compiled module scipy.linalg._flapack, loaded without the
 scipy.linalg package.
+
+The free wave (Omega None) needs no solve: H is then D times the Dirichlet
+second difference, whose eigenvectors are the DST-I sine vectors, so the
+Cayley step multiplies sine coefficient k by exp(-2i arctan lambda_k). That
+march turns the coefficients back into psi, with one numpy.fft FFT, only at
+the steps it stores or tabulates, and where its edge guard cannot decide
+from three sampled nodes.
 
 The bridge between the two descriptions is ``madelung_decompose``: rho = |psi|^2
 and S = 2D * theta with the phase theta unwrapped from x = 0 outward, giving
@@ -260,6 +268,8 @@ class SchrodingerProblem:
             raise ValueError("snapshot_stride must be >= 1")
         if self.drift_stride is not None and self.drift_stride < 1:
             raise ValueError("drift_stride must be >= 1")
+        if not (np.isfinite(self.edge_tol) and self.edge_tol > 0):
+            raise ValueError(f"edge_tol must be finite and > 0, got {self.edge_tol!r}")
         norm = trapezoid(np.abs(self.psi0.values) ** 2, dx=self.grid.dx)
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"psi0 must be l2-normalized, integral = {norm}")
@@ -276,9 +286,25 @@ class WaveSolution:
     Omega: Optional[ScalarField]
     drift_table: Optional[TabulatedDrift]
     norm_drift_max: float
+    march: str = "LAPACK"  # or "sine basis", the free march
 
     def psi_at(self, t: float) -> ComplexField:
         return self.psis[stored_index(self.times, t)]
+
+
+def _check_norm(new_norm: float, norm: float, t: float) -> None:
+    # negated comparison, so a NaN ledger fails too
+    if not abs(new_norm - norm) <= 1e-12:
+        raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t}")
+
+
+def _check_edge(prob: np.ndarray, edge_tol: float, t: float) -> None:
+    peak = float(np.max(prob))
+    if max(prob[0], prob[-1]) > edge_tol * peak:
+        raise SolverError(
+            f"wave reached the boundary at t={t} "
+            f"(edge density {max(prob[0], prob[-1]) / peak:.2e} of peak); widen the domain"
+        )
 
 
 def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
@@ -286,13 +312,16 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     by solver roundoff (<= 1e-12 per step enforced). Aborts when probability
     reaches the Dirichlet boundary (edge density above edge_tol * peak).
 
-    I + i dt/2 H is factored once with LAPACK zgttrf; each step is one zgttrs
-    solve through the Cayley identity
+    With a potential, I + i dt/2 H is factored once with LAPACK zgttrf; each
+    step is one zgttrs solve through the Cayley identity
     (I + i dt/2 H)^-1 (I - i dt/2 H) psi = 2 (I + i dt/2 H)^-1 psi - psi.
+    Without one (Omega None) the same step is taken in the sine basis; see
+    ``_solve_free``.
     """
+    if p.Omega is None:
+        return _solve_free(p)
     grid, dx, n = p.grid, p.grid.dx, p.grid.n
-    omega = np.zeros(n) if p.Omega is None else p.Omega.values
-    h_diag = 2.0 * p.D / dx**2 + omega / (2.0 * p.D)
+    h_diag = 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D)
     h_off = -p.D / dx**2
     kappa = 0.5j * p.dt
     off = np.full(n - 1, kappa * h_off)
@@ -324,26 +353,101 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
         prob *= prob
         new_norm = float(np.sum(prob) * dx)
         norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
-        # negated comparison, so a NaN ledger fails too
-        if not abs(new_norm - norm) <= 1e-12:
-            raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t_next}")
+        _check_norm(new_norm, norm, t_next)
         norm = new_norm
-        peak = float(np.max(prob))
-        if max(prob[0], prob[-1]) > p.edge_tol * peak:
-            raise SolverError(
-                f"wave reached the boundary at t={t_next} "
-                f"(edge density {max(prob[0], prob[-1]) / peak:.2e} of peak); widen the domain"
-            )
+        _check_edge(prob, p.edge_tol, t_next)
         if drift_rows and k + 1 == drift_steps[len(drift_rows)]:
             drift_rows.append(_drift_slice(psi, grid, p.D))
         if k + 1 == stored[len(psis)]:  # the next step to store
             psis.append(ComplexField(grid, psi))
+    return _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max, "LAPACK")
 
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """DST-I, sum_j v_j sin(pi k (j+1)/(n+1)) for k = 1..n, from one FFT of
+    length 2(n+1) on the odd extension [0, v, 0, -v reversed]. It is its
+    own inverse up to the factor (n+1)/2."""
+    n = v.size
+    ext = np.zeros(2 * (n + 1), dtype=complex)
+    ext[1:n + 1] = v
+    ext[n + 2:] = -v[::-1]
+    return 0.5j * np.fft.fft(ext)[1:n + 1]
+
+
+def _solve_free(p: SchrodingerProblem) -> WaveSolution:
+    """The free Cayley march in the sine basis.
+
+    H = -D d^2/dx^2 with Dirichlet ends has the eigenvectors
+    sin(pi k (j+1)/(n+1)), so each step multiplies the DST-I coefficients c
+    by exp(-2i arctan lambda_k), lambda_k = (dt D/dx^2)(1 - cos(pi k/(n+1))).
+    The per-step checks stay those of the LAPACK march:
+
+    - the norm ledger comes from Parseval, (2/(n+1)) sum |c_k|^2 dx;
+    - the edge guard reads psi at both edges and at the peak of |psi0| from
+      one product of c with their sine rows. Edge density at most half of
+      edge_tol times the largest of the three passes the exact guard, whose
+      peak is at least that large; the half covers the roundoff between the
+      two estimates. Otherwise psi is built and the exact guard runs.
+
+    psi itself is built, by one FFT, only at stored and tabulated steps and
+    where the guard falls back. There c is retaken as c0 exp(-i step theta_k),
+    so the stored waves carry no step-fold rounding of the phase product.
+    """
+    grid, dx, n = p.grid, p.grid.dx, p.grid.n
+    k = np.arange(1, n + 1)
+    lam = (p.dt * p.D / dx**2) * 2.0 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+    theta = 2.0 * np.arctan(lam)
+    phase = np.exp(-1j * theta)
+    scale = 2.0 / (n + 1)
+    nodes = np.array([0, n - 1, int(np.argmax(np.abs(p.psi0.values)))])
+    # sin(pi k (j+1)/(n+1)) with k (j+1) reduced mod 2(n+1) in integers
+    probe = (scale * np.sin(np.pi * (np.outer(nodes + 1, k) % (2 * (n + 1))) / (n + 1))
+             ).astype(complex)
+
+    n_steps = steps(p.t_end, p.dt)
+    stored = stored_steps(n_steps, p.snapshot_stride)
+    drift_steps = () if p.drift_stride is None else stored_steps(n_steps, p.drift_stride)
+
+    c0 = _dst1(p.psi0.values)
+    c = c0.copy()
+    norm = scale * np.vdot(c, c).real * dx
+    norm_drift_max = 0.0
+    psis = [ComplexField(grid, p.psi0.values.copy())]
+    drift_rows = [] if p.drift_stride is None else [_drift_slice(p.psi0.values, grid, p.D)]
+    for step in range(1, n_steps + 1):
+        t_next = step * p.dt
+        c *= phase
+        new_norm = scale * np.vdot(c, c).real * dx
+        norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
+        _check_norm(new_norm, norm, t_next)
+        norm = new_norm
+
+        left, right, start = (abs(a) ** 2 for a in (probe @ c).tolist())
+        edge = max(left, right)
+        guarded = not edge <= 0.5 * p.edge_tol * max(edge, start)
+        feed = bool(drift_rows) and step == drift_steps[len(drift_rows)]
+        keep = step == stored[len(psis)]
+        if not (guarded or feed or keep):
+            continue
+        c = c0 * np.exp(-1j * (step * theta))
+        psi = scale * _dst1(c)
+        if guarded:
+            _check_edge(np.abs(psi) ** 2, p.edge_tol, t_next)
+        if feed:
+            drift_rows.append(_drift_slice(psi, grid, p.D))
+        if keep:
+            psis.append(ComplexField(grid, psi))
+    return _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max,
+                          "sine basis")
+
+
+def _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max, march):
     table = None
     if p.drift_stride is not None:
-        table = TabulatedDrift(p.dt * drift_steps, grid, np.asarray(drift_rows))
-    return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D,
-                        Omega=p.Omega, drift_table=table, norm_drift_max=norm_drift_max)
+        table = TabulatedDrift(p.dt * drift_steps, p.grid, np.asarray(drift_rows))
+    return WaveSolution(grid=p.grid, times=p.dt * stored, psis=psis, D=p.D,
+                        Omega=p.Omega, drift_table=table, norm_drift_max=norm_drift_max,
+                        march=march)
 
 
 def _unwrap_from_center(theta_raw: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import logging
 import os
 import shutil
 import struct
@@ -716,6 +717,31 @@ snapshot_stride = 25
 """)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("kind, march", [("free_recoil", "sine basis"),
+                                             ("harmonic_recoil", "LAPACK")])
+    def test_wave_log_names_the_march(self, tmp_path, caplog, kind, march):
+        path = write_cfg(tmp_path, "wave.cfg", f"""
+[scenario]
+kind = {kind}
+routes = schrodinger
+
+[params]
+gamma = {2 if kind == "harmonic_recoil" else 0}
+
+[grid]
+x_min = -12
+x_max = 12
+n = 241
+
+[time]
+dt = 0.01
+t_end = 0.1
+snapshot_stride = 5
+""")
+        caplog.set_level(logging.INFO, logger="recoillab.cli")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert "norm drift" in caplog.text and f"({march} march)" in caplog.text
 
 
 class TestCrashMidWrite:

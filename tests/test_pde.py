@@ -1,6 +1,7 @@
 """Grid solvers: Chang-Cooper/Crank-Nicolson transport, the Cayley wave
 scheme, and the Madelung decomposition that links the two."""
 
+import dataclasses
 import logging
 import math
 
@@ -198,6 +199,11 @@ class TestWaveSolver:
         with pytest.raises(ValueError, match="drift_stride"):
             SchrodingerProblem(grid=g, psi0=psi0, Omega=None, D=1.0, dt=1e-3,
                                t_end=1.0, drift_stride=0)
+        # a NaN edge_tol would make the escape guard compare False forever
+        for edge_tol in (math.nan, math.inf, 0.0, -1e-10):
+            with pytest.raises(ValueError, match="edge_tol"):
+                SchrodingerProblem(grid=g, psi0=psi0, Omega=None, D=1.0, dt=1e-3,
+                                   t_end=1.0, edge_tol=edge_tol)
 
     def test_psi_at_rejects_unstored_times(self, recoil_wave):
         with pytest.raises(KeyError):
@@ -251,6 +257,10 @@ def splu_schrodinger(p):
     return out
 
 
+def refuse_lapack(*args, **kwargs):
+    raise AssertionError("the free wave march called zgttrs")
+
+
 def max_rel_diff(got, want):
     assert len(got) == len(want)
     return max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in zip(got, want))
@@ -270,17 +280,142 @@ class TestTridiagonalSolvesMatchSuperLU:
         assert max_rel_diff(got, splu_fokker_planck(problem)) <= 1e-12
         assert sol.mass_drift_max <= 1e-12
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0])
-    def test_cayley_wave(self, gamma):
+    # gamma = 0 with Omega None takes the sine-basis march; Omega = 0 as a
+    # field takes the LAPACK march on the same problem
+    @pytest.mark.parametrize("gamma, omega_field", [(0.0, False), (1.0, True), (0.0, True)],
+                             ids=["0.0", "1.0", "0.0-zero-field"])
+    def test_cayley_wave(self, gamma, omega_field, monkeypatch):
         g = self.grid
         sol = HarmonicRecoilSolution(PhysicalParams(gamma=1.0))
-        omega = ScalarField(g, sol.omega(g.x)) if gamma else None
+        omega = ScalarField(g, gamma * sol.omega(g.x)) if omega_field else None
         problem = build_recoil_problem(initial_density(g), omega, D=1.0,
                                        dt=1e-3, t_end=0.3)
+        if omega is None:
+            monkeypatch.setattr(pde, "zgttrs", refuse_lapack)
         wave = solve_schrodinger(problem)
+        assert wave.march == ("sine basis" if omega is None else "LAPACK")
         got = [f.values for f in wave.psis]
         assert max_rel_diff(got, splu_schrodinger(problem)) <= 1e-12
         assert wave.norm_drift_max <= 1e-12
+
+
+def zero_field(problem):
+    """The same problem with Omega = 0 as a field, which takes the LAPACK march."""
+    return dataclasses.replace(problem, Omega=ScalarField(problem.grid, np.zeros(problem.grid.n)))
+
+
+def solve_free(problem, monkeypatch):
+    """Solves an Omega-None problem with zgttrs refused, so only the sine march can run."""
+    assert problem.Omega is None
+    with monkeypatch.context() as m:
+        m.setattr(pde, "zgttrs", refuse_lapack)
+        return solve_schrodinger(problem)
+
+
+def escape_messages(problem, monkeypatch):
+    """The escape errors of the sine and the LAPACK march on one problem."""
+    messages = []
+    for solve in (lambda: solve_free(problem, monkeypatch),
+                  lambda: solve_schrodinger(zero_field(problem))):
+        with pytest.raises(SolverError, match="widen the domain") as err:
+            solve()
+        messages.append(str(err.value))
+    return messages
+
+
+def exact_phase_march(problem, step):
+    """psi after `step` free Cayley steps, from the sine coefficients of psi0
+    turned by exp(-2i step arctan lambda_k) in one go, the angles and their
+    sines in long double: the march without the rounding of `step` products."""
+    n, dx = problem.grid.n, problem.grid.dx
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    lam = np.longdouble(problem.dt * problem.D) / np.longdouble(dx) ** 2 \
+        * 2 * np.sin(pi * k / (2 * (n + 1))) ** 2
+    angle = -2 * step * np.arctan(lam)
+    c = pde._dst1(problem.psi0.values)
+    re, im = c.real.astype(np.longdouble), c.imag.astype(np.longdouble)
+    cos, sin = np.cos(angle), np.sin(angle)
+    turned = (re * cos - im * sin).astype(float) + 1j * (re * sin + im * cos).astype(float)
+    return 2.0 / (n + 1) * pde._dst1(turned)
+
+
+def moving_packet(half_width):
+    """The recoil cloud with momentum, psi0 = sqrt(rho0) e^{10 i x}: its peak
+    runs to x = 20 by t = 1, far off the node where |psi0| peaks."""
+    g = Grid1D(-half_width, half_width, int(round(40 * half_width)) + 1)
+    psi0 = ComplexField(g, np.sqrt(RECOIL.rho(g.x, 0.0)) * np.exp(10j * g.x))
+    return SchrodingerProblem(grid=g, psi0=psi0, Omega=None, D=1.0, dt=1e-3,
+                              t_end=1.0, snapshot_stride=100)
+
+
+class TestFreeSineMarch:
+    """Omega None takes the sine-basis march: it must store the LAPACK march's
+    waves and drift tables, keep its ledger and abort where it aborts."""
+
+    # 300 steps, and the bundled 10 000, where the LAPACK march's own rounding
+    # has grown to 1.15e-12 of the exact-phase march (the sine march: 4e-16)
+    @pytest.mark.parametrize("dt, t_end, stride, pair_tol", [(1e-3, 0.3, 50, 1e-12),
+                                                           (1e-4, 1.0, 1000, 2e-12)],
+                             ids=["300_steps", "10000_steps"])
+    def test_matches_the_lapack_march(self, monkeypatch, dt, t_end, stride, pair_tol):
+        g = Grid1D(-16.0, 16.0, 401)
+        problem = build_recoil_problem(initial_density(g), None, D=1.0, dt=dt,
+                                       t_end=t_end, snapshot_stride=stride,
+                                       drift_stride=stride)
+        free = solve_free(problem, monkeypatch)
+        lapack = solve_schrodinger(zero_field(problem))
+        assert (free.march, lapack.march) == ("sine basis", "LAPACK")
+        got, want = [f.values for f in free.psis], [f.values for f in lapack.psis]
+        assert max_rel_diff(got, want) <= pair_tol
+        exact = [exact_phase_march(problem, m) for m in np.rint(free.times / dt).astype(int)]
+        assert max_rel_diff(got, exact) <= 1e-13
+        assert free.norm_drift_max <= 1e-12 and lapack.norm_drift_max <= 1e-12
+        # drift rows sit on the stored steps. Compare them where rho > 1e-6
+        # of peak: below 1e-12 both are zeroed, and at that mask edge the
+        # phase is rounding. The tails amplify the rounding of psi, which
+        # puts the LAPACK march's rows up to 1.2e-9 off the exact ones
+        np.testing.assert_array_equal(free.drift_table.times, lapack.drift_table.times)
+        for psi, a, b in zip(exact, free.drift_table.values, lapack.drift_table.values):
+            rho = np.abs(psi) ** 2
+            dense = rho > 1e-6 * np.max(rho)
+            b_exact = pde._drift_slice(psi, g, 1.0)[dense]
+            scale = np.max(np.abs(b_exact))
+            assert np.max(np.abs(a[dense] - b_exact)) <= 1e-11 * scale
+            assert np.max(np.abs(a[dense] - b[dense])) <= 1e-8 * scale
+
+    # the chirp e^{i x^2/2} spreads the cloud faster; a march that turned
+    # the coefficients backwards would first focus it and abort later. No
+    # step before the last is stored, so the guard reads the marched
+    # coefficients, not ones retaken for a stored wave
+    @pytest.mark.parametrize("chirp, t_abort", [(0.0, 0.462), (0.5, 0.152)],
+                             ids=["real", "chirped"])
+    def test_escape_aborts_at_the_same_step(self, monkeypatch, chirp, t_abort):
+        g = Grid1D(-6.0, 6.0, 601)
+        psi0 = np.sqrt(initial_density(g).values) * np.exp(1j * chirp * g.x**2)
+        problem = SchrodingerProblem(grid=g, psi0=ComplexField(g, psi0), Omega=None,
+                                     D=1.0, dt=1e-3, t_end=1.0, snapshot_stride=1000)
+        free, lapack = escape_messages(problem, monkeypatch)
+        assert free == lapack
+        assert f"t={t_abort} " in free
+
+    def test_a_packet_leaving_its_start_node_runs_to_the_end(self, monkeypatch):
+        # the density at the start peak falls below the edge density / edge_tol,
+        # so a guard that took it for the peak would abort; the exact guard runs
+        problem = moving_packet(45.0)
+        free = solve_free(problem, monkeypatch)
+        lapack = solve_schrodinger(zero_field(problem))
+        assert free.times[-1] == pytest.approx(1.0)
+        assert max_rel_diff([f.values for f in free.psis],
+                            [f.values for f in lapack.psis]) <= 1e-12
+        rho = np.abs(free.psis[-1].values) ** 2
+        start = int(np.argmax(np.abs(problem.psi0.values)))
+        assert max(rho[0], rho[-1]) > problem.edge_tol * rho[start]
+        assert max(rho[0], rho[-1]) <= problem.edge_tol * np.max(rho)
+
+    def test_a_moving_packet_aborts_with_the_lapack_march(self, monkeypatch):
+        free, lapack = escape_messages(moving_packet(25.0), monkeypatch)
+        assert free == lapack
 
 
 def peclet(limit):

@@ -2,7 +2,7 @@
 recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
 the runner loads no scipy module, the particle KDE loads no scipy.ndimage,
 and the grid solvers load scipy's compiled LAPACK module without the
-scipy.linalg package, which a whole run never loads either."""
+scipy.linalg package, which a whole run never loads either, nor scipy.fft."""
 
 import os
 import subprocess
@@ -158,6 +158,7 @@ class TestImports:
             f"assert main(['run', {SMOKE!r}, '--out', {str(tmp_path)!r}]) == 0")
         assert "scipy.linalg._flapack" in loaded
         assert "scipy.linalg" not in loaded
+        assert "scipy.fft" not in loaded  # the free wave march uses numpy.fft
 
     def test_kde_loads_no_ndimage(self):
         loaded = modules_after(
