@@ -1,12 +1,14 @@
 """The on-disk format of a run directory: the CSV, JSON and binary particle
 writers, the manifest of their sha256 hashes, and ``compare_runs``, which
-diffs two run directories by their manifests. The caller names the files."""
+diffs two run directories by their manifests and says by how much their
+differing CSV files differ. The caller names the files."""
 
 import hashlib
 import json
 import os
 import struct
 import sys
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -42,8 +44,9 @@ def _columns_csv(*columns):
 
 
 def _fields_csv(slices, x_text):
-    """Blocks of fields_<route>.csv; x_text is the formatted grid column,
-    shared by every slice. A column a slice lacks is written as nan."""
+    """Blocks of fields_<route>.csv from the (t, {col: array}) slices, read
+    once and in order; x_text is the formatted grid column, shared by every
+    slice. A column a slice lacks is written as nan."""
     yield b"t,x,rho,S,v,u,b,Q\n"
     for t, cols in slices:
         t_text = "%.17g" % float(t)
@@ -165,7 +168,51 @@ def write_run(out_dir, name, seed, files) -> dict:
     return manifest
 
 
+def _read_csv(path):
+    """(header names, rows x columns float array) of a run CSV file."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return header, data.reshape(-1, len(header))
+
+
+def _column_diffs(path_a, path_b) -> list:
+    """Lines saying by how much two CSV files differ: per column, the largest
+    |a - b| where neither value is nan, that over the column's largest |value|
+    in either file, and the rows where only one of them is nan."""
+    try:
+        (head_a, a), (head_b, b) = _read_csv(path_a), _read_csv(path_b)
+    except (OSError, ValueError) as exc:
+        return [f"  cannot compare the columns: {exc}"]
+    if head_a != head_b:
+        return [f"  columns differ: {','.join(head_a)} in A, {','.join(head_b)} in B"]
+    if len(a) != len(b):
+        return [f"  row counts differ: {len(a)} in A, {len(b)} in B"]
+    lines = []
+    for name, col_a, col_b in zip(head_a, a.T, b.T):
+        nan_a, nan_b = np.isnan(col_a), np.isnan(col_b)
+        both = ~(nan_a | nan_b)
+        col_a, col_b = col_a[both], col_b[both]
+        with np.errstate(invalid="ignore"):  # inf - inf where both are inf
+            diff = np.where(col_a == col_b, 0.0, np.abs(col_a - col_b))
+        largest = float(np.max(diff, initial=0.0))
+        scale = float(np.max(np.abs([col_a, col_b]), initial=0.0))
+        line = (f"  {name:<14} max |a-b| {largest:.3e}  "
+                f"relative {largest / scale if scale else 0.0:.3e}")
+        moved = int(np.count_nonzero(nan_a != nan_b))
+        if moved:
+            line += f"  nan in one run only: {moved} row(s)"
+        lines.append(line)
+    return lines
+
+
 def compare_runs(dir_a: str, dir_b: str) -> int:
+    """Print each file's status (identical, DIFFERS, only in A or B) and,
+    under each differing CSV file, by how much its columns differ. 0 when
+    the runs are byte-identical, 1 when they differ, 2 when a manifest
+    cannot be read."""
     hashes = []
     for d in (dir_a, dir_b):
         path = os.path.join(d, "manifest.json")
@@ -185,5 +232,8 @@ def compare_runs(dir_a: str, dir_b: str) -> int:
             status = "identical" if fa[name] == fb[name] else "DIFFERS"
         identical &= status == "identical"
         print(f"{name:<24} {status}")
+        if status == "DIFFERS" and name.endswith(".csv"):
+            for line in _column_diffs(os.path.join(dir_a, name), os.path.join(dir_b, name)):
+                print(line)
     print("runs are byte-identical" if identical else "runs differ")
     return 0 if identical else 1

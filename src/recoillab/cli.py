@@ -5,8 +5,9 @@ requested route (closed-form fields, particle ensemble, Fokker-Planck,
 wave pair), cross-validates the routes against each other, and writes
 plot-ready CSV artifacts plus a machine-readable report and a content-hash
 manifest.  ``recoillab list`` prints the built-in scenarios; ``recoillab
-compare A B`` diffs two finished run directories by content hash. This
-module decides which files a run has; ``artifacts`` holds their format.
+compare A B`` diffs two finished run directories by content hash and says
+by how much their CSV columns differ. This module decides which files a run
+has; ``artifacts`` holds their format.
 
 Exit codes: 0 every tolerance gate passed; 1 at least one gate failed;
 2 invalid spec or usage; 3 a route raised ``core.SolverError``; 4 any other
@@ -336,18 +337,30 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
 
 @dataclass
 class RouteData:
-    """Everything one route contributes to artifacts and gates."""
+    """What one route keeps for the artifacts and gates.
 
-    slices: list = field(default_factory=list)   # (t, {col: array}); last = final state
-    msd: object = None                           # MsdSeries
-    energy: object = None                        # EnergyReport or None
+    A route keeps what its slices are derived from (the stored psi, the
+    stored fp densities, the closed form, the KDE densities) and no column
+    built from it. ``fields`` builds the stored slices from that, one at a
+    time, each time it is called; the writer calls it once and drops each
+    slice after writing it. Every check that can raise SolverError runs in
+    the route, so building a slice raises none.
+    """
+
+    fields: Callable              # () -> iterator of (t, {col: array}); last = t_end
+    final_rho: np.ndarray         # the density at t_end, which the report compares
+    msd: object                   # MsdSeries
+    energy: object = None         # EnergyReport or None
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
 
 
 def _mask_sparse(rho, cols):
-    """Blank derived hydro columns where the density carries no information."""
+    """The fields-file columns of a slice: rho, and the derived hydro columns
+    blanked where the density carries no information."""
     thin = rho < _SPARSE_FRAC * float(np.max(rho))
-    return {k: np.where(thin, np.nan, v) for k, v in cols.items()}
+    out = {k: np.where(thin, np.nan, v) for k, v in cols.items()}
+    out["rho"] = rho
+    return out
 
 
 def _run_analytic(spec) -> RouteData:
@@ -358,20 +371,17 @@ def _run_analytic(spec) -> RouteData:
     omega = SCENARIOS[spec.kind].omega(spec)
     # the steps the wave march stores
     times = spec.dt * stored_steps(steps(spec.t_end, spec.dt), spec.snapshot_stride)
-    out = RouteData()
-    hydro = []
-    for t in times:
-        cols = sol.fields(grid.x, t)
-        out.slices.append((float(t), cols))
-        hydro.append(fieldcalc.hydro_from_arrays(
-            float(t), grid, rho=cols["rho"], S=cols["S"], v=cols["v"],
-            u=cols["u"], Q=cols["Q"], b=cols["b"],
-            Omega=None if omega is None else omega.values))
 
-    rhos = [ScalarField(grid, c["rho"]) for _, c in out.slices]
-    out.msd = msd_from_fields(times, rhos, source="analytic")
-    out.energy = energy_report(hydro)
-    return out
+    def fields():
+        return ((float(t), sol.fields(grid.x, t)) for t in times)
+
+    energy = energy_report(fieldcalc.hydro_from_arrays(
+        t, grid, rho=cols["rho"], S=cols["S"], v=cols["v"], u=cols["u"],
+        Q=cols["Q"], b=cols["b"], Omega=None if omega is None else omega.values)
+        for t, cols in fields())
+    rhos = (ScalarField(grid, sol.rho(grid.x, t)) for t in times)
+    return RouteData(fields=fields, final_rho=sol.rho(grid.x, times[-1]),
+                     msd=msd_from_fields(times, rhos, source="analytic"), energy=energy)
 
 
 def _initial_density(spec):
@@ -398,19 +408,21 @@ def _run_schrodinger(spec) -> tuple:
     logger.info("wave route: %d slices, norm drift %.2e (%s march)",
                 len(wave.times), wave.norm_drift_max, wave.march)
 
-    out = RouteData()
-    hydro = []
-    for t in wave.times:
-        h = madelung_decompose(wave, float(t))
-        hydro.append(h)
-        cols = {"S": h.S.values, "v": h.v.values, "u": h.u.values,
-                "b": h.b.values, "Q": h.Q.values}
-        cols = _mask_sparse(h.rho.values, cols)
-        cols["rho"] = h.rho.values
-        out.slices.append((float(t), cols))
-    out.msd = msd_from_fields(wave.times, [h.rho for h in hydro], source="pde")
-    out.energy = energy_report(hydro)
-    return out, wave
+    def hydro():
+        return (madelung_decompose(wave, float(t)) for t in wave.times)
+
+    def fields():
+        return ((h.t, _mask_sparse(h.rho.values, {
+            "S": h.S.values, "v": h.v.values, "u": h.u.values,
+            "b": h.b.values, "Q": h.Q.values})) for h in hydro())
+
+    # the energy pass decomposes every stored slice, so an under-resolved
+    # phase raises MadelungError here, before any file is written
+    energy = energy_report(hydro())
+    rhos = (ScalarField(spec.grid, np.abs(psi.values) ** 2) for psi in wave.psis)
+    data = RouteData(fields=fields, final_rho=np.abs(wave.psis[-1].values) ** 2,
+                     msd=msd_from_fields(wave.times, rhos, source="pde"), energy=energy)
+    return data, wave
 
 
 def _resolve_drift(spec, wave):
@@ -478,17 +490,21 @@ def _run_fp(spec, drift) -> RouteData:
     logger.info("fp route: %d slices, mass drift %.2e",
                 len(sol.times), sol.mass_drift_max)
 
-    out = RouteData()
-    for t, rho in zip(sol.times, sol.rhos):
-        u = fieldcalc.osmotic_velocity(rho, p.D)
-        b = np.asarray(drift(grid.x, float(t)), dtype=float)
-        cols = _mask_sparse(rho.values, {
-            "v": b - u.values, "u": u.values, "b": b,
-            "Q": fieldcalc.osmotic_pressure(u, p.D).values})
-        cols["rho"] = rho.values
-        out.slices.append((float(t), cols))
-    out.msd = msd_from_fields(sol.times, sol.rhos, source="pde")
-    return out
+    # the drift's domain check, before any file is written: the march read
+    # the drift at every stored time, but only at the cell faces, and the
+    # fields file reads it at the nodes, out to both ends of the grid
+    drift(grid.x, float(sol.times[-1]))
+
+    def fields():
+        for t, rho in zip(sol.times, sol.rhos):
+            u = fieldcalc.osmotic_velocity(rho, p.D)
+            b = np.asarray(drift(grid.x, float(t)), dtype=float)
+            yield float(t), _mask_sparse(rho.values, {
+                "v": b - u.values, "u": u.values, "b": b,
+                "Q": fieldcalc.osmotic_pressure(u, p.D).values})
+
+    return RouteData(fields=fields, final_rho=sol.rhos[-1].values,
+                     msd=msd_from_fields(sol.times, sol.rhos, source="pde"))
 
 
 def _run_sde(spec, drift) -> RouteData:
@@ -503,11 +519,10 @@ def _run_sde(spec, drift) -> RouteData:
     snaps = evolve(state0, drift, p, config)
     logger.info("sde route: %d particles, %d snapshots", spec.sde_n, len(snaps))
 
-    out = RouteData(msd=msd_from_ensemble(snaps), snapshots=snaps)
-    for s in snaps:
-        kde = kde_density(s, spec.grid)
-        out.slices.append((float(s.t), {"rho": kde.values}))
-    return out
+    msd = msd_from_ensemble(snaps)
+    kdes = [kde_density(s, spec.grid).values for s in snaps]
+    return RouteData(fields=lambda: ((float(s.t), {"rho": kde}) for s, kde in zip(snaps, kdes)),
+                     final_rho=kdes[-1], msd=msd, snapshots=snaps)
 
 
 def _dispersion_entry(spec, msd_series) -> dict:
@@ -577,8 +592,7 @@ def _build_report(spec, results) -> dict:
     order, and the gates evaluated on those comparisons."""
     from .diagnostics import compare_fields
 
-    final = {r: ScalarField(spec.grid, results[r].slices[-1][1]["rho"])
-             for r in spec.routes}
+    final = {r: ScalarField(spec.grid, results[r].final_rho) for r in spec.routes}
     comparisons = []
     for i, a in enumerate(spec.routes):
         for b in spec.routes[i + 1:]:
@@ -617,12 +631,13 @@ def _build_report(spec, results) -> dict:
 
 
 def _write_artifacts(spec, results, report) -> dict:
-    """Name the run's files by route; artifacts.write_run writes them."""
+    """Name the run's files by route; artifacts.write_run writes them. Each
+    fields file is fed by its route's ``fields()``, so every slice's columns
+    are built as that slice is written and dropped once it is."""
     x_text = artifacts._format_column(spec.grid.x)
     files = {}
     for route, data in results.items():
-        if data.slices:
-            files[f"fields_{route}.csv"] = artifacts._fields_csv(data.slices, x_text)
+        files[f"fields_{route}.csv"] = artifacts._fields_csv(data.fields(), x_text)
         files[f"msd_{route}.csv"] = artifacts._msd_csv(data.msd)
         if data.energy is not None:
             files[f"energy_{route}.csv"] = artifacts._energy_csv(data.energy)
@@ -710,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
-    p_cmp = sub.add_parser("compare", help="diff two run directories by hash")
+    p_cmp = sub.add_parser("compare", help="diff two run directories by hash and by column")
     p_cmp.add_argument("run_a")
     p_cmp.add_argument("run_b")
     return parser

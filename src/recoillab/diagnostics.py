@@ -14,7 +14,7 @@ only for recoil runs.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -79,9 +79,10 @@ class MsdSeries:
         return out
 
 
-def msd_from_fields(times, rhos: Sequence[ScalarField], source: str = "pde") -> MsdSeries:
+def msd_from_fields(times, rhos: Iterable[ScalarField], source: str = "pde") -> MsdSeries:
     """Second moment <x^2> of each density slice. Slices are renormalized by
-    their own mass to keep quadrature honest."""
+    their own mass to keep quadrature honest. rhos is read once, in order,
+    so a generator may build each slice as it is needed."""
     values = []
     for rho in rhos:
         mass = integrate(rho)
@@ -127,7 +128,9 @@ class EnergyReport:
         }
 
 
-def energy_report(slices: Sequence[HydroFields]) -> EnergyReport:
+def energy_report(slices: Iterable[HydroFields]) -> EnergyReport:
+    """The energy budget of each slice, in time order. slices is read once,
+    so a generator may build each slice as it is needed."""
     times, kin, osm, pot = [], [], [], []
     for h in slices:
         rho = h.rho.values

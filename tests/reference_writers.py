@@ -64,8 +64,7 @@ def artifacts(spec, results, report):
     x = spec.grid.x
     files = {}
     for route, data in results.items():
-        if data.slices:
-            files[f"fields_{route}.csv"] = fields_csv(data.slices, x)
+        files[f"fields_{route}.csv"] = fields_csv(data.fields(), x)
         files[f"msd_{route}.csv"] = msd_csv(data.msd)
         if data.energy is not None:
             files[f"energy_{route}.csv"] = energy_csv(data.energy)

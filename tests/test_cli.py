@@ -10,13 +10,15 @@ import os
 import shutil
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoillab import artifacts, cli, pde, sde
+# diagnostics is imported here so that TestMemory does not trace its import
+from recoillab import artifacts, cli, diagnostics, pde, sde  # noqa: F401
 from recoillab.artifacts import PARTICLE_MAGIC, compare_runs, read_particles_binary
 from recoillab.cli import SpecError, load_spec, main
 from recoillab.core import steps
@@ -459,6 +461,59 @@ n_particles = 1000
         assert "solver failure: phase jump" in err
         assert "Traceback" not in err
 
+    def test_late_madelung_failure_returns_three_before_any_file(self, tmp_path,
+                                                                monkeypatch, capsys):
+        # the fields file rebuilds each wave slice when it is written; the
+        # route has decomposed every slice before, so a phase that fails only
+        # at the last stored slice still stops the run before any file
+        decompose, seen = pde.madelung_decompose, []
+
+        def fails_last(w, t):
+            seen.append(t)
+            if t == w.times[-1]:
+                raise pde.MadelungError("phase jump 3.1 rad at the last slice")
+            return decompose(w, t)
+
+        monkeypatch.setattr(pde, "madelung_decompose", fails_last)
+        out = tmp_path / "out"
+        assert run_smoke(out) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: phase jump" in err
+        assert "Traceback" not in err
+        assert len(seen) == len(set(seen)) == 6  # t = 0, 0.1, ..., 0.5
+        assert not (out / "manifest.json").exists()
+        assert glob.glob(str(out / "fields_*.csv")) == []
+
+    def test_fp_drift_domain_is_checked_before_any_file(self, tmp_path, capsys):
+        # the table covers every cell face the march reads, but not the two
+        # end nodes the fields file reads the drift at
+        xs = np.linspace(-9.96, 9.96, 9)
+        np.savetxt(tmp_path / "drift.csv", np.vstack(
+            [np.r_[np.nan, xs], np.r_[0.0, np.zeros(9)], np.r_[1.0, np.zeros(9)]]),
+            delimiter=",")
+        path = write_cfg(tmp_path, "faces.cfg", """
+[scenario]
+kind = custom
+routes = fp
+
+[grid]
+x_min = -10
+x_max = 10
+n = 201
+
+[time]
+t_end = 0.2
+
+[tables]
+drift_file = drift.csv
+""")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure:" in err and "drift domain" in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("error, shown", [
         (KeyError("rho"), "KeyError: 'rho'"),
         (ValueError("a bug"), "ValueError: a bug"),
@@ -796,6 +851,115 @@ class TestRerunIntoTheSameDirectory:
         assert run_smoke(out) == 0
         assert (out / "unlisted.txt").is_file() and (out / "sub").is_dir()
         assert (tmp_path / "outside.csv").is_file()
+
+
+def write_run_dir(path, files):
+    """A run directory holding files ({name: text}) and their manifest."""
+    path.mkdir(parents=True)
+    artifacts.write_run(str(path), "case", 0, {k: [v.encode()] for k, v in files.items()})
+    return str(path)
+
+
+class TestCompareSaysByHowMuch:
+    MSD = "t,msd,stderr\n0,1,0\n0.5,2,0.25\n"
+
+    def compare(self, tmp_path, capsys, a, b):
+        rc = main(["compare", write_run_dir(tmp_path / "a", a),
+                   write_run_dir(tmp_path / "b", b)])
+        return rc, capsys.readouterr().out.splitlines()
+
+    def test_one_column_differs(self, tmp_path, capsys):
+        rc, lines = self.compare(tmp_path, capsys, {"msd_fp.csv": self.MSD},
+                                 {"msd_fp.csv": self.MSD.replace(",2,", ",2.5,")})
+        assert rc == 1
+        assert lines[0].split() == ["msd_fp.csv", "DIFFERS"]
+        assert lines[1:] == [
+            "  t              max |a-b| 0.000e+00  relative 0.000e+00",
+            "  msd            max |a-b| 5.000e-01  relative 2.000e-01",
+            "  stderr         max |a-b| 0.000e+00  relative 0.000e+00",
+            "runs differ"]
+
+    def test_nan_in_one_run_only(self, tmp_path, capsys):
+        a = "t,x,rho,S\n0,-1,0.5,nan\n0,1,0.5,2\n0,2,-4,inf\n"
+        b = "t,x,rho,S\n0,-1,0.5,nan\n0,1,0.5,nan\n0,2,-4,inf\n"
+        rc, lines = self.compare(tmp_path, capsys, {"fields_fp.csv": a},
+                                 {"fields_fp.csv": b})
+        assert rc == 1
+        assert lines[1:5] == [
+            "  t              max |a-b| 0.000e+00  relative 0.000e+00",
+            "  x              max |a-b| 0.000e+00  relative 0.000e+00",
+            "  rho            max |a-b| 0.000e+00  relative 0.000e+00",
+            "  S              max |a-b| 0.000e+00  relative 0.000e+00"
+            "  nan in one run only: 1 row(s)"]
+
+    @pytest.mark.parametrize("b, said", [
+        (MSD + "1,3,0.5\n", "  row counts differ: 2 in A, 3 in B"),
+        (MSD.replace("stderr", "err"), "  columns differ: t,msd,stderr in A, t,msd,err in B"),
+        ("t,msd,stderr\n0,1\n", "  cannot compare the columns: "),
+    ], ids=["rows", "header", "malformed"])
+    def test_tables_of_another_shape(self, tmp_path, capsys, b, said):
+        rc, lines = self.compare(tmp_path, capsys, {"msd_fp.csv": self.MSD},
+                                 {"msd_fp.csv": b})
+        assert rc == 1
+        assert len(lines) == 3 and lines[1].startswith(said)
+
+    def test_only_differing_csv_files_get_column_lines(self, tmp_path, capsys):
+        files = {"msd_fp.csv": self.MSD, "report.json": "{}\n"}
+        rc, lines = self.compare(tmp_path, capsys, files,
+                                 dict(files, **{"report.json": "[]\n"}))
+        assert rc == 1
+        assert [line.split() for line in lines] == [
+            ["msd_fp.csv", "identical"], ["report.json", "DIFFERS"], ["runs", "differ"]]
+        rc, lines = self.compare(tmp_path / "same", capsys, files, files)
+        assert rc == 0 and lines[-1] == "runs are byte-identical"
+        assert not any(line.startswith("  ") for line in lines)
+
+    def test_two_seeds_differ_only_in_the_particle_columns(self, smoke_run, tmp_path,
+                                                          capsys):
+        _, a = smoke_run
+        assert run_smoke(tmp_path / "reseeded", "--seed", "43") == 0
+        capsys.readouterr()
+        assert compare_runs(str(a), str(tmp_path / "reseeded")) == 1
+        moved = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  ") and float(line.split()[3]) > 0]
+        assert moved == ["rho", "msd", "stderr", "x"]
+
+
+class TestMemory:
+    def test_routes_keep_psi_not_columns(self, tmp_path):
+        # 41 stored slices of a 2001-node wave. The traced peak must stay
+        # below the stored psi plus one route's columns of every slice, which
+        # a run that kept either route's columns would exceed on its own;
+        # the writer's text blocks and a slice or two fit in the rest
+        path = write_cfg(tmp_path, "many_slices.cfg", """
+[scenario]
+kind = harmonic_recoil
+routes = analytic, schrodinger
+
+[params]
+gamma = 2
+
+[grid]
+n = 2001
+
+[time]
+dt = 1e-3
+t_end = 0.4
+snapshot_stride = 10
+""")
+        n, slices = 2001, 41
+        psi_bytes = slices * n * 16
+        route_columns = slices * 6 * n * 8
+        peaks = []
+        for _ in range(2):  # the second run, after the first has warmed every cache
+            spec = load_spec(path, out_dir=str(tmp_path / "out"))
+            tracemalloc.start()
+            try:
+                assert cli.run_scenario(spec) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[-1] < psi_bytes + route_columns
 
 
 class TestBinaryParticles:

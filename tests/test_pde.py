@@ -184,6 +184,45 @@ class TestWaveSolver:
         with pytest.raises(SolverError, match="widen the domain"):
             solve_schrodinger(problem)
 
+    def test_edge_guard_falls_back_to_the_exact_test(self, monkeypatch):
+        # the LAPACK march certifies its edge guard from the mean density.
+        # Here the edge density stays below edge_tol times the peak, and on
+        # most steps above half of edge_tol times the mean: those steps must
+        # run the exact test, pass it, and store the waves of the default guard
+        sol = HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=2.0))
+        g = Grid1D(-6.0, 6.0, 601)
+        rho0 = sol.rho(g.x, 0.0)
+        rho0 = ScalarField(g, rho0 / trapezoid(rho0, dx=g.dx))
+        kwargs = dict(D=1.0, dt=1e-3, t_end=0.2, snapshot_stride=1)
+        omega = ScalarField(g, sol.omega(g.x))
+        default = solve_schrodinger(build_recoil_problem(rho0, omega, **kwargs))
+        edge_tol = 1e-16
+        certified = {False: set(), True: set()}  # by the mean, with 1 % to spare
+        for t, psi in zip(default.times[1:], default.psis[1:]):
+            rho = np.abs(psi.values) ** 2
+            edge = max(rho[0], rho[-1])
+            assert edge <= edge_tol * np.max(rho)
+            ratio = edge / (0.5 * edge_tol * np.mean(rho))
+            if abs(ratio - 1.0) > 0.01:
+                certified[bool(ratio < 1.0)].add(round(float(t), 9))
+        assert len(certified[False]) > 100 and certified[True]
+
+        exact_tests = []
+        check_edge = pde._check_edge
+
+        def counted(prob, tol, t):
+            exact_tests.append(round(t, 9))
+            check_edge(prob, tol, t)
+
+        monkeypatch.setattr(pde, "_check_edge", counted)
+        assert solve_schrodinger(build_recoil_problem(rho0, omega, **kwargs)).march == "LAPACK"
+        assert exact_tests == []
+        wave = solve_schrodinger(build_recoil_problem(rho0, omega, edge_tol=edge_tol, **kwargs))
+        assert certified[False] <= set(exact_tests)
+        assert not certified[True] & set(exact_tests)
+        for got, want in zip(wave.psis, default.psis, strict=True):
+            np.testing.assert_array_equal(got.values, want.values)
+
     def test_problem_validation(self):
         g = Grid1D(-12.0, 12.0, 201)
         other = Grid1D(-12.0, 12.0, 202)

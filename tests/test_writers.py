@@ -184,7 +184,7 @@ def run_results(draw):
         if route in ("analytic", "schrodinger"):
             energy = EnergyReport(times, *(draw(columns(times.size)) for _ in range(3)))
         results[route] = cli.RouteData(
-            slices=slices, energy=energy,
+            fields=slices.__iter__, final_rho=None, energy=energy,
             msd=Series(times, draw(columns(times.size)),
                        draw(columns(times.size)) if route == "sde" else None),
             snapshots=draw(snapshots()) if route == "sde" else [])
