@@ -121,6 +121,18 @@ SCENARIOS = {
 _TOLERANCE_DEFAULTS = dict(linf_rho=1e-4, l1_rho=2e-2, msd_rel=1e-3,
                            msd_nsigma=3.0, energy_drift=1e-3)
 
+# the keys each spec section may hold; configparser lowercases key names
+_SPEC_KEYS = {
+    "scenario": {"kind", "name", "routes", "seed"},
+    "params": {"d", "m", "beta", "alpha", "gamma", "dim"},
+    "grid": {"x_min", "x_max", "n", "min_half_sigmas"},
+    "time": {"dt", "t_end", "snapshot_stride", "drift_stride", "fp_dt"},
+    "sde": {"n_particles", "dt", "snapshot_stride"},
+    "tolerances": set(_TOLERANCE_DEFAULTS),
+    "output": {"dir", "format"},
+    "tables": {"drift_file", "omega_file"},
+}
+
 _SPARSE_FRAC = 1e-12  # hydro columns are blanked where rho < frac * peak
 
 
@@ -141,7 +153,7 @@ class ScenarioSpec:
     fp_dt: float
     t_end: float
     snapshot_stride: int
-    drift_stride: int
+    drift_stride: Optional[int]  # None: no fp or sde route reads the wave's drift
     sde_n: int
     sde_dt: float
     sde_stride: int
@@ -191,6 +203,16 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         raise SpecError(f"cannot parse spec file {path!r}: {exc}") from exc
     if not read:
         raise SpecError(f"cannot read spec file {path!r}")
+    if cfg.defaults():
+        raise SpecError("a [DEFAULT] section would set its keys in every section; "
+                        "give each key in its own section")
+    for section in cfg.sections():
+        if section not in _SPEC_KEYS:
+            raise SpecError(f"unknown section [{section}]; known: {sorted(_SPEC_KEYS)}")
+        unknown = sorted(set(cfg.options(section)) - _SPEC_KEYS[section])
+        if unknown:
+            raise SpecError(f"unknown keys {unknown} in [{section}]; "
+                            f"known: {sorted(_SPEC_KEYS[section])}")
     if not cfg.has_section("scenario"):
         raise SpecError("spec needs a [scenario] section")
 
@@ -276,14 +298,9 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
             raise SpecError("[sde] n_particles must be >= 2 (the msd's jackknife "
                             "errors need two) and snapshot_stride >= 1")
 
-    tolerances = dict(_TOLERANCE_DEFAULTS)
-    if cfg.has_section("tolerances"):
-        for key in cfg.options("tolerances"):
-            if key not in tolerances:
-                raise SpecError(f"unknown tolerance {key!r}; "
-                                f"known: {sorted(tolerances)}")
-            tolerances[key] = _finite_nonneg(_get(cfg, "tolerances", key, float, None),
-                                             f"[tolerances] {key}")
+    tolerances = {key: _finite_nonneg(_get(cfg, "tolerances", key, float, default),
+                                      f"[tolerances] {key}")
+                  for key, default in _TOLERANCE_DEFAULTS.items()}
 
     out = out_dir or _get(cfg, "output", "dir", str, os.path.join("runs", name))
     fmt_val = (fmt or _get(cfg, "output", "format", str, "csv")).strip()
@@ -310,16 +327,18 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         if omega_file and "schrodinger" in routes:
             omega_table = _load_omega_table(os.path.join(base, omega_file), grid)
     # fp/sde take the drift_file if given, else the wave's drift table if the
-    # wave route runs, else the scenario's closed-form drift
-    if ("fp" in routes or "sde" in routes) and drift_table is None:
-        if "schrodinger" in routes and drift_stride < 1:
-            raise SpecError("drift_stride must be >= 1 to tabulate the "
-                            "wave drift for fp/sde routes")
-        if "schrodinger" not in routes and not scenario.drift:
-            raise SpecError(f"scenario {kind!r} routes fp/sde take their drift "
-                            "from the wave route; add schrodinger to routes"
-                            + (" or give [tables] drift_file"
-                               if scenario.tables else ""))
+    # wave route runs, else the scenario's closed-form drift; the wave
+    # tabulates (a Madelung slice per row) only for fp/sde routes that read it
+    needs_drift = ("fp" in routes or "sde" in routes) and drift_table is None
+    if needs_drift and "schrodinger" not in routes and not scenario.drift:
+        raise SpecError(f"scenario {kind!r} routes fp/sde take their drift "
+                        "from the wave route; add schrodinger to routes"
+                        + (" or give [tables] drift_file" if scenario.tables else ""))
+    if not (needs_drift and "schrodinger" in routes):
+        drift_stride = None
+    elif drift_stride < 1:
+        raise SpecError("drift_stride must be >= 1 to tabulate the "
+                        "wave drift for fp/sde routes")
 
     return ScenarioSpec(
         name=name, kind=kind, routes=routes, params=params, grid=grid,
@@ -397,13 +416,10 @@ def _run_schrodinger(spec) -> tuple:
     from .pde import build_recoil_problem, madelung_decompose, solve_schrodinger
 
     p = spec.params
-    # the drift table costs a Madelung slice per row; tabulate it only for
-    # the fp/sde routes that _resolve_drift feeds from the wave
-    feeds_table = ("fp" in spec.routes or "sde" in spec.routes) and spec.drift_table is None
     prob = build_recoil_problem(
         _initial_density(spec), SCENARIOS[spec.kind].omega(spec), D=p.D, dt=spec.dt,
         t_end=spec.t_end, snapshot_stride=spec.snapshot_stride,
-        drift_stride=spec.drift_stride if feeds_table else None)
+        drift_stride=spec.drift_stride)
     wave = solve_schrodinger(prob)
     logger.info("wave route: %d slices, norm drift %.2e (%s march)",
                 len(wave.times), wave.norm_drift_max, wave.march)
@@ -426,12 +442,12 @@ def _run_schrodinger(spec) -> tuple:
 
 
 def _resolve_drift(spec, wave):
-    """The fp/sde drift, chosen by the rule load_spec checks."""
+    """The fp/sde drift, by the rule load_spec decides."""
     from . import sde
 
     if spec.drift_table is not None:
         return spec.drift_table
-    if wave is not None:
+    if spec.drift_stride is not None:
         return wave.drift_table
     return SCENARIOS[spec.kind].drift(sde, spec.params)
 
@@ -525,19 +541,6 @@ def _run_sde(spec, drift) -> RouteData:
                      final_rho=kdes[-1], msd=msd, snapshots=snaps)
 
 
-def _dispersion_entry(spec, msd_series) -> dict:
-    from .diagnostics import DispersionFitError, classify_dispersion
-
-    crossover = spec.params.alpha**2 / (2.0 * spec.params.D)
-    try:
-        v = classify_dispersion(msd_series, crossover)
-        return v.as_dict()
-    except DispersionFitError as exc:
-        if exc.exponent is not None:
-            return {"regime": "ambiguous", "exponent": float(exc.exponent)}
-        return {"regime": "too_short", "detail": str(exc)}
-
-
 # ---------------------------------------------------------------------------
 # gates and report
 
@@ -590,7 +593,7 @@ def _evaluate_gates(spec, results, comparisons) -> list:
 def _build_report(spec, results) -> dict:
     """The run report: every pair of routes compared once at t_end, in route
     order, and the gates evaluated on those comparisons."""
-    from .diagnostics import compare_fields
+    from .diagnostics import classify_dispersion, compare_fields
 
     final = {r: ScalarField(spec.grid, results[r].final_rho) for r in spec.routes}
     comparisons = []
@@ -622,7 +625,7 @@ def _build_report(spec, results) -> dict:
         report["series"][route] = data.msd.as_dict()
         if data.energy is not None:
             report["energy"][route] = data.energy.as_dict()
-        report["dispersion"][route] = _dispersion_entry(spec, data.msd)
+        report["dispersion"][route] = classify_dispersion(data.msd).as_dict()
     return report
 
 

@@ -1,6 +1,12 @@
 """Observables and verdicts: mean-square displacement, energy budgets,
 dispersion-regime classification, and field comparison metrics.
 
+The dispersion regime of a route is read from its msd over the window
+[t_end/10, t_end]: bounded (max/min below a ratio), or else the log-log
+slope of the excess msd(t) - msd(0), which is 2 D^2 t^2 / alpha^2 for free
+recoil and 2 D t for Brownian motion from t = 0 on. Every series gets a
+verdict; ``ambiguous`` and ``too_short`` are regimes, not errors.
+
 The energy budget of a hydrodynamic slice is
 
     kinetic   = integral( v^2/2 * rho )
@@ -27,14 +33,8 @@ class DispersionRegime(str, enum.Enum):
     ENHANCED = "enhanced"
     NORMAL = "normal"
     NON_DISPERSIVE = "non_dispersive"
-
-
-class DispersionFitError(ValueError):
-    """Series unusable (too short) or the fitted exponent fits no regime."""
-
-    def __init__(self, message, exponent=None):
-        super().__init__(message)
-        self.exponent = exponent
+    AMBIGUOUS = "ambiguous"    # growing, but with no exponent in either band
+    TOO_SHORT = "too_short"    # fewer than two samples in the window
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def energy_report(slices: Iterable[HydroFields]) -> EnergyReport:
 
 @dataclass(frozen=True)
 class DispersionVerdict:
-    """Outcome of classify_dispersion. ``exponent`` is reported only for the
-    unbounded regimes; bounded series carry the max observed msd instead."""
+    """Outcome of classify_dispersion. ``exponent`` is the fitted slope of a
+    growing series (``exponent_ci`` its 95 % half-width, given from three
+    samples on); bounded series carry the max observed msd instead."""
 
     regime: DispersionRegime
     exponent: Optional[float] = None
@@ -168,58 +169,50 @@ class DispersionVerdict:
         }
 
 
-def classify_dispersion(series: MsdSeries, crossover: float,
-                        flat_ratio: float = 1.5) -> DispersionVerdict:
-    """Classify spreading from the msd tail past the crossover time.
+def classify_dispersion(series: MsdSeries, flat_ratio: float = 1.5) -> DispersionVerdict:
+    """Classify spreading over the window [t_end/10, t_end] of the series.
 
     Boundedness is checked first: if max/min over the window stays below
     ``flat_ratio`` the verdict is NON_DISPERSIVE and no slope is fitted.
-    Otherwise the log-log slope over the window decides ENHANCED (ballistic,
-    slope in [1.7, 2.3]) vs NORMAL (diffusive, in [0.7, 1.3]); a slope in
-    neither band raises DispersionFitError carrying the fit. The window must
-    span at least one decade in t past the crossover. Invariant under
-    rescaling t -> c*t (the crossover rescales with it).
+    Otherwise the log-log slope of the excess msd(t) - msd(t_0) over the
+    window decides ENHANCED (ballistic, slope in [1.7, 2.3]) or NORMAL
+    (diffusive, in [0.7, 1.3]); t_0 is the first sample, t = 0 in every
+    route. A slope in neither band, or an excess that is not positive
+    across the window, is AMBIGUOUS; fewer than two samples in the window
+    is TOO_SHORT. Invariant under rescaling t -> c*t.
     """
-    if crossover <= 0:
-        raise ValueError("crossover must be > 0")
-    mask = series.times >= crossover
+    mask = series.times >= series.times[-1] / 10.0
     t = series.times[mask]
     v = series.values[mask]
-    if t.size < 4:
-        raise DispersionFitError(
-            f"only {t.size} samples past the crossover t={crossover}; need >= 4")
-    window = (float(t[0]), float(t[-1]))
+    window = (float(t[0]), float(t[-1])) if t.size else ()
+    if t.size < 2:
+        return DispersionVerdict(regime=DispersionRegime.TOO_SHORT, window=window)
 
     vmax, vmin = float(np.max(v)), float(np.min(v))
     if vmin > 0 and vmax / vmin < flat_ratio:
         return DispersionVerdict(regime=DispersionRegime.NON_DISPERSIVE,
                                  bound=vmax, window=window)
 
-    if t[-1] < 10.0 * t[0]:
-        raise DispersionFitError(
-            f"window [{t[0]:.3g}, {t[-1]:.3g}] spans less than a decade past the crossover")
-    if np.any(v <= 0):
-        raise DispersionFitError("msd must be positive for a log-log fit")
-    logt, logv = np.log(t), np.log(v)
-    A = np.vstack([logt, np.ones_like(logt)]).T
-    coef, res_sum, *_ = np.linalg.lstsq(A, logv, rcond=None)
-    slope = float(coef[0])
-    dof = max(t.size - 2, 1)
-    resid = float(res_sum[0]) if len(res_sum) else float(np.sum((logv - A @ coef) ** 2))
-    denom = float(np.sum((logt - logt.mean()) ** 2))
-    ci = 1.96 * np.sqrt(resid / dof / denom) if denom > 0 else np.inf
-
-    enhanced, normal = (1.7, 2.3), (0.7, 1.3)
-    if enhanced[0] <= slope <= enhanced[1]:
+    excess = v - series.values[0]
+    if np.any(excess <= 0):
+        return DispersionVerdict(regime=DispersionRegime.AMBIGUOUS, window=window)
+    # least squares by hand: a first call into numpy's LAPACK (polyfit,
+    # lstsq) would add about 1.4 MB to the run's peak resident memory
+    logt, logv = np.log(t), np.log(excess)
+    dlogt, dlogv = logt - np.mean(logt), logv - np.mean(logv)
+    sxx = float(np.sum(dlogt**2))
+    slope = float(np.sum(dlogt * dlogv)) / sxx
+    ci = None
+    if t.size > 2:  # two points fit exactly and carry no error estimate
+        resid = dlogv - slope * dlogt
+        ci = float(1.96 * np.sqrt(np.sum(resid**2) / (t.size - 2) / sxx))
+    if 1.7 <= slope <= 2.3:
         regime = DispersionRegime.ENHANCED
-    elif normal[0] <= slope <= normal[1]:
+    elif 0.7 <= slope <= 1.3:
         regime = DispersionRegime.NORMAL
     else:
-        raise DispersionFitError(
-            f"fitted exponent {slope:.3f} fits neither band "
-            f"enhanced={enhanced} nor normal={normal}", exponent=slope)
-    return DispersionVerdict(regime=regime, exponent=slope, exponent_ci=float(ci),
-                             window=window)
+        regime = DispersionRegime.AMBIGUOUS
+    return DispersionVerdict(regime=regime, exponent=slope, exponent_ci=ci, window=window)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,24 @@ bogus = 1.0
 """)
         assert self.rc(path) == 2
 
+    @pytest.mark.parametrize("extra, said", [
+        ("[time]\nsnapshot_strde = 7\n", "unknown keys ['snapshot_strde'] in [time]"),
+        ("[grid]\nnn = 5\n", "unknown keys ['nn'] in [grid]"),
+        ("[paramz]\nD = 2\n", "unknown section [paramz]"),
+        ("[Params]\nD = 2\n", "unknown section [Params]"),   # section names keep their case
+        ("[sde]\nn_particles = 10\nseed = 3\n", "unknown keys ['seed'] in [sde]"),
+        # configparser would copy a [DEFAULT] key into every section
+        ("[DEFAULT]\nt_end = 2\n", "[DEFAULT]"),
+    ], ids=["misspelt time key", "misspelt grid key", "misspelt section",
+            "capitalised section", "key of another section", "DEFAULT"])
+    def test_unknown_section_or_key(self, tmp_path, capsys, extra, said):
+        # each of these used to run on the defaults and exit 0
+        path = write_cfg(tmp_path, "bad.cfg",
+                         "[scenario]\nkind = free_brownian\nroutes = analytic\n" + extra)
+        assert self.rc(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and said in err
+
     @pytest.mark.parametrize("section, setting", [
         ("time", "dt = 0.3"),
         ("time", "fp_dt = 0.3"),
@@ -583,6 +601,44 @@ omega_file = omega.csv
         assert main(["run", path, "--out", str(out)]) == 0
         assert (out / "fields_fp.csv").is_file()
 
+    @pytest.mark.parametrize("kind, routes, tables, stride", [
+        ("free_recoil", "analytic, schrodinger, fp, sde", "", 5),
+        ("free_recoil", "schrodinger, sde", "", 5),
+        ("free_recoil", "analytic, schrodinger", "", None),   # no route reads it
+        ("free_brownian", "analytic, fp, sde", "", None),    # closed-form drift
+        ("custom", "schrodinger, fp", "", 5),
+        ("custom", "schrodinger, fp", "drift_file = drift.csv\n", None),
+    ])
+    def test_load_spec_decides_the_drift_source(self, tmp_path, kind, routes, tables,
+                                                stride):
+        # drift_stride is None unless an fp or sde route reads the wave's table
+        np.savetxt(tmp_path / "omega.csv", [[-10.0, 0.0], [10.0, 0.0]], delimiter=",")
+        (tmp_path / "drift.csv").write_text(
+            "\n".join(["nan," + NODES, "0," + ONES, "1," + ONES]) + "\n")
+        body = (f"[scenario]\nkind = {kind}\nroutes = {routes}\n"
+                "[grid]\nx_min = -10\nx_max = 10\nn = 201\n"
+                "[time]\nt_end = 0.2\ndrift_stride = 5\n")
+        if kind == "custom":
+            body += "[tables]\nomega_file = omega.csv\n" + tables
+        spec = load_spec(write_cfg(tmp_path, "s.cfg", body), out_dir=str(tmp_path))
+        assert spec.drift_stride == stride
+
+    def test_a_wave_only_run_tabulates_no_drift_rows(self, tmp_path, monkeypatch):
+        waves = []
+        solve = pde.solve_schrodinger
+        monkeypatch.setattr(pde, "solve_schrodinger",
+                            lambda prob: waves.append(solve(prob)) or waves[-1])
+        body = ("[scenario]\nkind = free_recoil\nroutes = {}\n"
+                "[grid]\nx_min = -12\nx_max = 12\nn = 241\n"
+                "[time]\ndt = 0.01\nt_end = 0.1\nsnapshot_stride = 5\ndrift_stride = 2\n"
+                "[tolerances]\nlinf_rho = 1\nmsd_rel = 1\n")
+        for routes in ("analytic, schrodinger", "schrodinger, fp"):
+            path = write_cfg(tmp_path, "wave.cfg", body.format(routes))
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert waves[0].drift_table is None
+        assert waves[1].drift_table.times.tolist() == pytest.approx([0.0, 0.02, 0.04, 0.06,
+                                                                     0.08, 0.1])
+
     def test_one_entry_adds_a_scenario(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(cli.SCENARIOS, "ou_copy", dataclasses.replace(
             cli.SCENARIOS["smoluchowski_ou"], summary="OU under another name"))
@@ -605,6 +661,63 @@ t_end = 1.0
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert main(["list"]) == 0
         assert "ou_copy" in capsys.readouterr().out
+
+
+class TestDispersionVerdicts:
+    @pytest.mark.parametrize("kind, routes, regime, exponent", [
+        ("free_recoil", "analytic, schrodinger, fp, sde", "enhanced", 2.0),
+        ("free_brownian", "analytic, fp, sde", "normal", 1.0),
+    ])
+    def test_spreading_runs_name_their_regime(self, tmp_path, kind, routes, regime,
+                                              exponent):
+        # the excess msd - msd(0) is 2 D^2 t^2 / alpha^2 (recoil) or 2 D t
+        # (Brownian) from t = 0 on, so a run to t = 1 already reads its regime;
+        # the gates are not under test, and 20000 particles are too few for
+        # the default l1_rho
+        path = write_cfg(tmp_path, "spread.cfg", f"""
+[scenario]
+kind = {kind}
+routes = {routes}
+seed = 5
+
+[grid]
+x_min = -16
+x_max = 16
+n = 801
+
+[time]
+dt = 1e-3
+t_end = 1.0
+snapshot_stride = 100
+drift_stride = 50
+
+[sde]
+n_particles = 20000
+
+[tolerances]
+linf_rho = 1
+l1_rho = 1
+msd_rel = 1
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for route in routes.split(", "):
+            verdict = report["dispersion"][route]
+            assert verdict["regime"] == regime, route
+            assert verdict["exponent"] == pytest.approx(exponent, abs=0.1)
+            # sde snapshots every 0.25, the grid routes every 0.1
+            assert verdict["window"] == [0.25 if route == "sde" else 0.1, 1.0]
+
+    def test_smoke_run_reads_enhanced(self, smoke_run):
+        # its particle window [0.25, 0.5] holds two samples: max/min is 1.56,
+        # just past the flat ratio 1.5, and two points carry no interval
+        _, out = smoke_run
+        dispersion = json.loads((out / "report.json").read_text())["dispersion"]
+        assert {r: v["regime"] for r, v in dispersion.items()} == dict.fromkeys(
+            ("fp", "schrodinger", "sde"), "enhanced")
+        assert dispersion["sde"]["window"] == [0.25, 0.5]
+        assert dispersion["sde"]["exponent_ci"] is None
+        assert dispersion["fp"]["exponent_ci"] is not None
 
 
 class TestSmokeArtifacts:

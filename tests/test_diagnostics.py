@@ -11,7 +11,6 @@ from recoillab.analytic import (
     HarmonicRecoilSolution,
 )
 from recoillab.diagnostics import (
-    DispersionFitError,
     DispersionRegime,
     MsdSeries,
     classify_dispersion,
@@ -126,76 +125,102 @@ class TestEnergyReport:
 
 
 class TestClassifyDispersion:
-    crossover = 0.5  # alpha^2 / (2 D)
+    # every route's series starts at t = 0 with msd(0) = alpha^2/2 > 0; the
+    # window is [t_end/10, t_end] and the fit reads the excess msd - msd(0)
 
-    def recoil_series(self, scale=1.0):
-        t = np.linspace(1.0, 100.0, 100)
-        return MsdSeries(scale * t, RECOIL.msd(t), source="analytic")
+    def recoil_series(self):
+        t = np.linspace(0.0, 1.0, 11)
+        return MsdSeries(t, RECOIL.msd(t), source="analytic")
 
     def test_recoil_spreading_is_enhanced(self):
-        verdict = classify_dispersion(self.recoil_series(), self.crossover)
+        verdict = classify_dispersion(self.recoil_series())
         assert verdict.regime is DispersionRegime.ENHANCED
-        assert verdict.exponent == pytest.approx(2.0, abs=0.02)
+        assert verdict.exponent == pytest.approx(2.0, abs=1e-9)
+        assert verdict.exponent_ci == pytest.approx(0.0, abs=1e-6)
         assert verdict.bound is None
+        assert verdict.window == (pytest.approx(0.1), 1.0)
 
     def test_brownian_spreading_is_normal(self):
-        t = np.linspace(5.0, 500.0, 100)
-        sol = FreeBrownianSolution(P1)
-        series = MsdSeries(t, sol.msd(t), source="analytic")
-        verdict = classify_dispersion(series, self.crossover)
+        t = np.linspace(0.0, 1.0, 11)
+        series = MsdSeries(t, FreeBrownianSolution(P1).msd(t), source="analytic")
+        verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.NORMAL
-        assert verdict.exponent == pytest.approx(1.0, abs=0.02)
+        assert verdict.exponent == pytest.approx(1.0, abs=1e-9)
 
     def test_matched_width_is_non_dispersive(self):
-        # bounded series: flat verdict wins even on a sub-decade window
         sol = HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=2.0))
-        t = np.linspace(1.0, 3.0, 40)
+        t = np.linspace(0.0, 3.0, 40)
         series = MsdSeries(t, sol.msd(t), source="analytic")
-        verdict = classify_dispersion(series, self.crossover)
+        verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.NON_DISPERSIVE
         assert verdict.exponent is None
         assert verdict.bound == pytest.approx(0.5, rel=1e-12)
 
     def test_breathing_width_is_non_dispersive(self):
         sol = HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=1.0))
-        t = np.linspace(1.0, 30.0, 300)
+        t = np.linspace(0.0, 30.0, 301)
         series = MsdSeries(t, sol.msd(t), source="analytic")
-        verdict = classify_dispersion(series, self.crossover, flat_ratio=4.5)
+        verdict = classify_dispersion(series, flat_ratio=4.5)
         assert verdict.regime is DispersionRegime.NON_DISPERSIVE
         # sampled peak; the true max of the width oscillation is 2.0
         assert 1.99 < verdict.bound <= 2.0
 
     def test_time_rescaling_leaves_exponent_alone(self):
-        a = classify_dispersion(self.recoil_series(), self.crossover)
-        b = classify_dispersion(self.recoil_series(scale=3.0), 3.0 * self.crossover)
+        t = np.linspace(0.0, 1.0, 5)
+        noisy = RECOIL.msd(t) * (1.0 + 0.01 * np.array([0, 1, -1, 2, -2]))
+        a = classify_dispersion(MsdSeries(t, noisy, source="sde"))
+        b = classify_dispersion(MsdSeries(3.0 * t, noisy, source="sde"))
         assert b.exponent == pytest.approx(a.exponent, rel=1e-12)
-        assert b.regime is a.regime
+        assert b.exponent_ci == pytest.approx(a.exponent_ci, rel=1e-9)
+        assert b.regime is a.regime is DispersionRegime.ENHANCED
+        assert b.window == (pytest.approx(0.75), 3.0)
 
-    def test_too_few_samples_past_crossover(self):
-        with pytest.raises(DispersionFitError, match="need >= 4"):
-            classify_dispersion(self.recoil_series(), crossover=99.0)
+    def test_too_few_samples_in_window(self):
+        # the window [0.1, 1] holds only t = 1
+        series = MsdSeries(np.array([0.0, 0.05, 1.0]), RECOIL.msd(np.array([0.0, 0.05, 1.0])),
+                           source="analytic")
+        verdict = classify_dispersion(series)
+        assert verdict.regime is DispersionRegime.TOO_SHORT
+        assert verdict.exponent is None and verdict.bound is None
+        assert verdict.window == (1.0, 1.0)
 
-    def test_sub_decade_window_refused_for_growing_series(self):
-        t = np.linspace(1.0, 5.0, 40)
-        series = MsdSeries(t, RECOIL.msd(t), source="analytic")
-        with pytest.raises(DispersionFitError, match="decade"):
-            classify_dispersion(series, self.crossover)
+    def test_two_samples_give_no_confidence_interval(self):
+        # two points fit exactly; a half-width of 0 would claim a certainty
+        t = np.array([0.0, 0.25, 0.5])
+        verdict = classify_dispersion(MsdSeries(t, RECOIL.msd(t), source="sde"))
+        assert verdict.regime is DispersionRegime.ENHANCED
+        assert verdict.exponent == pytest.approx(2.0, abs=1e-9)
+        assert verdict.exponent_ci is None
 
     def test_out_of_band_exponent_carries_the_fit(self):
-        t = np.linspace(1.0, 100.0, 100)
-        series = MsdSeries(t, t**1.5, source="analytic")
-        with pytest.raises(DispersionFitError, match="neither band") as exc:
-            classify_dispersion(series, self.crossover)
-        assert exc.value.exponent == pytest.approx(1.5, abs=1e-9)
+        t = np.linspace(0.0, 100.0, 101)
+        series = MsdSeries(t, 0.5 + t**1.5, source="analytic")
+        verdict = classify_dispersion(series)
+        assert verdict.regime is DispersionRegime.AMBIGUOUS
+        assert verdict.exponent == pytest.approx(1.5, abs=1e-9)
+        assert verdict.exponent_ci == pytest.approx(0.0, abs=1e-6)
 
-    def test_crossover_must_be_positive(self):
-        with pytest.raises(ValueError, match="crossover"):
-            classify_dispersion(self.recoil_series(), crossover=0.0)
+    def test_shrinking_series_is_ambiguous_without_a_fit(self):
+        # OU from a wide start: msd falls from 2 towards D/gamma = 0.25,
+        # past the flat ratio, so the excess is negative in the window
+        t = np.linspace(0.0, 1.0, 11)
+        series = MsdSeries(t, 0.25 + 1.75 * np.exp(-8.0 * t), source="analytic")
+        verdict = classify_dispersion(series)
+        assert verdict.regime is DispersionRegime.AMBIGUOUS
+        assert verdict.exponent is None and verdict.exponent_ci is None
+        assert verdict.window == (pytest.approx(0.1), 1.0)
 
     def test_as_dict_keys(self):
-        d = classify_dispersion(self.recoil_series(), self.crossover).as_dict()
-        assert set(d) == {"regime", "exponent", "exponent_ci", "bound", "window"}
-        assert d["regime"] == "enhanced"
+        t = np.linspace(0.0, 1.0, 11)
+        series = [self.recoil_series(),                                  # enhanced
+                  MsdSeries(t, 0.5 + 2 * t, source="analytic"),          # normal
+                  MsdSeries(t, 0.5 + 0.0 * t, source="analytic"),        # non_dispersive
+                  MsdSeries(t, 0.5 + 10 * t**3, source="analytic"),      # ambiguous
+                  MsdSeries(t[:1], t[:1], source="analytic")]            # too_short
+        dicts = [classify_dispersion(s).as_dict() for s in series]
+        assert [d["regime"] for d in dicts] == [r.value for r in DispersionRegime]
+        for d in dicts:
+            assert set(d) == {"regime", "exponent", "exponent_ci", "bound", "window"}
 
 
 class TestCompareFields:
