@@ -11,7 +11,8 @@ has; ``artifacts`` holds their format.
 
 Exit codes: 0 every tolerance gate passed; 1 at least one gate failed;
 2 invalid spec or usage; 3 a route raised ``core.SolverError``; 4 any other
-exception, a fault of the program, whose traceback is printed to stderr.
+exception, a fault of the program, whose traceback is printed to stderr;
+141 (128 + SIGPIPE) the reader closed standard output, with no traceback.
 """
 
 from __future__ import annotations
@@ -221,6 +222,8 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         raise SpecError(f"unknown scenario kind {kind!r}; "
                         f"choose from {tuple(SCENARIOS)}")
     scenario = SCENARIOS[kind]
+    if cfg.has_section("tables") and not scenario.tables:
+        raise SpecError(f"scenario {kind!r} reads no [tables]; only 'custom' does")
     name = _get(cfg, "scenario", "name", str, kind).strip()
 
     routes_raw = _get(cfg, "scenario", "routes", str, None)
@@ -503,8 +506,8 @@ def _run_fp(spec, drift) -> RouteData:
                                t_end=spec.t_end, dt=spec.fp_dt,
                                snapshot_stride=stride)
     sol = solve_fokker_planck(prob)
-    logger.info("fp route: %d slices, mass drift %.2e",
-                len(sol.times), sol.mass_drift_max)
+    logger.info("fp route: %d slices, mass drift %.2e (%s march)",
+                len(sol.times), sol.mass_drift_max, sol.march)
 
     # the drift's domain check, before any file is written: the march read
     # the drift at every stored time, but only at the cell faces, and the
@@ -734,21 +737,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args) -> int:
+    if args.command == "list":
+        return list_scenarios(args.json)
+    if args.command == "compare":
+        return artifacts.compare_runs(args.run_a, args.run_b)
+    spec = load_spec(args.spec, out_dir=args.out, seed=args.seed,
+                     fmt=args.format)
+    return run_scenario(spec)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        if args.command == "list":
-            return list_scenarios(args.json)
-        if args.command == "compare":
-            return artifacts.compare_runs(args.run_a, args.run_b)
-        spec = load_spec(args.spec, out_dir=args.out, seed=args.seed,
-                         fmt=args.format)
-        return run_scenario(spec)
+        code = _command(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`recoillab compare A B | head`): no fault
+        # of the program, so exit as SIGPIPE would, 128 + 13, and send what
+        # is still buffered to devnull so the flush at exit cannot raise again
+        try:
+            stdout = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no descriptor
+            return 141
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 141
     except Exception:  # a fault of the program: keep it off the verdict codes 0-3
         traceback.print_exc()
         return 4

@@ -7,15 +7,19 @@ Cayley form (I + i dt/2 H) psi' = (I - i dt/2 H) psi, unitary in the discrete
 l2 norm, so the norm ledger holds to solver roundoff.
 
 The Fokker-Planck implicit side, and the wave's when it has a potential, is
-tridiagonal and goes through LAPACK's banded LU: ?gttrf factors it (partial
-pivoting, O(n)) and ?gttrs solves with the factors. The Fokker-Planck march
-uses dgttrf/dgttrs, refactoring each step only when the drift depends on
-time. The wave march with a potential factors I + i dt/2 H once with zgttrf
-and takes each step with a single zgttrs solve through the Cayley identity
-psi' = 2 (I + i dt/2 H)^-1 psi - psi, so no explicit product with H is
-formed. A singular step matrix raises SolverError. The four routines come
-from scipy's compiled module scipy.linalg._flapack, loaded without the
-scipy.linalg package.
+tridiagonal. A static Fokker-Planck drift is symmetrized once: Chang-Cooper
+rates obey detailed balance, so a diagonal S makes S^-1 A S symmetric, and
+I - dt/2 S^-1 A S is factored as LDL^T with dpttrf. Each step is then one
+dpttrs solve through the Cayley identity
+rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, with no product by A.
+A time-dependent drift, or a static one whose S cannot be represented, goes
+through LAPACK's banded LU instead: dgttrf factors I - dt/2 A (partial
+pivoting, O(n)) on every step it changes, and dgttrs solves. The wave march
+with a potential factors I + i dt/2 H once with zgttrf and takes each step
+with a single zgttrs solve through the same identity
+psi' = 2 (I + i dt/2 H)^-1 psi - psi. A singular step matrix raises
+SolverError. The six routines come from scipy's compiled module
+scipy.linalg._flapack, loaded without the scipy.linalg package.
 
 The free wave (Omega None) needs no solve: H is then D times the Dirichlet
 second difference, whose eigenvectors are the DST-I sine vectors, so the
@@ -71,8 +75,9 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgttrf, dgttrs, zgttrf, zgttrs = (_flapack.dgttrf, _flapack.dgttrs,
-                                  _flapack.zgttrf, _flapack.zgttrs)
+dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs = (
+    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs,
+    _flapack.zgttrf, _flapack.zgttrs)
 
 
 class MadelungError(SolverError):
@@ -127,6 +132,7 @@ class FpSolution:
     rhos: list
     mass_drift_max: float
     min_density: float
+    march: str = "LAPACK"  # or "symmetric", the static drift's LDL^T march
 
     def rho_at(self, t: float) -> ScalarField:
         return self.rhos[stored_index(self.times, t)]
@@ -168,9 +174,35 @@ def _tridiag_matvec(lower, diag, upper, v):
     return out
 
 
+# the largest ln(max s / min s) of a symmetrized march, well inside the
+# double range (e^709.8), so rho / s stays finite where rho is
+_MAX_LOG_SCALE = 600.0
+
+
+def _symmetrize(lower: np.ndarray, upper: np.ndarray):
+    """The diagonal scaling s with s_{i+1}/s_i = sqrt(lower_i/upper_i),
+    max s = 1, and the off-diagonal sqrt(lower_i upper_i) of the symmetric
+    S^-1 A S. None when a rate is not positive (zero or NaN) or s spans
+    more than _MAX_LOG_SCALE in its logarithm.
+
+    s is a running product of the ratios, not an exp of their summed logs,
+    so each neighbour ratio s_{i+1}/s_i, which is what keeps the columns of
+    S (S^-1 A S) S^-1 summing to zero, is off by a few ulps at any span.
+    """
+    if not (np.all(lower > 0.0) and np.all(upper > 0.0)):  # False on NaN too
+        return None
+    ratio = np.sqrt(lower / upper)
+    log_s = np.cumsum(np.log(ratio))  # less ln s_0 = 0, which the span includes
+    if not max(log_s.max(), 0.0) - min(log_s.min(), 0.0) <= _MAX_LOG_SCALE:
+        return None
+    s = np.cumprod(np.concatenate(([1.0], ratio)))
+    return s / s.max(), upper * ratio
+
+
 def _check_lapack(info: int, routine: str) -> None:
     """Map a nonzero LAPACK ``info`` to SolverError: > 0 is an exactly zero
-    pivot (singular step matrix), < 0 an invalid argument."""
+    pivot (singular step matrix; for dpttrf a nonpositive one), < 0 an
+    invalid argument."""
     if info > 0:
         raise SolverError(f"{routine}: step matrix is singular (zero pivot {info})")
     if info < 0:
@@ -180,11 +212,16 @@ def _check_lapack(info: int, routine: str) -> None:
 def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     """Crank-Nicolson over the Chang-Cooper operator.
 
-    The implicit side I - dt/2 A is tridiagonal: LAPACK dgttrf factors it
-    (once for a static drift, in O(n) on every step for a time-dependent one)
-    and dgttrs solves each step. For time-dependent drift the implicit side
-    uses A(t+dt) and the explicit side A(t), which keeps the march second
-    order. Raises SolverError when the step matrix is singular, when the mass
+    A static drift takes the symmetric march: with S from ``_symmetrize``,
+    dpttrf factors I - dt/2 S^-1 A S once and each step is
+    rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, one dpttrs solve and
+    three vector operations. The Cayley identity is exact here because both
+    sides use the same A. A time-dependent drift, or a static one that
+    ``_symmetrize`` refuses, takes the LAPACK march: dgttrf factors
+    I - dt/2 A (once when static, on every step otherwise) and dgttrs solves
+    against (I + dt/2 A) rho. For time-dependent drift the implicit side uses
+    A(t+dt) and the explicit side A(t), which keeps the march second order.
+    Raises SolverError when the step matrix is singular, when the mass
     ledger moves more than 1e-12 in a step, or when the density undershoots
     below -1e-12.
     """
@@ -207,35 +244,56 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
         return lu
 
     tri_now = operator(0.0)
-    lu = factorize(tri_now) if not time_dependent else None
+    symmetric = None if time_dependent else _symmetrize(tri_now[0], tri_now[2])
+    if symmetric is not None:
+        s, off = symmetric
+        *ldl, info = dpttrf(1.0 - kappa * tri_now[1], -kappa * off,
+                            overwrite_d=True, overwrite_e=True)
+        _check_lapack(info, "dpttrf")
+        two_s, inv_s = 2.0 * s, 1.0 / s
+
+        def advance(rho, t_next):
+            y, info = dpttrs(*ldl, rho * inv_s, overwrite_b=True)
+            _check_lapack(info, "dpttrs")
+            y *= two_s
+            y -= rho
+            return y
+    else:
+        lu = factorize(tri_now) if not time_dependent else None
+
+        def advance(rho, t_next):
+            nonlocal tri_now, lu
+            rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
+            if time_dependent:
+                tri_now = operator(t_next)
+                lu = factorize(tri_now)
+            rho, info = dgttrs(*lu, rhs, overwrite_b=True)
+            _check_lapack(info, "dgttrs")
+            return rho
 
     rho = p.rho0.values.copy()
-    mass = float(np.sum(rho) * dx)
+    mass = float(rho.sum() * dx)
     mass_drift_max = 0.0
-    min_density = float(np.min(rho))
+    min_density = float(rho.min())
     rhos = [ScalarField(grid, rho)]
     for k in range(n_steps):
         t_next = (k + 1) * p.dt
-        rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
-        if time_dependent:
-            tri_now = operator(t_next)
-            lu = factorize(tri_now)
-        rho, info = dgttrs(*lu, rhs, overwrite_b=True)
-        _check_lapack(info, "dgttrs")
-        new_mass = float(np.sum(rho) * dx)
+        rho = advance(rho, t_next)
+        new_mass = float(rho.sum() * dx)
         mass_drift_max = max(mass_drift_max, abs(new_mass - mass))
         # negated comparisons, so a NaN ledger fails too
         if not abs(new_mass - mass) <= 1e-12:
             raise SolverError(f"mass ledger moved {new_mass - mass:.3e} in one step at t={t_next}")
         mass = new_mass
-        lo = float(np.min(rho))
+        lo = float(rho.min())
         min_density = min(min_density, lo)
         if not lo >= -1e-12:
             raise SolverError(f"density undershoot {lo:.3e} at t={t_next}")
         if k + 1 == stored[len(rhos)]:  # the next step to store
             rhos.append(ScalarField(grid, rho))
     return FpSolution(grid=grid, times=p.dt * stored, rhos=rhos,
-                      mass_drift_max=mass_drift_max, min_density=min_density)
+                      mass_drift_max=mass_drift_max, min_density=min_density,
+                      march="LAPACK" if symmetric is None else "symmetric")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import logging
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -138,6 +140,25 @@ kind = custom
 routes = fp
 """)
         assert self.rc(path) == 2
+
+    @pytest.mark.parametrize("kind", ["free_brownian", "free_recoil", "harmonic_recoil",
+                                      "smoluchowski_ou"])
+    def test_tables_on_a_kind_that_reads_none(self, tmp_path, capsys, kind):
+        # only custom reads [tables]; elsewhere it would run on the closed form
+        path = write_cfg(tmp_path, "bad.cfg", f"""
+[scenario]
+kind = {kind}
+routes = analytic
+
+[params]
+gamma = 1
+
+[tables]
+drift_file = no_such.csv
+""")
+        assert self.rc(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and "[tables]" in err
 
     def test_domain_too_narrow_for_the_spread(self, tmp_path):
         path = write_cfg(tmp_path, "bad.cfg", """
@@ -971,6 +992,35 @@ def write_run_dir(path, files):
     path.mkdir(parents=True)
     artifacts.write_run(str(path), "case", 0, {k: [v.encode()] for k, v in files.items()})
     return str(path)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``recoillab compare A B | head``)
+    is no fault of the program: exit 141 (128 + SIGPIPE), no traceback."""
+
+    def test_broken_pipe_exits_141(self, tmp_path, monkeypatch, capsys):
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(artifacts, "compare_runs", closed)
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 141
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_closed_pipe_in_a_fresh_interpreter(self, tmp_path):
+        a = write_run_dir(tmp_path / "a", {"msd_fp.csv": "t,msd\n0,1\n"})
+        b = write_run_dir(tmp_path / "b", {"msd_fp.csv": "t,msd\n0,2\n"})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line
+        try:
+            done = subprocess.run([sys.executable, "-m", "recoillab.cli", "compare", a, b],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
 
 
 class TestCompareSaysByHowMuch:

@@ -297,7 +297,7 @@ def splu_schrodinger(p):
 
 
 def refuse_lapack(*args, **kwargs):
-    raise AssertionError("the free wave march called zgttrs")
+    raise AssertionError("a march called a LAPACK routine it has no use for")
 
 
 def max_rel_diff(got, want):
@@ -308,13 +308,33 @@ def max_rel_diff(got, want):
 class TestTridiagonalSolvesMatchSuperLU:
     grid = Grid1D(-16.0, 16.0, 401)
 
-    @pytest.mark.parametrize("drift", [ou_drift(PhysicalParams(gamma=1.5)),
+    @pytest.mark.parametrize("drift", [ou_drift(PhysicalParams(gamma=1.5)), ZeroDrift(),
                                        AnalyticRecoilDrift(P1)],
-                             ids=["static", "time_dependent"])
-    def test_fokker_planck(self, drift):
+                             ids=["static", "zero_drift", "time_dependent"])
+    def test_fokker_planck(self, drift, monkeypatch):
+        # a static drift takes the symmetric LDL^T march, which needs no LU
+        if not drift.time_dependent:
+            monkeypatch.setattr(pde, "dgttrf", refuse_lapack)
+            monkeypatch.setattr(pde, "dgttrs", refuse_lapack)
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=2e-3, t_end=0.4)
         sol = solve_fokker_planck(problem)
+        got = [r.values for r in sol.rhos]
+        assert max_rel_diff(got, splu_fokker_planck(problem)) <= 1e-12
+        assert sol.mass_drift_max <= 1e-12
+        assert sol.march == ("LAPACK" if drift.time_dependent else "symmetric")
+
+    def test_a_scaling_beyond_double_range_takes_the_lapack_march(self, monkeypatch):
+        # b = -12 x on [-16, 16]: the symmetrizing s ~ exp(-3 x^2) would span
+        # e^768, past the largest double (e^709.8), so the march stays on LU
+        monkeypatch.setattr(pde, "dpttrf", refuse_lapack)
+        monkeypatch.setattr(pde, "dpttrs", refuse_lapack)
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=ou_drift(PhysicalParams(gamma=12.0)), D=1.0,
+                                      dt=5e-4, t_end=0.1)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            sol = solve_fokker_planck(problem)
+        assert sol.march == "LAPACK"
         got = [r.values for r in sol.rhos]
         assert max_rel_diff(got, splu_fokker_planck(problem)) <= 1e-12
         assert sol.mass_drift_max <= 1e-12
@@ -562,7 +582,9 @@ class TestLedgers:
                                   PhysicalParams())
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=1e-3, t_end=0.01)
-        with pytest.raises(SolverError, match="mass ledger"):
+        # a NaN rate sends the static march to LU before any log or sqrt of it
+        with pytest.raises(SolverError, match="mass ledger"), \
+                np.errstate(divide="raise", invalid="raise"):
             solve_fokker_planck(problem)
 
     @pytest.mark.parametrize("drift", [ZeroDrift(), AnalyticRecoilDrift(P1)],
@@ -577,7 +599,24 @@ class TestLedgers:
         monkeypatch.setattr(pde, "_fp_operator", singular)
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=dt, t_end=0.1)
-        with pytest.raises(SolverError, match="singular"):
+        # zero rates send the static march to LU before any log of them
+        with pytest.raises(SolverError, match="singular"), \
+                np.errstate(divide="raise", invalid="raise"):
+            solve_fokker_planck(problem)
+
+
+    def test_a_step_matrix_that_is_not_positive_definite_raises(self, monkeypatch):
+        # positive rates with A_ii = 2/dt: the symmetric march is chosen, and
+        # dpttrf meets the zero pivot of I - dt/2 S^-1 A S
+        dt = 1e-2
+
+        def indefinite(bhalf, D, dx, n):
+            return np.ones(n - 1), np.full(n, 2.0 / dt), np.ones(n - 1)
+
+        monkeypatch.setattr(pde, "_fp_operator", indefinite)
+        problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
+                                      drift=ZeroDrift(), D=1.0, dt=dt, t_end=0.1)
+        with pytest.raises(SolverError, match="dpttrf: step matrix is singular"):
             solve_fokker_planck(problem)
 
 

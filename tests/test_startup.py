@@ -100,7 +100,7 @@ import sys
 import scipy.linalg.lapack
 from recoillab import pde
 assert sys.modules["scipy.linalg._flapack"] is pde._flapack
-for name in ("dgttrf", "dgttrs", "zgttrf", "zgttrs"):
+for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "zgttrf", "zgttrs"):
     assert getattr(pde, name) is getattr(scipy.linalg.lapack, name), name
 """
 
