@@ -231,14 +231,12 @@ class OrnsteinUhlenbeckSolution(CentredGaussian):
         return -2.0 * self.params.gamma * self.dvar(t)
 
 
-def smoluchowski_omega(force: ScalarField, params: PhysicalParams) -> ScalarField:
-    """Auxiliary potential of an overdamped force field F:
+def smoluchowski_omega(drift: ScalarField, params: PhysicalParams) -> ScalarField:
+    """Auxiliary potential of an overdamped drift field b:
 
-        Omega = F^2/(2 m^2 beta^2) + (D/(m beta)) dF/dx
+        Omega = b^2/2 + D db/dx
 
-    For F = -m*beta*gamma*x this gives gamma^2 x^2/2 - D*gamma.
+    For b = -gamma x this gives gamma^2 x^2/2 - D*gamma.
     """
-    p = params
-    dF = gradient(force)
-    values = force.values**2 / (2.0 * p.m**2 * p.beta**2) + (p.D / (p.m * p.beta)) * dF.values
-    return ScalarField(force.grid, values)
+    db = gradient(drift)
+    return ScalarField(drift.grid, drift.values**2 / 2.0 + params.D * db.values)

@@ -108,8 +108,7 @@ SCENARIOS = {
         peak_var=lambda p, t: max(p.alpha**2 / 2, p.D / p.gamma),
         solution=analytic.OrnsteinUhlenbeckSolution,
         omega=lambda spec: analytic.smoluchowski_omega(ScalarField(
-            spec.grid, -spec.params.m * spec.params.beta * spec.params.gamma
-            * spec.grid.x), spec.params),
+            spec.grid, -spec.params.gamma * spec.grid.x), spec.params),
         drift=lambda sde, p: sde.ou_drift(p)),
     "custom": Scenario(
         routes=("schrodinger", "fp", "sde"),
@@ -125,7 +124,7 @@ _TOLERANCE_DEFAULTS = dict(linf_rho=1e-4, l1_rho=2e-2, msd_rel=1e-3,
 # the keys each spec section may hold; configparser lowercases key names
 _SPEC_KEYS = {
     "scenario": {"kind", "name", "routes", "seed"},
-    "params": {"d", "m", "beta", "alpha", "gamma", "dim"},
+    "params": {"d", "alpha", "gamma"},
     "grid": {"x_min", "x_max", "n", "min_half_sigmas"},
     "time": {"dt", "t_end", "snapshot_stride", "drift_stride", "fp_dt"},
     "sde": {"n_particles", "dt", "snapshot_stride"},
@@ -244,15 +243,11 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     try:
         params = PhysicalParams(
             D=_get(cfg, "params", "D", float, 1.0),
-            m=_get(cfg, "params", "m", float, 1.0),
-            beta=_get(cfg, "params", "beta", float, 1.0),
             alpha=_get(cfg, "params", "alpha", float, 1.0),
             gamma=_get(cfg, "params", "gamma", float, 0.0),
         )
     except ValueError as exc:
         raise SpecError(f"bad [params]: {exc}") from exc
-    if _get(cfg, "params", "dim", int, 1) != 1:
-        raise SpecError("dim must be 1: every route runs on a 1D grid")
     if scenario.needs_gamma and params.gamma <= 0:
         raise SpecError(f"scenario {kind!r} needs gamma > 0")
 
@@ -326,7 +321,10 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
             raise SpecError(f"scenario {kind!r} route 'schrodinger' needs "
                             "[tables] omega_file")
         if drift_file and ("fp" in routes or "sde" in routes):
-            drift_table = _load_drift_table(os.path.join(base, drift_file))
+            # the fp route reads the drift out to both end nodes of the run
+            # grid; particles may stay inside a narrower table
+            ends = grid.x[[0, -1]] if "fp" in routes else np.empty(0)
+            drift_table = _load_drift_table(os.path.join(base, drift_file), t_end, ends)
         if omega_file and "schrodinger" in routes:
             omega_table = _load_omega_table(os.path.join(base, omega_file), grid)
     # fp/sde take the drift_file if given, else the wave's drift table if the
@@ -399,7 +397,7 @@ def _run_analytic(spec) -> RouteData:
 
     energy = energy_report(fieldcalc.hydro_from_arrays(
         t, grid, rho=cols["rho"], S=cols["S"], v=cols["v"], u=cols["u"],
-        Q=cols["Q"], b=cols["b"], Omega=None if omega is None else omega.values)
+        Q=cols["Q"], Omega=None if omega is None else omega.values)
         for t, cols in fields())
     rhos = (ScalarField(grid, sol.rho(grid.x, t)) for t in times)
     return RouteData(fields=fields, final_rho=sol.rho(grid.x, times[-1]),
@@ -455,9 +453,10 @@ def _resolve_drift(spec, wave):
     return SCENARIOS[spec.kind].drift(sde, spec.params)
 
 
-def _load_drift_table(path):
-    """Drift table CSV: first row `nan, x_0, ..., x_m`; then `t_i, b_i0, ...`."""
-    from .sde import TabulatedDrift
+def _load_drift_table(path, t_end, ends):
+    """Drift table CSV: first row `nan, x_0, ..., x_m`; then `t_i, b_i0, ...`.
+    Its own lookup must serve t = 0 and t = t_end at the positions ``ends``."""
+    from .sde import DriftDomainError, TabulatedDrift
 
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -471,9 +470,12 @@ def _load_drift_table(path):
     if not (np.all(dxs > 0) and np.ptp(dxs) <= 1e-9 * dxs[0]):
         raise SpecError("drift table x row must be uniformly increasing")
     try:
-        return TabulatedDrift(ts, Grid1D(float(xs[0]), float(xs[-1]), xs.size), values)
-    except ValueError as exc:
+        table = TabulatedDrift(ts, Grid1D(float(xs[0]), float(xs[-1]), xs.size), values)
+        for t in (0.0, t_end):
+            table(ends, t)
+    except (ValueError, DriftDomainError) as exc:
         raise SpecError(f"bad drift table: {exc}") from exc
+    return table
 
 
 def _load_omega_table(path, grid):
@@ -508,11 +510,6 @@ def _run_fp(spec, drift) -> RouteData:
     sol = solve_fokker_planck(prob)
     logger.info("fp route: %d slices, mass drift %.2e (%s march)",
                 len(sol.times), sol.mass_drift_max, sol.march)
-
-    # the drift's domain check, before any file is written: the march read
-    # the drift at every stored time, but only at the cell faces, and the
-    # fields file reads it at the nodes, out to both ends of the grid
-    drift(grid.x, float(sol.times[-1]))
 
     def fields():
         for t, rho in zip(sol.times, sol.rhos):
@@ -613,8 +610,7 @@ def _build_report(spec, results) -> dict:
         "scenario": spec.kind,
         "routes": list(spec.routes),
         "seed": spec.seed,
-        "params": {"D": p.D, "m": p.m, "beta": p.beta, "alpha": p.alpha,
-                   "gamma": p.gamma, "t0": p.t0, "dim": 1},
+        "params": {"D": p.D, "alpha": p.alpha, "gamma": p.gamma, "t0": p.t0},
         "grid": asdict(spec.grid),
         "time": {"dt": spec.dt, "fp_dt": spec.fp_dt, "t_end": spec.t_end,
                  "sde_dt": spec.sde_dt},

@@ -20,14 +20,14 @@ class SolverError(RuntimeError):
 class PhysicalParams:
     """Physical constants of a diffusing ensemble.
 
+    A force F would enter a run only as the drift b = F/(m beta), and every
+    scenario states its b or its Omega itself, so the mass m and the
+    friction rate beta are not parameters.
+
     Parameters
     ----------
     D : float
         Diffusion coefficient, > 0.
-    m : float
-        Particle mass, > 0.
-    beta : float
-        Friction rate, > 0.
     gamma : float
         Confinement rate of the harmonic scenarios, >= 0 (0 = free).
     alpha : float
@@ -39,13 +39,11 @@ class PhysicalParams:
     """
 
     D: float = 1.0
-    m: float = 1.0
-    beta: float = 1.0
     gamma: float = 0.0
     alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("D", "m", "beta", "alpha"):
+        for name in ("D", "alpha"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -110,6 +108,9 @@ class Grid1D:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 nodes, got {self.n}")
+        # finite bounds can still overflow their span, or underflow its step
+        if not (np.isfinite(self.dx) and self.dx > 0):
+            raise ValueError(f"grid spacing dx = {self.dx!r} must be finite and > 0")
 
     @property
     def dx(self) -> float:

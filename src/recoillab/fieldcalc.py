@@ -65,25 +65,21 @@ class HydroFields:
         return self.rho.grid
 
 
-def floor_density(rho: ScalarField, rel_floor: float = 1e-300):
-    """Clamp rho from below at rel_floor * max(rho).
+def floor_density(rho: ScalarField) -> ScalarField:
+    """Clamp rho from below at 1e-300 * max(rho).
 
-    Returns the floored field and the fraction of nodes that were raised.
-    The default floor only removes exact zeros and denormals; it exists so
-    that log/division never produce inf, not to hide resolution problems.
+    The floor only removes exact zeros and denormals; it exists so that
+    log/division never produce inf, not to hide resolution problems.
     """
     peak = float(np.max(rho.values))
     if peak <= 0:
         raise ValueError("density is identically zero")
-    floor = rel_floor * peak
-    clipped = np.maximum(rho.values, floor)
-    fraction = float(np.mean(rho.values < floor))
-    return ScalarField(rho.grid, clipped), fraction
+    return ScalarField(rho.grid, np.maximum(rho.values, 1e-300 * peak))
 
 
 def osmotic_velocity(rho: ScalarField, D: float) -> ScalarField:
     """u = D grad(ln rho), with the density floored before the log."""
-    safe, _ = floor_density(rho)
+    safe = floor_density(rho)
     return ScalarField(rho.grid, D * gradient(ScalarField(rho.grid, np.log(safe.values))).values)
 
 
@@ -200,7 +196,7 @@ def girsanov_residual(h: HydroFields, dphi_dt: ScalarField, Omega_r: ScalarField
 def drift_potential(h: HydroFields, D: float) -> ScalarField:
     """phi = ln(rho)/2 + S/(2D), so b = 2D grad(phi); the density is floored
     before the log."""
-    safe, _ = floor_density(h.rho)
+    safe = floor_density(h.rho)
     return ScalarField(h.grid, 0.5 * np.log(safe.values) + h.S.values / (2.0 * D))
 
 
@@ -230,21 +226,13 @@ def hydro_from_rho_S(t: float, rho: ScalarField, S: ScalarField, D: float,
 
 
 def hydro_from_arrays(t: float, grid: Grid1D, *, rho, S, v, u, Q,
-                      Omega=None, b=None) -> HydroFields:
-    """Assemble a slice from exact (closed-form) arrays.
-
-    v + u is used for b unless given. A given b must equal v + u to 1e-9 of
-    max(|b|, 1), else ValueError.
-    """
+                      Omega=None) -> HydroFields:
+    """Assemble a slice from exact (closed-form) arrays, with b = v + u."""
     v_f = ScalarField(grid, v)
     u_f = ScalarField(grid, u)
-    b_arr = v_f.values + u_f.values if b is None else np.asarray(b, dtype=float)
-    if b is not None:
-        scale = max(float(np.max(np.abs(b_arr))), 1.0)
-        if np.max(np.abs(b_arr - v_f.values - u_f.values)) > 1e-9 * scale:
-            raise ValueError("b != v + u in supplied fields")
     return HydroFields(t=t, rho=ScalarField(grid, rho), S=ScalarField(grid, S),
-                       v=v_f, u=u_f, b=ScalarField(grid, b_arr), Q=ScalarField(grid, Q),
+                       v=v_f, u=u_f, b=ScalarField(grid, v_f.values + u_f.values),
+                       Q=ScalarField(grid, Q),
                        Omega=ScalarField(grid, np.zeros(grid.n) if Omega is None else Omega))
 
 

@@ -14,9 +14,9 @@ dpttrs solve through the Cayley identity
 rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, with no product by A.
 A time-dependent drift, or a static one whose S cannot be represented, goes
 through LAPACK's banded LU instead: dgttrf factors I - dt/2 A (partial
-pivoting, O(n)) on every step it changes, and dgttrs solves. The wave march
-with a potential factors I + i dt/2 H once with zgttrf and takes each step
-with a single zgttrs solve through the same identity
+pivoting, O(n)) on every step, and dgttrs solves. The wave march with a
+potential factors I + i dt/2 H once with zgttrf and takes each step with a
+single zgttrs solve through the same identity
 psi' = 2 (I + i dt/2 H)^-1 psi - psi. A singular step matrix raises
 SolverError. The six routines come from scipy's compiled module
 scipy.linalg._flapack, loaded without the scipy.linalg package.
@@ -217,10 +217,10 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, one dpttrs solve and
     three vector operations. The Cayley identity is exact here because both
     sides use the same A. A time-dependent drift, or a static one that
-    ``_symmetrize`` refuses, takes the LAPACK march: dgttrf factors
-    I - dt/2 A (once when static, on every step otherwise) and dgttrs solves
-    against (I + dt/2 A) rho. For time-dependent drift the implicit side uses
-    A(t+dt) and the explicit side A(t), which keeps the march second order.
+    ``_symmetrize`` refuses, takes the LAPACK march: on every step dgttrf
+    factors I - dt/2 A and dgttrs solves against (I + dt/2 A) rho. The
+    implicit side uses A(t+dt) and the explicit side A(t), which keeps a
+    time-dependent march second order.
     Raises SolverError when the step matrix is singular, when the mass
     ledger moves more than 1e-12 in a step, or when the density undershoots
     below -1e-12.
@@ -235,13 +235,6 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
 
     def operator(t):
         return _fp_operator(p.drift(x_half, t), p.D, dx, n)
-
-    def factorize(tri):
-        lower, diag, upper = tri
-        *lu, info = dgttrf(-kappa * lower, 1.0 - kappa * diag, -kappa * upper,
-                           overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-        _check_lapack(info, "dgttrf")
-        return lu
 
     tri_now = operator(0.0)
     symmetric = None if time_dependent else _symmetrize(tri_now[0], tri_now[2])
@@ -259,14 +252,13 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             y -= rho
             return y
     else:
-        lu = factorize(tri_now) if not time_dependent else None
-
         def advance(rho, t_next):
-            nonlocal tri_now, lu
+            nonlocal tri_now
             rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
-            if time_dependent:
-                tri_now = operator(t_next)
-                lu = factorize(tri_now)
+            tri_now = lower, diag, upper = operator(t_next)
+            *lu, info = dgttrf(-kappa * lower, 1.0 - kappa * diag, -kappa * upper,
+                               overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+            _check_lapack(info, "dgttrf")
             rho, info = dgttrs(*lu, rhs, overwrite_b=True)
             _check_lapack(info, "dgttrs")
             return rho

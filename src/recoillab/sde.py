@@ -123,20 +123,20 @@ class ZeroDrift(LinearDrift):
 
 
 class SmoluchowskiDrift(DriftSource):
-    """Overdamped drift b = F(x)/(m beta) of a time-independent force field."""
+    """Overdamped drift b(x) of a time-independent field, from a callable."""
 
     time_dependent = False
 
-    def __init__(self, force, params: PhysicalParams):
-        self.force = force
-        self.params = params
+    def __init__(self, drift):
+        self.drift = drift
 
     def __call__(self, x, t):
-        return self.force(x) / (self.params.m * self.params.beta)
+        # a new array: march scales the returned drift in place
+        return np.array(self.drift(x), dtype=float)
 
 
 def ou_drift(params: PhysicalParams) -> LinearDrift:
-    """Linear restoring force F = -m*beta*gamma*x, i.e. b = -gamma x."""
+    """Linear restoring drift b = -gamma x."""
     if params.gamma <= 0:
         raise ValueError("ou_drift needs gamma > 0")
     return LinearDrift(-params.gamma)

@@ -19,7 +19,7 @@ def exact_slice(solution, grid: Grid1D, t: float, Omega=None) -> HydroFields:
     f = solution.fields(grid.x, t)
     return hydro_from_arrays(
         t, grid, rho=f["rho"], S=f["S"], v=f["v"], u=f["u"], Q=f["Q"],
-        b=f["b"], Omega=Omega)
+        Omega=Omega)
 
 
 def wave_density(wave, t: float) -> np.ndarray:

@@ -227,10 +227,9 @@ class TestOuVariance:
 
 class TestSmoluchowskiOmega:
     def test_linear_restoring_force_gives_harmonic_potential(self):
-        p = PhysicalParams(D=1.0, m=1.3, beta=0.8, gamma=2.0, alpha=1.0)
+        p = PhysicalParams(D=1.3, gamma=2.0, alpha=1.0)
         g = Grid1D(-5.0, 5.0, 201)
-        force = ScalarField(g, -p.m * p.beta * p.gamma * g.x)
-        omega = smoluchowski_omega(force, p)
+        omega = smoluchowski_omega(ScalarField(g, -p.gamma * g.x), p)
         expected = 0.5 * p.gamma**2 * g.x**2 - p.D * p.gamma
         np.testing.assert_allclose(omega.values, expected, rtol=0, atol=1e-10)
 
@@ -240,7 +239,6 @@ class TestSmoluchowskiOmega:
         assert np.max(np.abs(omega.values)) == 0.0
 
     def test_constant_force_gives_constant(self):
-        p = PhysicalParams(D=1.0, m=2.0, beta=0.5)
         g = Grid1D(-5.0, 5.0, 201)
-        omega = smoluchowski_omega(ScalarField(g, np.full(g.n, 3.0)), p)
+        omega = smoluchowski_omega(ScalarField(g, np.full(g.n, 3.0)), P1)
         np.testing.assert_allclose(omega.values, 9.0 / 2.0, rtol=0, atol=1e-12)

@@ -176,8 +176,10 @@ t_end = 0.5
 """)
         assert self.rc(path) == 2
 
-    @pytest.mark.parametrize("grid", ["n = 4", "x_max = inf"])
-    def test_bad_grid(self, tmp_path, grid):
+    @pytest.mark.parametrize("grid", ["n = 4", "x_max = inf",
+                                      "x_min = -1e308\nx_max = 1e308\nn = 9"],
+                             ids=["n = 4", "x_max = inf", "span overflows"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
         path = write_cfg(tmp_path, "bad.cfg", f"""
 [scenario]
 kind = free_recoil
@@ -187,8 +189,9 @@ routes = analytic
 {grid}
 """)
         assert self.rc(path) == 2
+        assert capsys.readouterr().err.startswith("invalid spec: bad [grid]")
 
-    def test_dim_other_than_one(self, tmp_path):
+    def test_dim_other_than_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "bad.cfg", """
 [scenario]
 kind = free_brownian
@@ -198,6 +201,7 @@ routes = analytic
 dim = 3
 """)
         assert self.rc(path) == 2
+        assert "unknown keys ['dim'] in [params]" in capsys.readouterr().err
 
     def test_unknown_tolerance_key(self, tmp_path):
         path = write_cfg(tmp_path, "bad.cfg", """
@@ -218,8 +222,11 @@ bogus = 1.0
         ("[sde]\nn_particles = 10\nseed = 3\n", "unknown keys ['seed'] in [sde]"),
         # configparser would copy a [DEFAULT] key into every section
         ("[DEFAULT]\nt_end = 2\n", "[DEFAULT]"),
+        # a force enters only as the drift b = F/(m beta), which every kind states
+        ("[params]\nm = 2\n", "unknown keys ['m'] in [params]"),
+        ("[params]\nbeta = 2\n", "unknown keys ['beta'] in [params]"),
     ], ids=["misspelt time key", "misspelt grid key", "misspelt section",
-            "capitalised section", "key of another section", "DEFAULT"])
+            "capitalised section", "key of another section", "DEFAULT", "mass", "friction"])
     def test_unknown_section_or_key(self, tmp_path, capsys, extra, said):
         # each of these used to run on the defaults and exit 0
         path = write_cfg(tmp_path, "bad.cfg",
@@ -310,6 +317,41 @@ t_end = 0.2
         assert err.startswith("invalid spec:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("routes, times, nodes, said", [
+        ("fp", "0,0.1", NODES, "t=0.2 outside tabulated span [0.0, 0.1]"),
+        ("sde", "0,0.1", NODES, "t=0.2 outside tabulated span [0.0, 0.1]"),
+        ("fp", "0.05,1", NODES, "t=0.0 outside tabulated span [0.05, 1.0]"),
+        ("fp", "0,1", "-9,-7,-5,-3,-1,1,3,5,7", "2 particle(s) outside drift domain"),
+        ("sde", "0,1", "-9,-7,-5,-3,-1,1,3,5,7", None),
+        ("fp", "0,0.2000000001", NODES, None),
+    ], ids=["fp stops early", "sde stops early", "fp starts late", "fp narrow x",
+            "sde narrow x", "fp within tolerance"])
+    def test_drift_table_that_cannot_serve_the_run(self, tmp_path, capsys, routes, times,
+                                                   nodes, said):
+        # known when the spec is parsed, so exit 2 before any route runs; the
+        # particles may stay inside a narrower table, the fp grid may not
+        t0, t1 = times.split(",")
+        (tmp_path / "drift.csv").write_text(
+            "\n".join(["nan," + nodes, t0 + "," + ONES, t1 + "," + ONES]) + "\n")
+        path = write_cfg(tmp_path, "custom.cfg", f"""
+[scenario]
+kind = custom
+routes = {routes}
+
+[time]
+t_end = 0.2
+
+[tables]
+drift_file = drift.csv
+""")
+        if said is None:
+            assert load_spec(path).drift_table is not None
+            return
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec: bad drift table:") and said in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_drift_table_stops_the_wave_route_too(self, tmp_path,
                                                            monkeypatch, capsys):
         def never(*args):
@@ -350,7 +392,7 @@ JUNK = ["nan", "-nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "-1e300",
         "abc", "1,5", "5%", "", "0x10"]
 FUZZ_KEYS = [("scenario", "seed")] + [
     (section, key) for section, keys in [
-        ("params", ("D", "m", "beta", "alpha", "gamma", "dim")),
+        ("params", ("D", "alpha", "gamma")),
         ("grid", ("x_min", "x_max", "n", "min_half_sigmas")),
         ("time", ("dt", "fp_dt", "t_end", "snapshot_stride", "drift_stride")),
         ("sde", ("n_particles", "dt", "snapshot_stride")),
@@ -525,7 +567,7 @@ n_particles = 1000
 
     def test_fp_drift_domain_is_checked_before_any_file(self, tmp_path, capsys):
         # the table covers every cell face the march reads, but not the two
-        # end nodes the fields file reads the drift at
+        # end nodes the fields file reads the drift at: a bad spec
         xs = np.linspace(-9.96, 9.96, 9)
         np.savetxt(tmp_path / "drift.csv", np.vstack(
             [np.r_[np.nan, xs], np.r_[0.0, np.zeros(9)], np.r_[1.0, np.zeros(9)]]),
@@ -547,11 +589,12 @@ t_end = 0.2
 drift_file = drift.csv
 """)
         out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 3
+        assert main(["run", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "solver failure:" in err and "drift domain" in err
+        assert err.startswith("invalid spec: bad drift table:")
+        assert "outside drift domain" in err
         assert "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("error, shown", [
         (KeyError("rho"), "KeyError: 'rho'"),

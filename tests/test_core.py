@@ -29,7 +29,7 @@ class TestPhysicalParams:
         assert PhysicalParams(D=0.5, alpha=2.0).t0 == 2.0
 
     @pytest.mark.parametrize("bad", [
-        dict(D=0.0), dict(D=-1.0), dict(m=0.0), dict(beta=-2.0),
+        dict(D=0.0), dict(D=-1.0), dict(alpha=np.inf), dict(gamma=np.nan),
         dict(alpha=0.0), dict(gamma=-0.1), dict(D=np.nan),
     ])
     def test_invalid_values_rejected(self, bad):
@@ -58,6 +58,13 @@ class TestGrid1D:
                                       (2.0, 1.0, 11), (np.inf, 1.0, 11)])
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(ValueError):
+            Grid1D(*args)
+
+    # finite bounds whose span overflows to inf, or whose step underflows to 0
+    @pytest.mark.parametrize("args", [(-1e308, 1e308, 9), (0.0, 5e-324, 9)],
+                             ids=["span overflows", "step underflows"])
+    def test_spacing_must_be_finite_and_positive(self, args):
+        with pytest.raises(ValueError, match="grid spacing dx"):
             Grid1D(*args)
 
 

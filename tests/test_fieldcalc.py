@@ -59,13 +59,13 @@ class TestOsmoticVelocity:
 
 
 class TestFloorDensity:
-    def test_reports_raised_fraction(self):
+    def test_raises_only_values_below_the_fixed_floor(self):
         g = Grid1D(-1.0, 1.0, 11)
         vals = np.full(g.n, 2.0)
-        vals[:3] = 0.0
-        floored, fraction = floor_density(ScalarField(g, vals), rel_floor=1e-10)
-        assert fraction == pytest.approx(3 / 11)
-        assert np.min(floored.values) == pytest.approx(2e-10)
+        vals[:3] = (0.0, 5e-324, 1e-300)
+        floored = floor_density(ScalarField(g, vals))
+        np.testing.assert_array_equal(floored.values[:3], [2e-300, 2e-300, 2e-300])
+        np.testing.assert_array_equal(floored.values[3:], vals[3:])
 
     def test_rejects_empty_density(self):
         g = Grid1D(-1.0, 1.0, 11)
@@ -212,13 +212,6 @@ class TestSliceAssembly:
         h = hydro_from_rho_S(t, rho, S, D=1.0)
         np.testing.assert_array_equal(h.b.values, h.v.values + h.u.values)
         assert np.max(np.abs(h.Omega.values)) == 0.0
-
-    def test_hydro_from_arrays_rejects_inconsistent_drift(self):
-        g = Grid1D(-4.0, 4.0, 101)
-        zeros = np.zeros(g.n)
-        with pytest.raises(ValueError, match="b != v \\+ u"):
-            hydro_from_arrays(0.0, g, rho=np.full(g.n, 0.1), S=zeros,
-                              v=zeros, u=zeros, Q=zeros, b=np.full(g.n, 1e-3))
 
     def test_slice_rejects_mixed_grids(self):
         g1 = Grid1D(-4.0, 4.0, 101)

@@ -68,12 +68,11 @@ class TestFokkerPlanck:
     def test_step_log_states_the_positivity_bound(self, caplog, D):
         # dt = 0.05 on dx = 0.1 under b = 12 sin(3x) undershoots; at D = 0.1
         # the step is within dx^2/(2D), so only the drift breaks positivity
-        p = PhysicalParams(D=D)
         g = Grid1D(-5.0, 5.0, 101)
         caplog.set_level(logging.INFO, logger="recoillab.pde")
         problem = FokkerPlanckProblem(
             grid=g, rho0=initial_density(g), D=D, dt=0.05, t_end=1.0,
-            drift=SmoluchowskiDrift(lambda x: 12.0 * np.sin(3.0 * x), p))
+            drift=SmoluchowskiDrift(lambda x: 12.0 * np.sin(3.0 * x)))
         assert "positivity bound" in caplog.text
         assert "exceeded" in caplog.text
         with pytest.raises(SolverError, match="undershoot"):
@@ -493,7 +492,7 @@ class TestLedgers:
     @given(amp=st.floats(-20.0, 20.0), k=st.floats(0.0, 3.0),
            dt=st.sampled_from([1e-4, 1e-3, 4e-3]))
     def test_fokker_planck_conserves_mass(self, amp, k, dt):
-        drift = SmoluchowskiDrift(lambda x: amp * np.sin(k * x), PhysicalParams())
+        drift = SmoluchowskiDrift(lambda x: amp * np.sin(k * x))
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=dt, t_end=20 * dt)
         sol = solve_fokker_planck(problem)
@@ -578,8 +577,7 @@ class TestLedgers:
         assert abs(overlap) * g.dx <= 1e-13
 
     def test_nan_drift_fails_the_mass_ledger(self):
-        drift = SmoluchowskiDrift(lambda x: np.where(np.abs(x) < 1.0, np.nan, 0.0),
-                                  PhysicalParams())
+        drift = SmoluchowskiDrift(lambda x: np.where(np.abs(x) < 1.0, np.nan, 0.0))
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=1e-3, t_end=0.01)
         # a NaN rate sends the static march to LU before any log or sqrt of it

@@ -280,7 +280,7 @@ class TestEvolveIsBitExact:
             return drift, lambda x, t: interp_lookup(drift, x, t)
         drift = {
             "base": SineDrift(),
-            "smoluchowski": SmoluchowskiDrift(lambda x: -np.tanh(x), self.params),
+            "smoluchowski": SmoluchowskiDrift(lambda x: -np.tanh(x)),
             "recoil": AnalyticRecoilDrift(self.params),
         }[kind]
         return drift, drift
