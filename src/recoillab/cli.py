@@ -52,10 +52,10 @@ class Scenario:
 
     routes: tuple                  # routes the scenario can serve
     defaults: dict                 # [grid] and [time] defaults
+    # (params, t_end) -> largest per-axis variance reached, for the domain check
+    peak_var: Callable
     summary: str = ""              # `recoillab list` line; "" keeps it off the list
     needs_gamma: bool = False      # the dynamics need a confinement gamma > 0
-    # (params, t_end) -> largest per-axis variance reached, for the domain check
-    peak_var: Optional[Callable] = None
     # params -> closed form with fields(x, t) and msd(t), for the analytic route
     solution: Optional[Callable] = None
     # spec -> Omega ScalarField on spec.grid, or None for free dynamics
@@ -114,6 +114,8 @@ SCENARIOS = {
         routes=("schrodinger", "fp", "sde"),
         defaults=dict(x_min=-10.0, x_max=10.0, n=1001, dt=1e-3,
                       t_end=1.0, snapshot_stride=100, drift_stride=0),
+        # the dynamics are the user's, so only the initial cloud is known
+        peak_var=lambda p, t: p.alpha**2 / 2,
         omega=lambda spec: spec.omega_table,
         tables=True),
 }
@@ -132,8 +134,6 @@ _SPEC_KEYS = {
     "output": {"dir", "format"},
     "tables": {"drift_file", "omega_file"},
 }
-
-_SPARSE_FRAC = 1e-12  # hydro columns are blanked where rho < frac * peak
 
 
 class SpecError(ValueError):
@@ -274,17 +274,16 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     if "fp" in routes:
         _check_steps(t_end, fp_dt, "[time] fp_dt")
 
-    if scenario.peak_var is not None:
-        try:
-            sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
-        except ArithmeticError as exc:  # float ** overflows on huge [params]
-            raise SpecError(f"bad [params]: the expected spread overflows ({exc})") from exc
-        half = min(-grid.x_min, grid.x_max)
-        if half < min_half_sigmas * sigma:
-            raise SpecError(
-                f"domain half-width {half:g} is below {min_half_sigmas:g} x "
-                f"the expected peak standard deviation {sigma:.3g}; widen "
-                f"[grid] or lower min_half_sigmas")
+    try:
+        sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
+    except ArithmeticError as exc:  # float ** overflows on huge [params]
+        raise SpecError(f"bad [params]: the expected spread overflows ({exc})") from exc
+    half = min(-grid.x_min, grid.x_max)
+    if half < min_half_sigmas * sigma:
+        raise SpecError(
+            f"domain half-width {half:g} is below {min_half_sigmas:g} x "
+            f"the expected peak standard deviation {sigma:.3g}; widen "
+            f"[grid] or lower min_half_sigmas")
 
     sde_n = _get(cfg, "sde", "n_particles", int, 100000)
     sde_dt = _get(cfg, "sde", "dt", float, 1e-3)
@@ -376,8 +375,8 @@ class RouteData:
 
 def _mask_sparse(rho, cols):
     """The fields-file columns of a slice: rho, and the derived hydro columns
-    blanked where the density carries no information."""
-    thin = rho < _SPARSE_FRAC * float(np.max(rho))
+    blanked where the density carries no information (fieldcalc.sparse)."""
+    thin = fieldcalc.sparse(rho)
     out = {k: np.where(thin, np.nan, v) for k, v in cols.items()}
     out["rho"] = rho
     return out

@@ -159,8 +159,6 @@ class ComplexField:
 def gradient(f: ScalarField) -> ScalarField:
     """First derivative: centered second order inside, one-sided second order
     at the two boundary nodes."""
-    if f.grid.n < 3:
-        raise ValueError("gradient needs at least 3 nodes")
     return ScalarField(f.grid, np.gradient(f.values, f.grid.dx, edge_order=2))
 
 

@@ -65,6 +65,16 @@ class HydroFields:
         return self.rho.grid
 
 
+# The hydro fields of a density are its rounding where rho < SPARSE_FRAC of
+# its peak: the files blank them there and the wave's drift rows are 0
+SPARSE_FRAC = 1e-12
+
+
+def sparse(rho: np.ndarray) -> np.ndarray:
+    """The nodes where rho < SPARSE_FRAC * max(rho)."""
+    return rho < SPARSE_FRAC * float(np.max(rho))
+
+
 def floor_density(rho: ScalarField) -> ScalarField:
     """Clamp rho from below at 1e-300 * max(rho).
 

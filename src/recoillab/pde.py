@@ -21,16 +21,20 @@ psi' = 2 (I + i dt/2 H)^-1 psi - psi. A singular step matrix raises
 SolverError. The six routines come from scipy's compiled module
 scipy.linalg._flapack, loaded without the scipy.linalg package.
 
+One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
+ledger, the edge guard, the drift rows and the stored waves, and the march
+gives only the step, the norm, a cheap edge certificate and psi at a step.
 The free wave (Omega None) needs no solve: H is then D times the Dirichlet
 second difference, whose eigenvectors are the DST-I sine vectors, so the
 Cayley step multiplies sine coefficient k by exp(-2i arctan lambda_k). That
-march turns the coefficients back into psi, with one numpy.fft FFT, only at
-the steps it stores or tabulates, and where its edge guard cannot decide
-from three sampled nodes.
+march builds psi, with one numpy.fft FFT, only where the loop reads it.
 
-The bridge between the two descriptions is ``madelung_decompose``: rho = |psi|^2
-and S = 2D * theta with the phase theta unwrapped from x = 0 outward, giving
-v = grad S and the full hydrodynamic slice.
+The bridge between the two descriptions is the Madelung decomposition:
+rho = |psi|^2 and S = 2D * theta with the phase theta unwrapped from x = 0
+outward and checked for aliasing. ``madelung_decompose`` derives the full
+hydrodynamic slice from it, and each drift row the wave tabulates for the
+Fokker-Planck and particle routes is that slice's b = v + u column, 0 where
+``fieldcalc.sparse`` blanks the written column.
 """
 
 import importlib.machinery
@@ -42,9 +46,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ComplexField, Grid1D, ScalarField, SolverError, steps, stored_index,
-                   stored_steps, trapezoid)
-from .fieldcalc import HydroFields, hydro_from_rho_S
+from .core import (ComplexField, Grid1D, ScalarField, SolverError, gradient, steps,
+                   stored_index, stored_steps, trapezoid)
+from .fieldcalc import HydroFields, hydro_from_rho_S, osmotic_velocity, sparse
 from .sde import DriftSource, TabulatedDrift
 
 logger = logging.getLogger(__name__)
@@ -342,12 +346,6 @@ class WaveSolution:
         return self.psis[stored_index(self.times, t)]
 
 
-def _check_norm(new_norm: float, norm: float, t: float) -> None:
-    # negated comparison, so a NaN ledger fails too
-    if not abs(new_norm - norm) <= 1e-12:
-        raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t}")
-
-
 def _check_edge(prob: np.ndarray, edge_tol: float, t: float) -> None:
     peak = float(np.max(prob))
     if max(prob[0], prob[-1]) > edge_tol * peak:
@@ -362,17 +360,59 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     by solver roundoff (<= 1e-12 per step enforced). Aborts when probability
     reaches the Dirichlet boundary (edge density above edge_tol * peak).
 
-    With a potential, I + i dt/2 H is factored once with LAPACK zgttrf; each
-    step is one zgttrs solve through the Cayley identity
-    (I + i dt/2 H)^-1 (I - i dt/2 H) psi = 2 (I + i dt/2 H)^-1 psi - psi.
-    Its norm ledger is one vdot of psi with itself, and its edge guard reads
-    the two edge nodes alone unless the mean density cannot certify them.
-    Without one (Omega None) the same step is taken in the sine basis; see
-    ``_solve_free``.
+    The march is ``_lapack_march`` with a potential and ``_sine_march``
+    without one (Omega None). Each gives the four things that differ: take
+    a step, the norm, whether its cheap estimate certifies the edge guard,
+    and psi at a step. This loop holds the rest: the ledger, the exact
+    edge guard where the estimate cannot decide, a drift row
+    (``_drift_slice``) every drift_stride steps and a stored wave every
+    snapshot_stride steps. It reads psi only at those steps.
     """
-    if p.Omega is None:
-        return _solve_free(p)
-    grid, dx, n = p.grid, p.grid.dx, p.grid.n
+    name, advance, norm_of, edge_clear, wave_at = (
+        _sine_march(p) if p.Omega is None else _lapack_march(p))
+    grid = p.grid
+    n_steps = steps(p.t_end, p.dt)
+    stored = stored_steps(n_steps, p.snapshot_stride)
+    drift_steps = () if p.drift_stride is None else stored_steps(n_steps, p.drift_stride)
+
+    norm = norm_of()
+    norm_drift_max = 0.0
+    psis = [ComplexField(grid, p.psi0.values)]
+    drift_rows = [] if p.drift_stride is None else [_drift_slice(p.psi0.values, grid, p.D)]
+    for step in range(1, n_steps + 1):
+        t = step * p.dt
+        advance()
+        new_norm = norm_of()
+        norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
+        # negated comparison, so a NaN ledger fails too
+        if not abs(new_norm - norm) <= 1e-12:
+            raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t}")
+        norm = new_norm
+        guarded = not edge_clear(norm)
+        feed = bool(drift_rows) and step == drift_steps[len(drift_rows)]
+        keep = step == stored[len(psis)]
+        if not (guarded or feed or keep):
+            continue
+        psi = wave_at(step)
+        if guarded:
+            _check_edge(np.abs(psi) ** 2, p.edge_tol, t)
+        if feed:
+            drift_rows.append(_drift_slice(psi, grid, p.D))
+        if keep:
+            psis.append(ComplexField(grid, psi))
+    table = None
+    if p.drift_stride is not None:
+        table = TabulatedDrift(p.dt * drift_steps, grid, np.asarray(drift_rows))
+    return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D, Omega=p.Omega,
+                        drift_table=table, norm_drift_max=norm_drift_max, march=name)
+
+
+def _lapack_march(p: SchrodingerProblem):
+    """The march with a potential, one zgttrs solve a step. The peak density
+    is at least the mean norm/(n dx), so edge density at most half of
+    edge_tol times the mean certifies the guard (the half covers the
+    roundoff between the two)."""
+    dx, n = p.grid.dx, p.grid.n
     h_diag = 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D)
     h_off = -p.D / dx**2
     kappa = 0.5j * p.dt
@@ -380,19 +420,11 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     *lu, info = zgttrf(off, 1.0 + kappa * h_diag, off.copy(),
                        overwrite_dl=True, overwrite_d=True, overwrite_du=True)
     _check_lapack(info, "zgttrf")
-
-    n_steps = steps(p.t_end, p.dt)
-    stored = stored_steps(n_steps, p.snapshot_stride)
-    drift_steps = () if p.drift_stride is None else stored_steps(n_steps, p.drift_stride)
-
     psi = p.psi0.values.copy()
     work = np.empty_like(psi)
-    norm = np.vdot(psi, psi).real * dx
-    norm_drift_max = 0.0
-    psis = [ComplexField(grid, psi)]
-    drift_rows = [] if p.drift_stride is None else [_drift_slice(psi, grid, p.D)]
-    for k in range(n_steps):
-        t_next = (k + 1) * p.dt
+
+    def advance():
+        nonlocal psi, work
         np.copyto(work, psi)
         solved, info = zgttrs(*lu, work, overwrite_b=True)
         _check_lapack(info, "zgttrs")
@@ -400,20 +432,13 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
         solved -= psi
         psi, work = solved, psi
 
-        new_norm = np.vdot(psi, psi).real * dx
-        norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
-        _check_norm(new_norm, norm, t_next)
-        norm = new_norm
-        # the peak density is at least the mean norm/(n dx), so edge density
-        # at most half of edge_tol times the mean passes the exact guard (the
-        # half covers the roundoff between the two); otherwise it runs
-        if not max(abs(psi[0]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx):
-            _check_edge(np.abs(psi) ** 2, p.edge_tol, t_next)
-        if drift_rows and k + 1 == drift_steps[len(drift_rows)]:
-            drift_rows.append(_drift_slice(psi, grid, p.D))
-        if k + 1 == stored[len(psis)]:  # the next step to store
-            psis.append(ComplexField(grid, psi))
-    return _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max, "LAPACK")
+    def norm_of():
+        return np.vdot(psi, psi).real * dx
+
+    def edge_clear(norm):
+        return max(abs(psi[0]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx)
+
+    return "LAPACK", advance, norm_of, edge_clear, lambda step: psi
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:
@@ -427,26 +452,24 @@ def _dst1(v: np.ndarray) -> np.ndarray:
     return 0.5j * np.fft.fft(ext)[1:n + 1]
 
 
-def _solve_free(p: SchrodingerProblem) -> WaveSolution:
-    """The free Cayley march in the sine basis.
+def _sine_march(p: SchrodingerProblem):
+    """The free march (Omega None) in the sine basis.
 
     H = -D d^2/dx^2 with Dirichlet ends has the eigenvectors
     sin(pi k (j+1)/(n+1)), so each step multiplies the DST-I coefficients c
     by exp(-2i arctan lambda_k), lambda_k = (dt D/dx^2)(1 - cos(pi k/(n+1))).
-    The per-step checks stay those of the LAPACK march:
 
-    - the norm ledger comes from Parseval, (2/(n+1)) sum |c_k|^2 dx;
-    - the edge guard reads psi at both edges and at the peak of |psi0| from
-      one product of c with their sine rows. Edge density at most half of
-      edge_tol times the largest of the three passes the exact guard, whose
+    - The norm comes from Parseval, (2/(n+1)) sum |c_k|^2 dx.
+    - The edge estimate reads psi at both edges and at the peak of |psi0|
+      from one product of c with their sine rows. Edge density at most half
+      of edge_tol times the largest of the three certifies the guard, whose
       peak is at least that large; the half covers the roundoff between the
-      two estimates. Otherwise psi is built and the exact guard runs.
-
-    psi itself is built, by one FFT, only at stored and tabulated steps and
-    where the guard falls back. There c is retaken as c0 exp(-i step theta_k),
-    so the stored waves carry no step-fold rounding of the phase product.
+      two estimates.
+    - psi at a step is one FFT. There c is retaken as c0 exp(-i step
+      theta_k), so the stored waves carry no step-fold rounding of the
+      phase product.
     """
-    grid, dx, n = p.grid, p.grid.dx, p.grid.n
+    dx, n = p.grid.dx, p.grid.n
     k = np.arange(1, n + 1)
     lam = (p.dt * p.D / dx**2) * 2.0 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
     theta = 2.0 * np.arctan(lam)
@@ -456,110 +479,69 @@ def _solve_free(p: SchrodingerProblem) -> WaveSolution:
     # sin(pi k (j+1)/(n+1)) with k (j+1) reduced mod 2(n+1) in integers
     probe = (scale * np.sin(np.pi * (np.outer(nodes + 1, k) % (2 * (n + 1))) / (n + 1))
              ).astype(complex)
-
-    n_steps = steps(p.t_end, p.dt)
-    stored = stored_steps(n_steps, p.snapshot_stride)
-    drift_steps = () if p.drift_stride is None else stored_steps(n_steps, p.drift_stride)
-
     c0 = _dst1(p.psi0.values)
     c = c0.copy()
-    norm = scale * np.vdot(c, c).real * dx
-    norm_drift_max = 0.0
-    psis = [ComplexField(grid, p.psi0.values.copy())]
-    drift_rows = [] if p.drift_stride is None else [_drift_slice(p.psi0.values, grid, p.D)]
-    for step in range(1, n_steps + 1):
-        t_next = step * p.dt
-        c *= phase
-        new_norm = scale * np.vdot(c, c).real * dx
-        norm_drift_max = max(norm_drift_max, abs(new_norm - norm))
-        _check_norm(new_norm, norm, t_next)
-        norm = new_norm
 
+    def advance():
+        nonlocal c
+        c *= phase
+
+    def norm_of():
+        return scale * np.vdot(c, c).real * dx
+
+    def edge_clear(norm):
         left, right, start = (abs(a) ** 2 for a in (probe @ c).tolist())
         edge = max(left, right)
-        guarded = not edge <= 0.5 * p.edge_tol * max(edge, start)
-        feed = bool(drift_rows) and step == drift_steps[len(drift_rows)]
-        keep = step == stored[len(psis)]
-        if not (guarded or feed or keep):
-            continue
+        return edge <= 0.5 * p.edge_tol * max(edge, start)
+
+    def wave_at(step):
+        nonlocal c
         c = c0 * np.exp(-1j * (step * theta))
-        psi = scale * _dst1(c)
-        if guarded:
-            _check_edge(np.abs(psi) ** 2, p.edge_tol, t_next)
-        if feed:
-            drift_rows.append(_drift_slice(psi, grid, p.D))
-        if keep:
-            psis.append(ComplexField(grid, psi))
-    return _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max,
-                          "sine basis")
+        return scale * _dst1(c)
+
+    return "sine basis", advance, norm_of, edge_clear, wave_at
 
 
-def _wave_solution(p, stored, psis, drift_steps, drift_rows, norm_drift_max, march):
-    table = None
-    if p.drift_stride is not None:
-        table = TabulatedDrift(p.dt * drift_steps, p.grid, np.asarray(drift_rows))
-    return WaveSolution(grid=p.grid, times=p.dt * stored, psis=psis, D=p.D,
-                        Omega=p.Omega, drift_table=table, norm_drift_max=norm_drift_max,
-                        march=march)
+def _madelung(psi: np.ndarray, grid: Grid1D, D: float):
+    """(rho, S) of one wave: rho = |psi|^2 and S = 2D * theta, the phase
+    theta unwrapped from the node nearest x = 0 outward, where the density
+    (and thus the raw phase) is most trustworthy.
 
-
-def _unwrap_from_center(theta_raw: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Unwrap the phase starting at the node closest to x = 0 and walking
-    outward in both directions, so the anchor is where the density (and thus
-    the raw phase) is most trustworthy."""
+    Under-resolution aliases neighbouring phase differences toward +-pi,
+    and jumps at or beyond pi are unrecoverable, so a jump within 5% of the
+    limit between nodes where rho exceeds 1e-6 of its peak raises
+    MadelungError."""
+    rho = np.abs(psi) ** 2
+    raw = np.angle(psi)
     i0 = int(np.argmin(np.abs(grid.x)))
-    theta = np.empty_like(theta_raw)
-    theta[i0:] = np.unwrap(theta_raw[i0:])
-    theta[: i0 + 1] = np.unwrap(theta_raw[i0::-1])[::-1]
-    return theta
-
-
-def _check_phase_resolution(theta: np.ndarray, rho: np.ndarray):
-    """Under-resolution aliases neighbouring phase differences toward the
-    +-pi boundary. Jumps at or beyond pi are unrecoverable, so anything within
-    5% of the limit where rho exceeds 1e-6 of its peak is treated as an error."""
+    theta = np.empty_like(raw)
+    theta[i0:] = np.unwrap(raw[i0:])
+    theta[: i0 + 1] = np.unwrap(raw[i0::-1])[::-1]
     dense = rho > 1e-6 * np.max(rho)
-    pair = dense[1:] & dense[:-1]
-    if not np.any(pair):
-        return
-    jumps = np.abs(np.diff(theta))[pair]
-    worst = float(np.max(jumps))
+    worst = float(np.max(np.abs(np.diff(theta))[dense[1:] & dense[:-1]], initial=0.0))
     if worst >= 0.95 * np.pi:
         raise MadelungError(
             f"phase jump {worst:.3f} rad between adjacent high-density nodes "
             f"(aliasing limit pi = {np.pi:.3f}); refine the grid"
         )
+    return ScalarField(grid, rho), ScalarField(grid, 2.0 * D * theta)
 
 
 def _drift_slice(psi: np.ndarray, grid: Grid1D, D: float) -> np.ndarray:
-    """Forward drift b = v + u of one wave slice, zeroed where rho < 1e-12
-    of peak (the phase there is numerical noise; the region carries a mass
-    fraction below 1e-12, invisible at the tested tolerances)."""
-    rho = np.abs(psi) ** 2
-    floor = 1e-12 * float(np.max(rho))
-    theta = _unwrap_from_center(np.angle(psi), grid)
-    S = ScalarField(grid, 2.0 * D * theta)
-    v = np.gradient(S.values, grid.dx, edge_order=2)
-    u = D * np.gradient(np.log(np.maximum(rho, floor)), grid.dx, edge_order=2)
-    return np.where(rho >= floor, v + u, 0.0)
+    """Drift row of one wave: the b = v + u column of its Madelung slice,
+    bit for bit, and 0 where ``fieldcalc.sparse`` blanks that column (the
+    phase there is march rounding)."""
+    rho, S = _madelung(psi, grid, D)
+    b = gradient(S).values + osmotic_velocity(rho, D).values
+    return np.where(sparse(rho.values), 0.0, b)
 
 
 def madelung_decompose(w: WaveSolution, t: float) -> HydroFields:
-    """Hydrodynamic slice of the wave at a stored time: rho = |psi|^2,
-    S = 2D * theta (phase unwrapped from the center), everything else derived
-    on the mesh. Raises MadelungError when the phase is under-resolved."""
+    """Hydrodynamic slice of the wave at a stored time: rho and S from
+    ``_madelung``, everything else derived on the mesh."""
     i = stored_index(w.times, t)
-    psi = w.psis[i].values
-    rho = np.abs(psi) ** 2
-    theta = _unwrap_from_center(np.angle(psi), w.grid)
-    _check_phase_resolution(theta, rho)
-    return hydro_from_rho_S(
-        t=float(w.times[i]),
-        rho=ScalarField(w.grid, rho),
-        S=ScalarField(w.grid, 2.0 * w.D * theta),
-        D=w.D,
-        Omega=w.Omega,
-    )
+    rho, S = _madelung(w.psis[i].values, w.grid, w.D)
+    return hydro_from_rho_S(t=float(w.times[i]), rho=rho, S=S, D=w.D, Omega=w.Omega)
 
 
 def build_recoil_problem(rho0: ScalarField, Omega: Optional[ScalarField], D: float,

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # diagnostics is imported here so that TestMemory does not trace its import
-from recoillab import artifacts, cli, diagnostics, pde, sde  # noqa: F401
+from recoillab import artifacts, cli, diagnostics, fieldcalc, pde, sde  # noqa: F401
 from recoillab.artifacts import PARTICLE_MAGIC, compare_runs, read_particles_binary
 from recoillab.cli import SpecError, load_spec, main
 from recoillab.core import steps
@@ -175,6 +175,37 @@ n = 201
 t_end = 0.5
 """)
         assert self.rc(path) == 2
+
+    def test_custom_cloud_outside_the_grid(self, tmp_path, capsys):
+        # the initial cloud sits at x = 0, off this grid: its normalisation
+        # would divide 0 by 0, so the domain check stops the spec first
+        (tmp_path / "drift.csv").write_text(
+            "nan," + ",".join(str(x) for x in range(90, 112, 2)) + "\n"
+            + "\n".join(f"{t}," + ",".join(["0"] * 11) for t in (0, 1)) + "\n")
+        path = write_cfg(tmp_path, "far.cfg", """
+[scenario]
+kind = custom
+routes = fp
+
+[grid]
+x_min = 100
+x_max = 108
+n = 81
+
+[time]
+t_end = 0.2
+
+[tables]
+drift_file = drift.csv
+""")
+        out = tmp_path / "out"
+        with pytest.raises(SpecError, match="domain half-width"):
+            load_spec(path)
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec: domain half-width")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["n = 4", "x_max = inf",
                                       "x_min = -1e308\nx_max = 1e308\nn = 9"],
@@ -532,6 +563,38 @@ n_particles = 1000
         assert "solver failure:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("snapshot_stride", [1571, 5])
+    def test_a_drift_row_that_aliases_between_stored_steps_returns_three(
+            self, tmp_path, capsys, snapshot_stride):
+        # a breathing cloud on a coarse grid: the phase jump reaches 3.113 rad
+        # near t = 1.545, where only the drift rows look, so the verdict must
+        # not hang on whether a stored slice lands there too
+        path = write_cfg(tmp_path, "alias.cfg", f"""
+[scenario]
+kind = harmonic_recoil
+routes = analytic, schrodinger, fp
+
+[params]
+alpha = 0.5
+gamma = 2
+
+[grid]
+x_min = -12
+x_max = 12
+n = 121
+
+[time]
+dt = 1e-3
+fp_dt = 1e-3
+t_end = 1.571
+snapshot_stride = {snapshot_stride}
+drift_stride = 5
+""")
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: phase jump" in err and "refine the grid" in err
+        assert "Traceback" not in err
+
     def test_madelung_failure_returns_three(self, tmp_path, monkeypatch, capsys):
         def under_resolved(*args, **kwargs):
             raise pde.MadelungError("phase jump 3.1 rad")
@@ -702,6 +765,32 @@ omega_file = omega.csv
         assert waves[0].drift_table is None
         assert waves[1].drift_table.times.tolist() == pytest.approx([0.0, 0.02, 0.04, 0.06,
                                                                      0.08, 0.1])
+
+    @pytest.mark.parametrize("spec", ["free_recoil", "smoke_free_recoil"])
+    def test_each_drift_row_is_the_written_b_column(self, tmp_path, monkeypatch, spec):
+        # at every step that is stored and tabulated, the drift row is the b
+        # column of fields_schrodinger.csv where that column is written, and
+        # 0 where it is blanked
+        waves = []
+        solve = pde.solve_schrodinger
+        monkeypatch.setattr(pde, "solve_schrodinger",
+                            lambda prob: waves.append(solve(prob)) or waves[-1])
+        loaded = load_spec(os.path.join(SPEC_DIR, f"{spec}.cfg"), out_dir=str(tmp_path))
+        assert cli.run_scenario(dataclasses.replace(loaded, routes=("schrodinger", "fp"))) == 0
+        table = waves[0].drift_table
+        data = np.loadtxt(tmp_path / "fields_schrodinger.csv", delimiter=",", skiprows=1)
+        checked = 0
+        for t in np.unique(data[:, 0]):
+            k = np.flatnonzero(table.times == t)
+            if not k.size:
+                continue
+            rows = data[data[:, 0] == t]
+            rho, b, row = rows[:, 2], rows[:, 6], table.values[k[0]]
+            written = ~fieldcalc.sparse(rho)
+            np.testing.assert_array_equal(row[written], b[written])
+            assert np.all(np.isnan(b[~written])) and np.all(row[~written] == 0.0)
+            checked += 1
+        assert checked == {"free_recoil": 11, "smoke_free_recoil": 6}[spec]
 
     def test_one_entry_adds_a_scenario(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(cli.SCENARIOS, "ou_copy", dataclasses.replace(

@@ -676,3 +676,16 @@ class TestDriftExtraction:
         rebuilt = tabulate_drift(wave)
         np.testing.assert_array_equal(rebuilt.times, wave.drift_table.times)
         np.testing.assert_array_equal(rebuilt.values, wave.drift_table.values)
+
+    def test_an_underresolved_phase_stops_the_drift_rows(self):
+        # the rows take the unwrap and phase check of madelung_decompose
+        g = Grid1D(-1.0, 1.0, 101)
+        psi = ComplexField(g, np.sqrt(0.5) * np.exp(0.96j * np.pi * np.arange(g.n)))
+        wave = WaveSolution(grid=g, times=np.array([0.0, 1.0]), psis=[psi, psi], D=1.0,
+                            Omega=None, drift_table=None, norm_drift_max=0.0)
+        with pytest.raises(MadelungError, match="refine the grid"):
+            tabulate_drift(wave)
+        problem = SchrodingerProblem(grid=g, psi0=psi, Omega=None, D=1.0, dt=1e-3,
+                                     t_end=1e-3, drift_stride=1)
+        with pytest.raises(MadelungError, match="refine the grid"):
+            solve_schrodinger(problem)
