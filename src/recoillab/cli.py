@@ -371,6 +371,7 @@ class RouteData:
     msd: object                   # MsdSeries
     energy: object = None         # EnergyReport or None
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
+    ledger: dict = field(default_factory=dict)     # the grid solver's, for report.json
 
 
 def _mask_sparse(rho, cols):
@@ -437,7 +438,8 @@ def _run_schrodinger(spec) -> tuple:
     energy = energy_report(hydro())
     rhos = (ScalarField(spec.grid, np.abs(psi.values) ** 2) for psi in wave.psis)
     data = RouteData(fields=fields, final_rho=np.abs(wave.psis[-1].values) ** 2,
-                     msd=msd_from_fields(wave.times, rhos, source="pde"), energy=energy)
+                     msd=msd_from_fields(wave.times, rhos, source="pde"), energy=energy,
+                     ledger={"march": wave.march, "norm_drift_max": wave.norm_drift_max})
     return data, wave
 
 
@@ -519,7 +521,10 @@ def _run_fp(spec, drift) -> RouteData:
                 "Q": fieldcalc.osmotic_pressure(u, p.D).values})
 
     return RouteData(fields=fields, final_rho=sol.rhos[-1].values,
-                     msd=msd_from_fields(sol.times, sol.rhos, source="pde"))
+                     msd=msd_from_fields(sol.times, sol.rhos, source="pde"),
+                     ledger={"march": sol.march, "mass_drift_max": sol.mass_drift_max,
+                             "min_density": sol.min_density, "mass_change": sol.mass_change,
+                             "positivity_bound": sol.positivity_bound})
 
 
 def _run_sde(spec, drift) -> RouteData:
@@ -615,6 +620,7 @@ def _build_report(spec, results) -> dict:
                  "sde_dt": spec.sde_dt},
         "tolerances": dict(spec.tolerances),
         "series": {}, "energy": {}, "dispersion": {},
+        "ledgers": {route: data.ledger for route, data in results.items() if data.ledger},
         "comparisons": comparisons,
         "gates": gates,
         "passed": all(g["passed"] for g in gates),
@@ -635,7 +641,7 @@ def _write_artifacts(spec, results, report) -> dict:
     """Name the run's files by route; artifacts.write_run writes them. Each
     fields file is fed by its route's ``fields()``, so every slice's columns
     are built as that slice is written and dropped once it is."""
-    x_text = artifacts._format_column(spec.grid.x)
+    x_text = artifacts._text_slots(spec.grid.x)
     files = {}
     for route, data in results.items():
         files[f"fields_{route}.csv"] = artifacts._fields_csv(data.fields(), x_text)

@@ -114,19 +114,6 @@ class FokkerPlanckProblem:
         mass = trapezoid(self.rho0.values, dx=self.grid.dx)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"rho0 must be normalized, integral = {mass}")
-        if logger.isEnabledFor(logging.INFO):
-            # Crank-Nicolson keeps rho >= 0 while its explicit half I + dt/2 A
-            # has no negative entry, dt/2 max|A_ii| <= 1 (the implicit side is
-            # an M-matrix). Chang-Cooper gives |A_ii| <= 2D/dx^2 + max|b|/dx
-            # at nodes the drift does not leave through both faces (2 max|b|).
-            dx = self.grid.dx
-            b = self.drift(self.grid.x[:-1] + 0.5 * dx, 0.0)
-            bound = 0.5 * self.dt * float(np.max(-_fp_operator(b, self.D, dx, self.grid.n)[1]))
-            logger.info(
-                "fokker-planck dt=%.3g, positivity bound dt/2 max|A_ii| = %.3g at t=0 (%s)",
-                self.dt, bound,
-                "respected" if bound <= 1.0 else "exceeded; the density may undershoot",
-            )
 
 
 @dataclass(frozen=True)
@@ -136,6 +123,8 @@ class FpSolution:
     rhos: list
     mass_drift_max: float
     min_density: float
+    mass_change: float  # final minus initial sum(rho) dx
+    positivity_bound: float  # dt/2 max|A_ii| at t = 0
     march: str = "LAPACK"  # or "symmetric", the static drift's LDL^T march
 
     def rho_at(self, t: float) -> ScalarField:
@@ -241,6 +230,14 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
         return _fp_operator(p.drift(x_half, t), p.D, dx, n)
 
     tri_now = operator(0.0)
+    # Crank-Nicolson keeps rho >= 0 while its explicit half I + dt/2 A has no
+    # negative entry, dt/2 max|A_ii| <= 1 (the implicit side is an
+    # M-matrix). Chang-Cooper gives |A_ii| <= 2D/dx^2 + max|b|/dx at nodes
+    # the drift does not leave through both faces (2 max|b|).
+    bound = kappa * float(np.max(-tri_now[1]))
+    logger.info("fokker-planck dt=%.3g, positivity bound dt/2 max|A_ii| = %.3g at t=0 (%s)",
+                p.dt, bound,
+                "respected" if bound <= 1.0 else "exceeded; the density may undershoot")
     symmetric = None if time_dependent else _symmetrize(tri_now[0], tri_now[2])
     if symmetric is not None:
         s, off = symmetric
@@ -268,7 +265,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             return rho
 
     rho = p.rho0.values.copy()
-    mass = float(rho.sum() * dx)
+    mass0 = mass = float(rho.sum() * dx)
     mass_drift_max = 0.0
     min_density = float(rho.min())
     rhos = [ScalarField(grid, rho)]
@@ -289,6 +286,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             rhos.append(ScalarField(grid, rho))
     return FpSolution(grid=grid, times=p.dt * stored, rhos=rhos,
                       mass_drift_max=mass_drift_max, min_density=min_density,
+                      mass_change=mass - mass0, positivity_bound=bound,
                       march="LAPACK" if symmetric is None else "symmetric")
 
 

@@ -906,6 +906,25 @@ class TestSmokeArtifacts:
             assert report["series"][route]["times"][0] == 0.0
         assert len(report["comparisons"]) == 3
 
+    def test_report_ledgers(self, smoke_run):
+        # each grid route's solver ledger; the particle route keeps none
+        _, out = smoke_run
+        report = json.loads((out / "report.json").read_text())
+        ledgers = report["ledgers"]
+        assert set(ledgers) == {"schrodinger", "fp"}
+        assert set(ledgers["schrodinger"]) == {"march", "norm_drift_max"}
+        assert ledgers["schrodinger"]["march"] == "sine basis"
+        assert 0 <= ledgers["schrodinger"]["norm_drift_max"] <= 1e-12
+        fp = ledgers["fp"]
+        assert set(fp) == {"march", "mass_drift_max", "min_density", "mass_change",
+                           "positivity_bound"}
+        assert fp["march"] == "LAPACK"  # the wave's drift table changes in time
+        assert 0 <= fp["mass_drift_max"] <= 1e-12
+        n_steps = steps(report["time"]["t_end"], report["time"]["fp_dt"])
+        assert abs(fp["mass_change"]) <= n_steps * fp["mass_drift_max"]
+        assert fp["min_density"] >= -1e-12
+        assert 0 < fp["positivity_bound"] <= 1
+
     def test_hydro_columns_masked_in_the_tails(self, smoke_run):
         # rho is always written; derived columns blank where the density
         # carries no mass (log/phase there is numerical noise)
@@ -1074,14 +1093,14 @@ class TestCrashMidWrite:
         second = out / names[1]
         second.unlink()  # so the rerun's own copy marks that it got there
 
-        format_column = artifacts._format_column
+        text_slots = artifacts._text_slots
 
         def failing(values):
             if second.exists():
                 raise RuntimeError("formatter failed")
-            return format_column(values)
+            return text_slots(values)
 
-        monkeypatch.setattr(artifacts, "_format_column", failing)
+        monkeypatch.setattr(artifacts, "_text_slots", failing)
         assert run_smoke(out) == 4
         assert "RuntimeError: formatter failed" in capsys.readouterr().err
         assert (out / names[0]).read_bytes() == (first / names[0]).read_bytes()

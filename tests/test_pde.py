@@ -64,6 +64,18 @@ class TestFokkerPlanck:
         assert sol.mass_drift_max < 1e-12
         assert sol.min_density > -1e-12
 
+    def test_solution_records_the_whole_run_mass_change_and_positivity_bound(self):
+        g = Grid1D(-8.0, 8.0, 321)
+        drift = ou_drift(PhysicalParams(gamma=1.5))
+        problem = FokkerPlanckProblem(grid=g, rho0=initial_density(g), drift=drift,
+                                      D=1.0, dt=1e-2, t_end=1.0, snapshot_stride=50)
+        sol = solve_fokker_planck(problem)
+        assert sol.mass_change == (float(sol.rhos[-1].values.sum() * g.dx)
+                                   - float(problem.rho0.values.sum() * g.dx))
+        assert abs(sol.mass_change) <= 100 * sol.mass_drift_max
+        diag = pde._fp_operator(drift(g.x[:-1] + 0.5 * g.dx, 0.0), 1.0, g.dx, g.n)[1]
+        assert sol.positivity_bound == 0.5 * problem.dt * float(np.max(-diag)) > 0
+
     @pytest.mark.parametrize("D", [1.0, 0.1])
     def test_step_log_states_the_positivity_bound(self, caplog, D):
         # dt = 0.05 on dx = 0.1 under b = 12 sin(3x) undershoots; at D = 0.1
@@ -73,17 +85,19 @@ class TestFokkerPlanck:
         problem = FokkerPlanckProblem(
             grid=g, rho0=initial_density(g), D=D, dt=0.05, t_end=1.0,
             drift=SmoluchowskiDrift(lambda x: 12.0 * np.sin(3.0 * x)))
-        assert "positivity bound" in caplog.text
-        assert "exceeded" in caplog.text
         with pytest.raises(SolverError, match="undershoot"):
             solve_fokker_planck(problem)
+        # logged before the first step
+        assert "positivity bound" in caplog.text
+        assert "exceeded" in caplog.text
 
     def test_step_log_respected_for_a_small_step(self, caplog):
         g = Grid1D(-5.0, 5.0, 101)
         caplog.set_level(logging.INFO, logger="recoillab.pde")
-        FokkerPlanckProblem(grid=g, rho0=initial_density(g), D=1.0, dt=1e-3,
-                            t_end=1.0, drift=ZeroDrift())
+        sol = solve_fokker_planck(FokkerPlanckProblem(
+            grid=g, rho0=initial_density(g), D=1.0, dt=1e-3, t_end=1.0, drift=ZeroDrift()))
         assert "respected" in caplog.text
+        assert sol.positivity_bound <= 1.0
 
     def test_ou_relaxes_to_boltzmann_profile(self, ou_fp, ou_params):
         g = ou_fp.grid

@@ -2,7 +2,9 @@
 recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
 the runner loads no scipy module, the particle KDE loads no scipy.ndimage,
 and the grid solvers load scipy's compiled LAPACK module without the
-scipy.linalg package, which a whole run never loads either, nor scipy.fft."""
+scipy.linalg package, which a whole run never loads either, nor scipy.fft.
+Importing the runner builds no table of the CSV text kernel, and a whole
+run loads neither fractions nor decimal to build it."""
 
 import os
 import subprocess
@@ -80,13 +82,13 @@ class TestSmoothingMatchesScipy:
         assert bits(gaussian_smooth(y, sigma)) == bits(theirs)
 
 
-def modules_after(statement):
-    """Names of the scipy modules loaded by a fresh interpreter after it runs
-    the statement (which must not raise)."""
+def modules_after(statement, packages=("scipy",)):
+    """Names of the modules of the packages loaded by a fresh interpreter
+    after it runs the statement (which must not raise)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(recoillab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = (f"{statement}\nimport sys\n"
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(out.splitlines()[-1].split())
@@ -159,6 +161,21 @@ class TestImports:
         assert "scipy.linalg._flapack" in loaded
         assert "scipy.linalg" not in loaded
         assert "scipy.fft" not in loaded  # the free wave march uses numpy.fft
+
+    def test_runner_builds_no_text_tables(self):
+        modules_after("import recoillab.cli\n"
+                      "from recoillab import artifacts\n"
+                      "assert artifacts._kernel_tables.cache_info().currsize == 0")
+
+    def test_a_full_run_loads_no_exact_arithmetic_modules(self, tmp_path):
+        # the powers of ten come from int true division, which rounds correctly
+        loaded = modules_after(
+            "from recoillab.cli import main\n"
+            "from recoillab import artifacts\n"
+            f"assert main(['run', {SMOKE!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert artifacts._kernel_tables.cache_info().currsize == 1",
+            packages=("fractions", "decimal", "_decimal", "_pydecimal"))
+        assert loaded == set()
 
     def test_kde_loads_no_ndimage(self):
         loaded = modules_after(

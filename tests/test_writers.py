@@ -1,13 +1,16 @@
 """The streaming artifact writers of recoillab.artifacts against the row-by-row
 reference writers: byte for byte, block by block, and through the manifest.
 Each writer runs at the module's block size and at three rows per block, so
-slices and snapshots span several blocks."""
+slices and snapshots span several blocks. The numpy text kernel under every
+CSV writer is checked against Python's "%.17g" on over a million values
+chosen to reach each of its branches."""
 
 import hashlib
 import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from collections import namedtuple
 from types import SimpleNamespace
 from unittest import mock
@@ -75,10 +78,104 @@ def snapshots(draw):
             for _ in range(draw(st.integers(0, 4)))]
 
 
+def texts(values):
+    """The kernel's text of each value, as a list of str."""
+    slots = artifacts._text_slots(values).reshape(artifacts._SLOTS, -1)
+    return [col.tobytes().translate(None, b"\0").decode() for col in slots.T]
+
+
+def assert_formats_like_python(values):
+    """The kernel writes every value as "%.17g" % v does, and warns of
+    nothing while it does; 65 536 values are checked at a time."""
+    values = np.asarray(values, dtype=float).ravel()
+    for lo in range(0, values.size, 1 << 16):
+        chunk = values[lo:lo + (1 << 16)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = artifacts._csv_rows(artifacts._text_slots(chunk))
+        expected = "".join("%.17g\n" % v for v in chunk.tolist()).encode()
+        if got != expected:
+            wrong = [(v.hex(), g, e) for v, g, e in zip(chunk.tolist(), texts(chunk),
+                                                        expected.decode().split())
+                     if g != e]
+            raise AssertionError(f"{len(wrong)} value(s) differ, first: {wrong[:5]}")
+
+
+def neighbours(x, steps=1):
+    """The floats within steps ulps of each of x, x itself included."""
+    x = np.asarray(x, dtype=float)
+    out, down, up = [x], x, x
+    for _ in range(steps):
+        with np.errstate(over="ignore"):  # the largest float's upper one is inf
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+def exact_ties(rng, per_scale=500):
+    """Floats q / 2**s, q odd, whose exact decimal expansion has 18
+    significant digits: each lies halfway between two 17-digit decimals, and
+    "%.17g" rounds it to the even one. None exist above 2**53."""
+    ties = []
+    for s in range(2, 26):
+        lo, hi = -(-10**17 // 5**s), min(10**18 // 5**s, 2**53)
+        for q in rng.integers(lo, hi, per_scale).tolist():
+            q |= 1
+            if q < hi and 10**17 <= q * 5**s < 10**18:
+                ties.append(q / 2**s)
+    assert len(ties) > 20 * per_scale
+    return np.array(ties)
+
+
 class TestFormatColumn:
     @given(columns(st.integers(0, 20)))
     def test_each_value_is_formatted_on_its_own(self, col):
-        assert artifacts._format_column(col) == ["%.17g" % v for v in col]
+        assert texts(col) == ["%.17g" % v for v in col]
+
+    def test_random_bit_patterns_of_every_exponent(self):
+        bits = np.random.default_rng(1).integers(0, 2**64, 10**6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        exponents = np.unique((bits >> np.uint64(52)) & np.uint64(0x7FF))
+        assert exponents.size == 2048  # subnormal, every normal one, and inf/nan
+        assert_formats_like_python(values)
+
+    def test_both_neighbours_of_every_power_of_ten(self):
+        # log10 can put a power's lower neighbour one decade too high; the
+        # kernel must see that from the unrounded mantissa, or
+        # 9.9999999999999996e-281 reads 1e-280
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        assert_formats_like_python(np.concatenate([neighbours(powers), -neighbours(powers)]))
+        assert texts([9.9999999999999996e-281]) == ["9.9999999999999996e-281"]
+
+    def test_exact_ties_round_to_even(self):
+        ties = exact_ties(np.random.default_rng(2))
+        assert_formats_like_python(np.concatenate([ties, -ties]))
+        assert texts([1 + 2.0**-17]) == ["1.0000076293945312"]  # ...3125 exactly
+
+    def test_subnormals(self):
+        mantissas = np.random.default_rng(3).integers(1, 2**52, 10**5, dtype=np.uint64)
+        values = mantissas.view(np.float64)
+        assert_formats_like_python(np.concatenate([values, -values, [5e-324, -5e-324]]))
+
+    def test_edges_of_the_kernel_range(self):
+        edges = [artifacts._SMALLEST, artifacts._LARGEST, 2.2250738585072014e-308,
+                 1.7976931348623157e308]
+        assert_formats_like_python(np.concatenate([neighbours(edges, 5), -neighbours(edges, 5)]))
+
+    def test_zeros_infinities_and_nans(self):
+        signed_nan = np.array([0xFFF8000000000000, 0xFFF0000000000001,
+                               0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan], signed_nan])
+        assert np.signbit(signed_nan[:2]).all()
+        assert texts(values) == ["0", "-0", "inf", "-inf", "nan", "nan", "nan", "nan"]
+        assert_formats_like_python(values)
+
+    def test_integers_up_to_2_to_the_53(self):
+        rng = np.random.default_rng(4)
+        ints = np.concatenate([np.arange(0, 2**18), rng.integers(0, 2**53, 10**5),
+                               2**53 - np.arange(1000), 10 ** np.arange(16)]).astype(float)
+        assert_formats_like_python(np.concatenate([ints, -ints]))
+        assert texts(np.arange(200_000.0)) == [str(i) for i in range(200_000)]
 
 
 class TestWritersMatchTheReference:
@@ -87,7 +184,7 @@ class TestWritersMatchTheReference:
     def test_fields(self, case):
         x, slices = case
         for rows in BLOCK_ROWS:
-            blocks = blocks_of(artifacts._fields_csv, slices, artifacts._format_column(x),
+            blocks = blocks_of(artifacts._fields_csv, slices, artifacts._text_slots(x),
                                rows=rows)
             assert_blocked(blocks, [x.size] * len(slices), rows)
             assert joined(blocks) == ref.fields_csv(slices, x)
@@ -98,7 +195,7 @@ class TestWritersMatchTheReference:
         slices = [(0.0, {"rho": np.exp(-x**2)}), (0.5, {"rho": np.full(9, 1e-320)})]
         for rows in BLOCK_ROWS:
             text = joined(blocks_of(artifacts._fields_csv, slices,
-                                    artifacts._format_column(x), rows=rows))
+                                    artifacts._text_slots(x), rows=rows))
             assert text == ref.fields_csv(slices, x)
             assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
 
