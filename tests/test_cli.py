@@ -417,6 +417,46 @@ drift_file = drift.csv
         assert run_smoke(tmp_path / "out", "--seed", seed) == 2
         assert capsys.readouterr().err.startswith("invalid spec: seed")
 
+    BROWNIAN = "[scenario]\nkind = free_brownian\nroutes = analytic\n"
+    CUSTOM = "[scenario]\nkind = custom\nroutes = {}\n[time]\nt_end = 0.2\n[tables]\n"
+
+    @pytest.mark.parametrize("body, table, said", [
+        ("[scenario]\nkind = free_brownian\n", None,
+         "missing required option [scenario] routes"),
+        ("[params]\nD = 1\n", None, "spec needs a [scenario] section"),
+        ("[scenario]\nkind = nope\nroutes = analytic\n", None,
+         "unknown scenario kind 'nope'"),
+        ("[scenario]\nkind = smoluchowski_ou\nroutes = analytic\n", None,
+         "scenario 'smoluchowski_ou' needs gamma > 0"),
+        (BROWNIAN + "[time]\nsnapshot_stride = 0\n", None, "snapshot_stride must be >= 1"),
+        (BROWNIAN + "[output]\nformat = hdf5\n", None, "output format must be csv or binary"),
+        ("[scenario]\nkind = custom\nroutes = schrodinger\n", None,
+         "route 'schrodinger' needs [tables] omega_file"),
+        ("[scenario]\nkind = free_recoil\nroutes = schrodinger, fp\n[time]\ndrift_stride = 0\n",
+         None, "drift_stride must be >= 1"),
+        (CUSTOM.format("fp") + "drift_file = table.csv\n", "nan,-10,10\n0,1,1\n",
+         "drift table needs >= 2 times and >= 8 grid points"),
+        (CUSTOM.format("schrodinger") + "omega_file = no_such.csv\n", None,
+         "cannot read omega table"),
+        (CUSTOM.format("schrodinger") + "omega_file = table.csv\n", "-10,0,0\n10,0,0\n",
+         "omega table must have two columns"),
+        (CUSTOM.format("schrodinger") + "omega_file = table.csv\n", "-5,0\n5,0\n",
+         "omega table must cover the run grid"),
+    ], ids=["no routes", "no scenario section", "unknown kind", "OU without gamma",
+            "snapshot_stride = 0", "format = hdf5", "wave without omega_file",
+            "drift_stride = 0", "one-row drift table", "missing omega_file",
+            "three-column omega table", "omega table narrower than the grid"])
+    def test_rejected_before_any_route(self, tmp_path, capsys, body, table, said):
+        # load_spec finds each of these, so no route runs and no out dir is made
+        if table is not None:
+            (tmp_path / "table.csv").write_text(table)
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, "bad.cfg", body), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and said in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 # junk for every numeric spec key: non-finite, zero, negative, huge, text
 JUNK = ["nan", "-nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "-1e300",
@@ -727,6 +767,53 @@ omega_file = omega.csv
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
         assert (out / "fields_fp.csv").is_file()
+
+    def test_custom_routes_take_the_drift_file(self, tmp_path):
+        # b = -x tabulated at t = 0 and t = 1 is the OU drift with gamma = 1,
+        # so the custom fp route, an LU march of the table, must give the OU
+        # fp route's symmetric march to roundoff; 4000 particles are too few
+        # for the default l1_rho
+        x = np.linspace(-12.0, 12.0, 241)
+        np.savetxt(tmp_path / "drift.csv", [np.r_[np.nan, x], np.r_[0.0, -x], np.r_[1.0, -x]],
+                   delimiter=",")
+        body = """
+[scenario]
+kind = {}
+routes = fp, sde
+seed = 3
+
+[params]
+alpha = 2
+gamma = 1
+
+[grid]
+x_min = -12
+x_max = 12
+n = 241
+
+[time]
+dt = 1e-2
+t_end = 1
+snapshot_stride = 10
+
+[sde]
+n_particles = 4000
+
+[tolerances]
+l1_rho = 1
+"""
+        runs = {}
+        for kind, tables in [("custom", "[tables]\ndrift_file = drift.csv\n"),
+                             ("smoluchowski_ou", "")]:
+            out = runs[kind] = tmp_path / kind
+            path = write_cfg(tmp_path, f"{kind}.cfg", body.format(kind) + tables)
+            assert main(["run", path, "--out", str(out)]) == 0
+            march = json.loads((out / "report.json").read_text())["ledgers"]["fp"]["march"]
+            assert march == {"custom": "LAPACK", "smoluchowski_ou": "symmetric"}[kind]
+        for name, column in [("fields_fp.csv", "rho"), ("msd_fp.csv", "msd")]:
+            a, b = (np.genfromtxt(run / name, delimiter=",", names=True)[column]
+                    for run in runs.values())
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind, routes, tables, stride", [
         ("free_recoil", "analytic, schrodinger, fp, sde", "", 5),
@@ -1237,6 +1324,18 @@ class TestCompareSaysByHowMuch:
         moved = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                  if line.startswith("  ") and float(line.split()[3]) > 0]
         assert moved == ["rho", "msd", "stderr", "x"]
+
+    def test_runs_in_two_formats(self, smoke_run, binary_run, capsys):
+        # one seed, so only the particle file, named by its format, differs
+        (_, a), (_, b) = smoke_run, binary_run
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == 1
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last == "runs differ"
+        names = json.loads((a / "manifest.json").read_text())["files"]
+        assert dict(line.split(maxsplit=1) for line in lines) == dict(
+            dict.fromkeys(names, "identical"),
+            **{"particles_sde.csv": "only in A", "particles_sde.bin": "only in B"})
 
 
 class TestMemory:
