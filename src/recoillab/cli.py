@@ -359,16 +359,17 @@ class RouteData:
     """What one route keeps for the artifacts and gates.
 
     A route keeps what its slices are derived from (the stored psi, the
-    stored fp densities, the closed form, the KDE densities) and no column
-    built from it. ``fields`` builds the stored slices from that, one at a
-    time, each time it is called; the writer calls it once and drops each
-    slice after writing it. Every check that can raise SolverError runs in
+    stored fp densities, the KDE densities) and no column built from it.
+    ``fields`` builds the stored slices from that, one at a time, each time
+    it is called; the writer calls it once, drops each slice after writing
+    it, and writes no fields file for a route without it (the analytic
+    route, a closed form). Every check that can raise SolverError runs in
     the route, so building a slice raises none.
     """
 
-    fields: Callable              # () -> iterator of (t, {col: array}); last = t_end
     final_rho: np.ndarray         # the density at t_end, which the report compares
     msd: object                   # MsdSeries
+    fields: Optional[Callable] = None  # () -> iterator of (t, {col: array}); last = t_end
     energy: object = None         # EnergyReport or None
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
     ledger: dict = field(default_factory=dict)     # the grid solver's, for report.json
@@ -392,15 +393,12 @@ def _run_analytic(spec) -> RouteData:
     # the steps the wave march stores
     times = spec.dt * stored_steps(steps(spec.t_end, spec.dt), spec.snapshot_stride)
 
-    def fields():
-        return ((float(t), sol.fields(grid.x, t)) for t in times)
-
     energy = energy_report(fieldcalc.hydro_from_arrays(
-        t, grid, rho=cols["rho"], S=cols["S"], v=cols["v"], u=cols["u"],
-        Q=cols["Q"], Omega=None if omega is None else omega.values)
-        for t, cols in fields())
+        t, grid, rho=c["rho"], S=c["S"], v=c["v"], u=c["u"], Q=c["Q"],
+        Omega=None if omega is None else omega.values)
+        for t in times for c in [sol.fields(grid.x, t)])
     rhos = (ScalarField(grid, sol.rho(grid.x, t)) for t in times)
-    return RouteData(fields=fields, final_rho=sol.rho(grid.x, times[-1]),
+    return RouteData(final_rho=sol.rho(grid.x, times[-1]),
                      msd=msd_from_fields(times, rhos, source="analytic"), energy=energy)
 
 
@@ -638,13 +636,14 @@ def _build_report(spec, results) -> dict:
 
 
 def _write_artifacts(spec, results, report) -> dict:
-    """Name the run's files by route; artifacts.write_run writes them. Each
-    fields file is fed by its route's ``fields()``, so every slice's columns
-    are built as that slice is written and dropped once it is."""
+    """Name the run's files by route; artifacts.write_run writes them. A
+    route's ``fields()``, if it has one, feeds its fields file, so every
+    slice's columns are built as that slice is written and dropped after."""
     x_text = artifacts._text_slots(spec.grid.x)
     files = {}
     for route, data in results.items():
-        files[f"fields_{route}.csv"] = artifacts._fields_csv(data.fields(), x_text)
+        if data.fields is not None:
+            files[f"fields_{route}.csv"] = artifacts._fields_csv(data.fields(), x_text)
         files[f"msd_{route}.csv"] = artifacts._msd_csv(data.msd)
         if data.energy is not None:
             files[f"energy_{route}.csv"] = artifacts._energy_csv(data.energy)

@@ -1101,12 +1101,34 @@ class TestSingleSources:
     def test_analytic_samples_the_wave_steps(self, stepped_run):
         rc, out = stepped_run
         assert rc == 0
-        t_analytic = np.loadtxt(out / "fields_analytic.csv", delimiter=",",
+        t_analytic = np.loadtxt(out / "msd_analytic.csv", delimiter=",",
                                 skiprows=1, usecols=0)
-        t_wave = np.loadtxt(out / "fields_schrodinger.csv", delimiter=",",
+        t_wave = np.loadtxt(out / "msd_schrodinger.csv", delimiter=",",
                             skiprows=1, usecols=0)
         np.testing.assert_array_equal(t_analytic, t_wave)
         assert t_wave[-1] == 7 * 0.1
+
+    def test_analytic_route_writes_no_closed_form_fields(self, stepped_run):
+        # the closed form is an oracle, not data: the run keeps its msd and
+        # energy series, and report.json rebuilds its fields (README recipe)
+        rc, out = stepped_run
+        assert rc == 0
+        names = set(os.listdir(out))
+        assert {"msd_analytic.csv", "energy_analytic.csv"} <= names
+        assert "fields_analytic.csv" not in names
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) == names - {"manifest.json"}
+
+        from recoillab import Grid1D, PhysicalParams, ScalarField
+        report = json.loads((out / "report.json").read_text())
+        p = report["params"]  # t0 is derived from alpha and D
+        sol = cli.SCENARIOS[report["scenario"]].solution(
+            PhysicalParams(D=p["D"], gamma=p["gamma"], alpha=p["alpha"]))
+        grid = Grid1D(**report["grid"])
+        msd = np.loadtxt(out / "msd_analytic.csv", delimiter=",", skiprows=1, ndmin=2)
+        rhos = (ScalarField(grid, sol.fields(grid.x, t)["rho"]) for t in msd[:, 0])
+        rebuilt = diagnostics.msd_from_fields(msd[:, 0], rhos).values
+        assert rebuilt.tobytes() == msd[:, 1].tobytes()
 
     @pytest.mark.parametrize("run", ["stepped_run", "smoke_run"])
     def test_gates_read_the_comparisons(self, request, run):

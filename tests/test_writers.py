@@ -267,7 +267,8 @@ class TestWritersMatchTheReference:
 
 @st.composite
 def run_results(draw):
-    """A spec stand-in and route results with every artifact kind."""
+    """A spec stand-in and route results with every artifact kind; a route
+    may have no fields builder, and then no fields file."""
     grid = Grid1D(-1.0, 1.0, draw(st.integers(8, 12)))
     fmt = draw(st.sampled_from(["csv", "binary"]))
     results = {}
@@ -281,7 +282,8 @@ def run_results(draw):
         if route in ("analytic", "schrodinger"):
             energy = EnergyReport(times, *(draw(columns(times.size)) for _ in range(3)))
         results[route] = cli.RouteData(
-            fields=slices.__iter__, final_rho=None, energy=energy,
+            fields=draw(st.sampled_from([slices.__iter__, None])),
+            final_rho=None, energy=energy,
             msd=Series(times, draw(columns(times.size)),
                        draw(columns(times.size)) if route == "sde" else None),
             snapshots=draw(snapshots()) if route == "sde" else [])
@@ -298,6 +300,9 @@ class TestWriteArtifacts:
     def test_files_and_manifest_match_the_reference(self, case):
         spec, results, report = case
         files, manifest_bytes = ref.artifacts(spec, results, report)
+        assert {n for n in files if n.startswith("fields_")} == {
+            f"fields_{route}.csv" for route, data in results.items()
+            if data.fields is not None}
         for rows in BLOCK_ROWS:
             with tempfile.TemporaryDirectory() as tmp:
                 spec.out_dir = tmp
