@@ -184,9 +184,14 @@ def _finite_nonneg(value, key):
     return value
 
 
-def _check_steps(t_end, dt, key):
+def _check_steps(t_end, dt, key, runs=True):
     """core.steps as a spec check: dt must divide t_end (both > 0) into at
-    most core.MAX_STEPS steps."""
+    most core.MAX_STEPS steps. The step of a route that does not run is still
+    recorded in report.json, so it must at least be finite and > 0."""
+    if not runs:
+        if not 0 < dt < np.inf:
+            raise SpecError(f"{key} = {dt!r} must be finite and > 0")
+        return
     try:
         steps(t_end, dt)
     except ValueError as exc:
@@ -271,8 +276,7 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
         raise SpecError("snapshot_stride must be >= 1")
     # also without the wave route: the analytic route samples the wave's steps
     _check_steps(t_end, dt, "[time] dt")
-    if "fp" in routes:
-        _check_steps(t_end, fp_dt, "[time] fp_dt")
+    _check_steps(t_end, fp_dt, "[time] fp_dt", "fp" in routes)
 
     try:
         sigma = float(np.sqrt(scenario.peak_var(params, t_end)))
@@ -288,8 +292,8 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     sde_n = _get(cfg, "sde", "n_particles", int, 100000)
     sde_dt = _get(cfg, "sde", "dt", float, 1e-3)
     sde_stride = 1
+    _check_steps(t_end, sde_dt, "[sde] dt", "sde" in routes)
     if "sde" in routes:
-        _check_steps(t_end, sde_dt, "[sde] dt")
         sde_stride = _get(cfg, "sde", "snapshot_stride", int, stride_for(0.25, sde_dt))
         if sde_n < 2 or sde_stride < 1:
             raise SpecError("[sde] n_particles must be >= 2 (the msd's jackknife "

@@ -1,6 +1,7 @@
 """Particle-ensemble integrator for dX = b(X,t) dt + sqrt(2D) dW.
 
-Euler-Maruyama stepping (weak order 1). The noise is one SFC64 stream
+A general drift takes Euler-Maruyama steps (weak order 1); a drift linear
+in x jumps by its exact transition. The noise is one SFC64 stream
 seeded by SeedSequence([seed, 1]). The stream is sequential, not
 counter-based: a draw is reached only by drawing every one before it.
 ``evolve`` moves the ensemble from one stored step to the next through its
@@ -10,11 +11,10 @@ drift's ``march`` hook, which consumes the stream in one of two orders:
   in place, then the scaled noise, so particle i at step k consumes draw
   k*n + i;
 - per interval, for a drift linear in x (``LinearDrift``, ``ZeroDrift``):
-  m steps of the chain x <- a x + s z, a = 1 + rate dt, are one Gaussian
-  jump x <- a^m x + s sqrt(V) z, V = sum_{j<m} a^(2j), so particle i in the
-  j-th interval between stored steps consumes draw j*n + i. This is the law
-  of the discrete chain, not of the continuous process, so the route keeps
-  its O(dt) bias.
+  the process over the interval's T = m dt is one Gaussian jump
+  x <- e^(rate T) x + s sqrt(V) z, s^2 V = 2D (e^(2 rate T) - 1)/(2 rate),
+  so particle i in the j-th interval between stored steps consumes draw
+  j*n + i. The jump carries no step bias: dt sets only the stored times.
 
 Every update is a single-threaded vectorized numpy expression, so
 trajectories are bitwise reproducible for a given seed regardless of
@@ -65,35 +65,20 @@ class DriftSource:
             x += noise
 
 
-def linear_em_law(rate_dt: float, m: int) -> tuple:
-    """Growth a^m and noise variance factor V = sum_{j<m} a^(2j) of m steps of
-    the chain x <- a x + s z, a = 1 + rate_dt: after them x = a^m x0 + s sqrt(V) z.
-
-    With l = log a^2, V = expm1(m l)/expm1(l) keeps the digits that the
-    direct ratio (a^(2m) - 1)/(a^2 - 1) cancels near a = 1. For a > 1 the
-    factor a^(2(m-1)) comes out first, so V overflows to inf only where the
-    sum does.
-    """
+def linear_transition(rate_dt: float, m: int) -> tuple:
+    """Growth e^(m r) and variance factor V = expm1(2 m r)/(2 r), r = rate_dt,
+    of the exact transition of dx = rate x dt + sqrt(2D) dW over T = m dt:
+    x(T) = e^(m r) x(0) + s sqrt(V) z with s = sqrt(2 D dt). Past the float
+    range either one is inf."""
     if rate_dt == 0.0:
         return 1.0, float(m)
-    a = 1.0 + rate_dt
-    with np.errstate(over="ignore", divide="ignore"):
-        # log1p keeps the digits of rate_dt that 1 + rate_dt rounds away;
-        # log(-0.0) = -inf gives V = 1 at a = 0
-        l = 2.0 * (np.log1p(rate_dt) if a > 0 else np.log(-a))
-        if l == 0.0:  # a = -1
-            v = float(m)
-        elif l < 0:
-            v = np.expm1(m * l) / np.expm1(l)
-        else:
-            v = np.exp((m - 1) * l) * (np.expm1(-m * l) / np.expm1(-l))
-        growth = np.exp(0.5 * m * l) if a > 0 else np.float64(a) ** m
-    return float(growth), float(v)
+    with np.errstate(over="ignore"):
+        return float(np.exp(m * rate_dt)), float(np.expm1(2 * m * rate_dt) / (2 * rate_dt))
 
 
 class LinearDrift(DriftSource):
-    """Linear drift b = rate * x. Its march jumps over a whole interval with
-    one draw per particle."""
+    """Linear drift b = rate * x. Its march jumps over a whole interval by
+    the exact transition, with one draw per particle."""
 
     time_dependent = False
 
@@ -104,7 +89,7 @@ class LinearDrift(DriftSource):
         return self.rate * x
 
     def march(self, x, t0, dt, steps, rng, scale, noise):
-        growth, v = linear_em_law(self.rate * dt, len(steps))
+        growth, v = linear_transition(self.rate * dt, len(steps))
         x *= growth
         rng.standard_normal(out=noise)
         noise *= scale * math.sqrt(v)

@@ -288,6 +288,10 @@ bogus = 1.0
                             "[time]\nt_end = 1e12"),
         ("smoluchowski_ou", "routes = analytic, fp, sde\n[params]\ngamma = 1\n"
                             "[time]\nt_end = 1e300"),
+        # the step of a route that does not run is still written to
+        # report.json, where NaN is not JSON
+        ("free_brownian", "routes = analytic, fp\n[sde]\ndt = nan"),
+        ("free_brownian", "routes = analytic, sde\n[time]\nfp_dt = -5"),
     ])
     def test_bad_step_or_ensemble_setting(self, tmp_path, capsys, section, setting):
         # t_end defaults to 1; the solvers would reject these settings mid-run,
@@ -302,7 +306,7 @@ bogus = 1.0
         err = capsys.readouterr().err
         assert err.startswith("invalid spec:")
         assert "Traceback" not in err
-        if section in cli.SCENARIOS:
+        if "t_end" in setting:
             assert "MAX_STEPS = 100000000" in err
 
     @pytest.mark.parametrize("body", [
@@ -568,18 +572,24 @@ min_half_sigmas = 1
 [sde]
 n_particles = 2000
 """,
-        # gamma dt = 3 makes the Euler chain grow 2x a step until x^2 overflows,
-        # and gamma dt = 100 until the positions themselves do
+        # the exact OU jump is stable at any gamma dt, so the cloud itself
+        # must outgrow the floats: at D/gamma = 1e306 the sum of x^2 over the
+        # particles overflows, and at D = 1e308 the noise scale sqrt(2 D dt)
+        # does, and with it the positions themselves
         """
 [scenario]
 kind = smoluchowski_ou
 routes = sde
 
 [params]
-gamma = 3000
+D = 1e306
+gamma = 1
+
+[grid]
+x_min = -1e155
+x_max = 1e155
 
 [sde]
-dt = 1e-3
 n_particles = 1000
 """,
         """
@@ -588,10 +598,14 @@ kind = smoluchowski_ou
 routes = sde
 
 [params]
-gamma = 100000
+D = 1e308
+gamma = 1
+
+[grid]
+x_min = -1e155
+x_max = 1e155
 
 [sde]
-dt = 1e-3
 n_particles = 1000
 """,
     ], ids=["wave_escape", "kde_escape", "msd_overflow", "position_overflow"])

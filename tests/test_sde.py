@@ -1,18 +1,15 @@
-"""Particle sampling, Euler-Maruyama evolution, moments, and the kernel
-density estimator. Stochastic assertions use frozen seeds with 3-4 sigma
-bands so they are deterministic."""
+"""Particle sampling, evolution (Euler-Maruyama steps, exact linear jumps),
+moments, and the kernel density estimator. Stochastic assertions use frozen
+seeds with 3-4 sigma bands so they are deterministic."""
 
 import math
-import sys
-from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.stats import ks_2samp
+from scipy.stats import kstest, norm
 
 from recoillab.core import Grid1D, PhysicalParams, ScalarField, integrate
 from recoillab.analytic import FreeRecoilSolution, ou_variance
@@ -29,7 +26,7 @@ from recoillab.sde import (
     empirical_moments,
     evolve,
     kde_density,
-    linear_em_law,
+    linear_transition,
     ou_drift,
     sample_initial,
     silverman_bandwidth,
@@ -315,8 +312,8 @@ class TestEvolveIsBitExact:
 
 def interval_law_reference(state, rate, params, config):
     """The interval loop evolve() must reproduce bit for bit for a linear
-    drift: one jump x <- a^m x + sqrt(2 D dt V) z per stored interval of m
-    steps, with the growth a^m and variance factor V of linear_em_law."""
+    drift: one jump x <- e^(m r) x + sqrt(2 D dt V) z per stored interval of
+    m steps, with the growth and variance factor V of linear_transition."""
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([config.seed, 1])))
     sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
     n_steps = int(round((config.t_end - state.t) / config.dt))
@@ -324,82 +321,69 @@ def interval_law_reference(state, rate, params, config):
     x = state.positions.copy()
     out = [x]
     for first, last in zip(stored, stored[1:]):
-        growth, v = linear_em_law(rate * config.dt, last - first)
+        growth, v = linear_transition(rate * config.dt, last - first)
         x = growth * x + (sqrt_noise * math.sqrt(v)) * rng.standard_normal(x.size)
         out.append(x)
     return out
 
 
-def exact_linear_law(rate_dt, m):
-    """a^m and V = sum_{j<m} a^(2j), a = 1 + rate_dt, summed exactly in
-    rational arithmetic and rounded once to float (inf past its range).
-
-    The sum doubles, V(2k) = V(k) (1 + A^k), and grows by one term,
-    V(k+1) = 1 + A V(k), with A = a^2 = p / 2^e: each V(k) is an integer
-    numerator over 2^(e (k-1)), and each A^k one over 2^(e k).
-    """
-    a = 1 + Fraction(rate_dt)
-    big_a = a * a
-    p, e = big_a.numerator, big_a.denominator.bit_length() - 1
-    num, p_k, k = 1, p, 1
-    for bit in bin(m)[3:]:
-        num, p_k, k = num * ((1 << e * k) + p_k), p_k * p_k, 2 * k
-        if bit == "1":
-            num, p_k, k = (1 << e * k) + p * num, p_k * p, k + 1
-
-    def rounded(top, bottom):
-        try:
-            return top / bottom  # int / int rounds correctly
-        except OverflowError:
-            return math.inf if top > 0 else -math.inf
-
-    return rounded(a.numerator**m, a.denominator**m), rounded(num, 1 << e * (m - 1))
-
-
 class TestLinearLaw:
-    """m Euler-Maruyama steps of x <- a x + s z in one Gaussian jump."""
+    """m steps of dx = rate x dt + sqrt(2D) dW in one exact Gaussian jump."""
 
     @settings(max_examples=60, deadline=None)
-    @given(rate_dt=st.sampled_from([0.0, 1e-12, -1e-12, -1.0, -2.0])
-           | st.floats(-1.9, 1.0).filter(lambda r: abs(r) >= 1e-12),
-           m=st.integers(1, 10**4))
-    @example(rate_dt=1e-12, m=10**4)
-    @example(rate_dt=-1e-12, m=10**4)
-    @example(rate_dt=0.0, m=10**4)
-    @example(rate_dt=-1.0, m=10**4)   # a = 0
-    @example(rate_dt=-2.0, m=10**4)   # a = -1
-    @example(rate_dt=0.9, m=553)      # a^(2m) past the float range, V inside it
-    def test_matches_the_exact_sum(self, rate_dt, m):
-        growth, v = linear_em_law(rate_dt, m)
-        want_growth, want_v = exact_linear_law(rate_dt, m)
-        assert v == pytest.approx(want_v, rel=1e-12)
-        assert growth == pytest.approx(want_growth, rel=1e-12, abs=sys.float_info.min)
+    @given(rate_dt=st.floats(-5.0, 0.03).filter(lambda r: abs(r) >= 1e-12),
+           m=st.integers(1, 10**4), split=st.floats(0.0, 1.0))
+    @example(rate_dt=1e-12, m=10**4, split=0.5)
+    @example(rate_dt=-1e-12, m=10**4, split=0.5)
+    def test_matches_exp_and_expm1(self, rate_dt, m, split):
+        growth, v = linear_transition(rate_dt, m)
+        assert growth == pytest.approx(math.exp(m * rate_dt), rel=1e-14)
+        assert v == pytest.approx(math.expm1(2 * m * rate_dt) / (2 * rate_dt), rel=1e-14)
+        if abs(rate_dt) == 1e-12:
+            # the digits that the direct ratio (e^(2 m r) - 1)/(2 r) cancels
+            assert v == pytest.approx(m * (1 + m * rate_dt), rel=1e-12)
+        # two jumps in a row are one: the law is a semigroup in m
+        k = int(split * m)
+        g1, v1 = linear_transition(rate_dt, k)
+        g2, v2 = linear_transition(rate_dt, m - k)
+        assert growth == pytest.approx(g1 * g2, rel=1e-12)
+        assert v == pytest.approx(v1 * g2**2 + v2, rel=1e-12)
 
     def test_exact_at_the_ends(self):
-        assert linear_em_law(0.0, 37) == (1.0, 37.0)
-        assert linear_em_law(-2.0, 37) == (-1.0, 37.0)
-        assert linear_em_law(-1.0, 37) == (0.0, 1.0)
-        assert linear_em_law(0.3, 1)[1] == 1.0
-        assert linear_em_law(1.0, 10**4) == (math.inf, math.inf)
+        assert linear_transition(0.0, 37) == (1.0, 37.0)
+        growth, v = linear_transition(-2.0, 37)
+        assert growth == pytest.approx(math.exp(-74.0), rel=1e-14) and v == 0.25  # stationary
+        assert linear_transition(1.0, 10**4) == (math.inf, math.inf)
 
     @pytest.mark.parametrize("m", [1, 7, 60])
     def test_jump_has_the_law_of_the_steps(self, m):
-        # from a point start x0, 2e5 particles: the jump's mean a^m x0 and
-        # variance s^2 V within 4 standard errors, and a two-sample KS test
-        # against the per-step loop does not reject at the 0.1 % level
+        # from a point start x0, 2e5 particles after m steps of dt: the mean
+        # e^(-gamma T) x0 and variance (D/gamma)(1 - e^(-2 gamma T)) of the
+        # OU process at T = m dt within 4 standard errors, and a KS test
+        # against that normal does not reject at the 0.1 % level
         params = PhysicalParams(D=0.7, alpha=1.0, gamma=1.3)
         n, x0, dt = 200_000, 1.5, 0.02
         state = EnsembleState(t=0.0, positions=np.full(n, x0))
         config = SdeConfig(n_particles=n, dt=dt, t_end=m * dt, seed=3, snapshot_stride=m)
         x = evolve(state, ou_drift(params), params, config)[-1].positions
-        a = 1.0 - params.gamma * dt
-        mean = a**m * x0
-        var = 2.0 * params.D * dt * sum(a ** (2 * j) for j in range(m))
+        decay = math.exp(-params.gamma * m * dt)
+        mean = decay * x0
+        var = params.D / params.gamma * (1.0 - decay**2)
         assert abs(x.mean() - mean) < 4.0 * np.sqrt(var / n)
         assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (n - 1))
-        steps = euler_maruyama_reference(state, lambda y, _t, _dt: y * a, params,
-                                         replace(config, seed=4))[-1]
-        assert ks_2samp(x, steps).pvalue > 1e-3
+        assert kstest(x, norm(mean, math.sqrt(var)).cdf).pvalue > 1e-3
+
+    def test_coarse_step_has_no_bias(self):
+        # one interval of 100 steps of dt = 0.1 = 0.1/gamma from x = 0: the
+        # Euler-Maruyama chain would end with variance
+        # 2 D dt / (1 - (1 - gamma dt)^2) = 1.053, 17 standard errors high
+        params = PhysicalParams(D=1.0, alpha=1.0, gamma=1.0)
+        n = 200_000
+        state = EnsembleState(t=0.0, positions=np.zeros(n))
+        config = SdeConfig(n_particles=n, dt=0.1, t_end=10.0, seed=3, snapshot_stride=100)
+        x = evolve(state, ou_drift(params), params, config)[-1].positions
+        var = params.D / params.gamma * -math.expm1(-20.0)
+        assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (n - 1))
 
 
 class TestMoments:
