@@ -19,7 +19,7 @@ potential factors I + i dt/2 H once with zgttrf and takes each step with a
 single zgttrs solve through the same identity
 psi' = 2 (I + i dt/2 H)^-1 psi - psi. A singular step matrix raises
 SolverError. The six routines come from scipy's compiled module
-scipy.linalg._flapack, loaded without the scipy.linalg package.
+scipy.linalg._flapack, loaded without running scipy's package init.
 
 One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
 ledger, the edge guard, the drift rows and the stored waves, and the march
@@ -40,6 +40,7 @@ Fokker-Planck and particle routes is that slice's b = v + u column, 0 where
 import importlib.machinery
 import importlib.util
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -55,27 +56,27 @@ logger = logging.getLogger(__name__)
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK module, found in the scipy.linalg directory and
-    run without the scipy.linalg package (which costs about 0.3 s and 18 MB).
+    """scipy's compiled LAPACK module, loaded from scipy's linalg directory
+    without running ``scipy/__init__`` or the scipy.linalg package (which
+    cost about 0.3 s and 18 MB).
 
     It is registered under its own name, so a later ``import scipy.linalg``
-    reuses it; where the path finder cannot see it, the ordinary import
-    loads the same module.
+    reuses it. Where scipy or the module cannot be found there, or loading
+    it directly raises, the ordinary import loads the same module.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    dirs = importlib.util.find_spec("scipy.linalg").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
-    if spec is None:
-        return importlib.import_module(name)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     try:
+        dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "linalg") for d in dirs])
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
+        return module
+    except Exception:
+        sys.modules.pop(name, None)
+        return importlib.import_module(name)
 
 
 _flapack = _load_flapack()
@@ -376,7 +377,11 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     norm = norm_of()
     norm_drift_max = 0.0
     psis = [ComplexField(grid, p.psi0.values)]
-    drift_rows = [] if p.drift_stride is None else [_drift_slice(p.psi0.values, grid, p.D)]
+    rows = np.empty((len(drift_steps), grid.n))  # the drift table, filled in place
+    fed = 0
+    if len(rows):
+        rows[0] = _drift_slice(p.psi0.values, grid, p.D)
+        fed = 1
     for step in range(1, n_steps + 1):
         t = step * p.dt
         advance()
@@ -387,7 +392,7 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
             raise SolverError(f"norm ledger moved {new_norm - norm:.3e} in one step at t={t}")
         norm = new_norm
         guarded = not edge_clear(norm)
-        feed = bool(drift_rows) and step == drift_steps[len(drift_rows)]
+        feed = fed and step == drift_steps[fed]
         keep = step == stored[len(psis)]
         if not (guarded or feed or keep):
             continue
@@ -395,12 +400,11 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
         if guarded:
             _check_edge(np.abs(psi) ** 2, p.edge_tol, t)
         if feed:
-            drift_rows.append(_drift_slice(psi, grid, p.D))
+            rows[fed] = _drift_slice(psi, grid, p.D)
+            fed += 1
         if keep:
             psis.append(ComplexField(grid, psi))
-    table = None
-    if p.drift_stride is not None:
-        table = TabulatedDrift(p.dt * drift_steps, grid, np.asarray(drift_rows))
+    table = TabulatedDrift(p.dt * drift_steps, grid, rows) if fed else None
     return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D, Omega=p.Omega,
                         drift_table=table, norm_drift_max=norm_drift_max, march=name)
 

@@ -30,7 +30,8 @@ from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, gaussian_sm
                    steps, stored_steps)
 
 
-# particles per TabulatedDrift lookup pass; keeps the working buffers in cache
+# particles per TabulatedDrift lookup pass and KDE binning pass; keeps the
+# working buffers in cache
 _LOOKUP_CHUNK = 8192
 
 
@@ -51,7 +52,7 @@ class DriftSource:
         raise NotImplementedError
 
     def march(self, x: np.ndarray, t0: float, dt: float, steps: range,
-              rng: np.random.Generator, scale: float, noise: np.ndarray) -> None:
+              rng: "np.random.Generator", scale: float, noise: np.ndarray) -> None:
         """Euler-Maruyama steps ``steps`` of the ensemble x, in place. Step k
         starts at t0 + k*dt and adds ``scale`` times one standard normal per
         particle, drawn into the buffer ``noise``."""
@@ -357,12 +358,15 @@ def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
     h = max(silverman_bandwidth(pos), grid.dx)
 
     # linear binning: each particle splits its weight between the two
-    # neighbouring nodes, preserving total mass and the first moment
-    rel = (pos - grid.x_min) / grid.dx
-    idx = np.clip(rel.astype(int), 0, grid.n - 2)
-    frac = rel - idx
+    # neighbouring nodes, preserving total mass and the first moment. The
+    # shares are added _LOOKUP_CHUNK particles at a time, in particle order,
+    # every lower-node share before any upper-node share
     counts = np.zeros(grid.n)
-    np.add.at(counts, idx, 1.0 - frac)
-    np.add.at(counts, idx + 1, frac)
+    for upper in (0, 1):
+        for lo in range(0, pos.size, _LOOKUP_CHUNK):
+            rel = (pos[lo:lo + _LOOKUP_CHUNK] - grid.x_min) / grid.dx
+            idx = np.clip(rel.astype(int), 0, grid.n - 2)
+            frac = rel - idx
+            np.add.at(counts, idx + upper, frac if upper else 1.0 - frac)
     density = counts / (pos.size * grid.dx)
     return ScalarField(grid, gaussian_smooth(density, h / grid.dx))

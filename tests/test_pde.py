@@ -4,6 +4,7 @@ scheme, and the Madelung decomposition that links the two."""
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -694,6 +695,25 @@ class TestDriftExtraction:
         rebuilt = tabulate_drift(wave)
         np.testing.assert_array_equal(rebuilt.times, wave.drift_table.times)
         np.testing.assert_array_equal(rebuilt.values, wave.drift_table.values)
+
+    def test_the_table_is_built_in_place(self):
+        # 401 drift rows of a 2001-node wave and two stored waves. The traced
+        # peak stays below one table plus the stored psi plus half a table
+        # of slack, which a solve holding the rows and a copy of them at once
+        # would exceed on its own
+        g = Grid1D(-16.0, 16.0, 2001)
+        problem = build_recoil_problem(initial_density(g), None, D=1.0,
+                                       dt=1e-3, t_end=0.4, snapshot_stride=400,
+                                       drift_stride=1)
+        tracemalloc.start()
+        try:
+            wave = solve_schrodinger(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = wave.drift_table.values
+        assert table.shape == (401, g.n)
+        assert peak < 1.5 * table.nbytes + sum(f.values.nbytes for f in wave.psis)
 
     def test_an_underresolved_phase_stops_the_drift_rows(self):
         # the rows take the unwrap and phase check of madelung_decompose

@@ -3,6 +3,7 @@ moments, and the kernel density estimator. Stochastic assertions use frozen
 seeds with 3-4 sigma bands so they are deterministic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import kstest, norm
 
-from recoillab.core import Grid1D, PhysicalParams, ScalarField, integrate
+from recoillab.core import Grid1D, PhysicalParams, ScalarField, gaussian_smooth, integrate
 from recoillab.analytic import FreeRecoilSolution, ou_variance
 from recoillab.sde import (
     AnalyticRecoilDrift,
@@ -23,6 +24,7 @@ from recoillab.sde import (
     SmoluchowskiDrift,
     TabulatedDrift,
     ZeroDrift,
+    _LOOKUP_CHUNK,
     empirical_moments,
     evolve,
     kde_density,
@@ -414,7 +416,41 @@ class TestMoments:
             empirical_moments(state)
 
 
+def one_pass_kde(state, grid):
+    """kde_density with its linear binning done in one np.add.at pass per
+    node side over the whole ensemble."""
+    pos = state.positions
+    rel = (pos - grid.x_min) / grid.dx
+    idx = np.clip(rel.astype(int), 0, grid.n - 2)
+    frac = rel - idx
+    counts = np.zeros(grid.n)
+    np.add.at(counts, idx, 1.0 - frac)
+    np.add.at(counts, idx + 1, frac)
+    h = max(silverman_bandwidth(pos), grid.dx)
+    return gaussian_smooth(counts / (pos.size * grid.dx), h / grid.dx)
+
+
 class TestKde:
+    def test_binning_spans_several_chunks(self):
+        # three chunks and a part of one, with particles on both grid ends
+        # and on nodes, in shuffled order
+        g = Grid1D(-3.0, 5.0, 801)
+        rng = np.random.default_rng(7)
+        pos = rng.uniform(g.x_min, g.x_max, 3 * _LOOKUP_CHUNK + 1001)
+        pos[rng.choice(pos.size, 300, replace=False)] = rng.choice(g.x, 300)
+        pos[[5, _LOOKUP_CHUNK, 2 * _LOOKUP_CHUNK + 3, -1]] = [g.x_min, g.x_max, g.x_min, g.x_max]
+        state = EnsembleState(t=0.0, positions=pos)
+        got = kde_density(state, g).values
+        assert got.tobytes() == one_pass_kde(state, g).tobytes()
+
+    def test_escape_message_is_unchanged(self):
+        g = Grid1D(-1.0, 1.0, 101)
+        pos = np.zeros(2 * _LOOKUP_CHUNK + 5)
+        pos[[3, _LOOKUP_CHUNK + 1]] = [np.nextafter(g.x_min, -np.inf), 1.5]
+        with pytest.raises(DriftDomainError, match=re.escape(
+                "2 particle(s) fall outside the KDE grid; widen it")):
+            kde_density(EnsembleState(t=0.0, positions=pos), g)
+
     def test_initial_cloud_density(self, zero_drift_snapshots):
         g = Grid1D(-8.0, 8.0, 1601)
         kde = kde_density(zero_drift_snapshots[0], g)

@@ -1,8 +1,9 @@
 """Start-up path: the numpy quadrature and Gaussian smoothing of
 recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
 the runner loads no scipy module, the particle KDE loads no scipy.ndimage,
-and the grid solvers load scipy's compiled LAPACK module without the
-scipy.linalg package, which a whole run never loads either, nor scipy.fft.
+and the grid solvers load scipy's compiled LAPACK module without running
+scipy/__init__ or the scipy.linalg package, which a whole run never loads
+either, nor scipy.fft; nor do they load numpy.random.
 Importing the runner builds no table of the CSV text kernel, and a whole
 run loads neither fractions nor decimal to build it."""
 
@@ -122,6 +123,22 @@ import recoillab.pde
 assert missed and "scipy.linalg" in sys.modules
 """
 
+# loading the extension directly raises once, so the grid solvers fall back
+# to the ordinary import of the package
+DIRECT_LOAD_RAISES = """
+import sys
+from importlib.machinery import ExtensionFileLoader
+real, raised = ExtensionFileLoader.exec_module, []
+def exec_module(self, module):
+    if module.__name__ == "scipy.linalg._flapack" and not raised:
+        raised.append(module.__name__)
+        raise ImportError("direct load refused")
+    return real(self, module)
+ExtensionFileLoader.exec_module = exec_module
+import recoillab.pde
+assert raised and "scipy.linalg" in sys.modules
+"""
+
 # a diagonally dominant tridiagonal system with the solution 1, 2, ..., 6
 TRIDIAGONAL_SOLVES = """
 import numpy as np
@@ -146,13 +163,23 @@ class TestImports:
     def test_grid_solvers_load_no_ndimage(self):
         loaded = modules_after("import recoillab.pde")
         assert "scipy.linalg._flapack" in loaded  # the LAPACK solves
+        assert "scipy" not in loaded  # nor scipy/__init__
         assert "scipy.linalg" not in loaded
         assert "scipy.ndimage" not in loaded
+
+    def test_grid_solvers_load_no_numpy_random(self):
+        # numpy 1.24 loads numpy.random with numpy itself, so only the
+        # difference from a bare import holds for every supported numpy
+        def random_after(statement):
+            return {m for m in modules_after(statement, packages=("numpy",))
+                    if m == "numpy.random" or m.startswith("numpy.random.")}
+        assert random_after("import recoillab.pde") == random_after("import numpy")
 
     def test_lapack_routines_are_scipys_however_loaded(self):
         modules_after("import recoillab.pde" + SAME_ROUTINES + TRIDIAGONAL_SOLVES)
         modules_after("import scipy.linalg" + SAME_ROUTINES)
         modules_after(PATH_FINDER_MISSES_IT + SAME_ROUTINES)
+        modules_after(DIRECT_LOAD_RAISES + SAME_ROUTINES)
 
     def test_a_full_run_loads_no_scipy_linalg(self, tmp_path):
         loaded = modules_after(
