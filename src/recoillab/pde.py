@@ -14,12 +14,14 @@ dpttrs solve through the Cayley identity
 rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, with no product by A.
 A time-dependent drift, or a static one whose S cannot be represented, goes
 through LAPACK's banded LU instead: dgttrf factors I - dt/2 A (partial
-pivoting, O(n)) on every step, and dgttrs solves. The wave march with a
-potential factors I + i dt/2 H once with zgttrf and takes each step with a
-single zgttrs solve through the same identity
-psi' = 2 (I + i dt/2 H)^-1 psi - psi. A singular step matrix raises
-SolverError. The six routines come from scipy's compiled module
-scipy.linalg._flapack, loaded without running scipy's package init.
+pivoting, O(n)) on every step, and dgttrs solves. A singular Fokker-Planck
+step matrix raises SolverError. The wave march with a potential factors
+I + i dt/2 H once as L D L^T, which needs no pivoting (see
+``_lapack_march``), and takes each step through the same identity
+psi' = 2 (I + i dt/2 H)^-1 psi - psi: two unit-diagonal ztbtrs sweeps and a
+product by 2/d, d the pivots, with no division. The five routines come
+from scipy's compiled module scipy.linalg._flapack, loaded without running
+scipy's package init.
 
 One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
 ledger, the edge guard, the drift rows and the stored waves, and the march
@@ -80,9 +82,8 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs = (
-    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs,
-    _flapack.zgttrf, _flapack.zgttrs)
+dgttrf, dgttrs, dpttrf, dpttrs, ztbtrs = (
+    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.ztbtrs)
 
 
 class MadelungError(SolverError):
@@ -132,12 +133,23 @@ class FpSolution:
         return self.rhos[stored_index(self.times, t)]
 
 
+# the value of B where w e^-w is below the smallest normal double (w > 714.97)
+_B_FLOOR = np.finfo(float).tiny
+
+
 def _bernoulli(w: np.ndarray) -> np.ndarray:
-    """B(w) = w/expm1(w), B(0) = 1, to full relative precision. expm1 is
-    capped at w = 700, below its overflow at 709.8, so B stays finite and
-    positive where it would round to 0."""
-    e = np.expm1(np.minimum(w, 700.0))
-    return np.divide(w, e, out=np.ones_like(w), where=e != 0.0)
+    """B(w) = w/expm1(w), B(0) = 1, within 2 ulps. Above w = 700, near
+    expm1's overflow at 709.8, B = (w e^(-w/2)) e^(-w/2), whose factors stay
+    normal doubles. Where B itself falls below the smallest normal double it
+    is that double, _B_FLOOR = 2.2e-308, so a rate stays positive."""
+    with np.errstate(under="ignore"):
+        e = np.expm1(np.minimum(w, 700.0))
+        b = np.divide(w, e, out=np.ones_like(w), where=e != 0.0)
+        big = w > 700.0
+        if big.any():
+            half = np.exp(-0.5 * w[big])
+            b[big] = np.maximum(w[big] * half * half, _B_FLOOR)
+    return b
 
 
 def _fp_operator(bhalf: np.ndarray, D: float, dx: float, n: int):
@@ -151,10 +163,12 @@ def _fp_operator(bhalf: np.ndarray, D: float, dx: float, n: int):
     A[i, i+1]. Zero-flux boundaries; columns of A sum to zero, so
     Sum(rho)*dx is conserved by any consistent time integrator.
     """
-    with np.errstate(under="ignore"):  # a subnormal w flushes to 0, where B = 1
+    # a subnormal w flushes to 0, where B = 1; a rate below the smallest
+    # normal double stays a positive subnormal
+    with np.errstate(under="ignore"):
         w = bhalf * dx / D
-    inflow = D / dx**2 * _bernoulli(-w)
-    outflow = D / dx**2 * _bernoulli(w)
+        inflow = D / dx**2 * _bernoulli(-w)
+        outflow = D / dx**2 * _bernoulli(w)
     diag = np.zeros(n)
     diag[:-1] -= inflow
     diag[1:] -= outflow
@@ -185,8 +199,11 @@ def _symmetrize(lower: np.ndarray, upper: np.ndarray):
     """
     if not (np.all(lower > 0.0) and np.all(upper > 0.0)):  # False on NaN too
         return None
-    ratio = np.sqrt(lower / upper)
-    log_s = np.cumsum(np.log(ratio))  # less ln s_0 = 0, which the span includes
+    # a ratio past the double range makes log_s infinite or NaN, and the
+    # span test below fails
+    with np.errstate(all="ignore"):
+        ratio = np.sqrt(lower / upper)
+        log_s = np.cumsum(np.log(ratio))  # less ln s_0 = 0, which the span includes
     if not max(log_s.max(), 0.0) - min(log_s.min(), 0.0) <= _MAX_LOG_SCALE:
         return None
     s = np.cumprod(np.concatenate(([1.0], ratio)))
@@ -410,27 +427,44 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
 
 
 def _lapack_march(p: SchrodingerProblem):
-    """The march with a potential, one zgttrs solve a step. The peak density
-    is at least the mean norm/(n dx), so edge density at most half of
-    edge_tol times the mean certifies the guard (the half covers the
-    roundoff between the two)."""
+    """The march with a potential: M = I + i dt/2 H factored once, two
+    ztbtrs sweeps a step.
+
+    M is complex symmetric and tridiagonal, its off-diagonal the constant
+    off = i k with k = -(dt/2) D/dx^2. It factors without pivoting as
+    L diag(d) L^T, L unit lower bidiagonal with the multipliers
+    l_i = off/d_i, and the pivots d_0 = m_00, d_i = m_ii - off^2/d_(i-1).
+    No pivot is zero: Re m_ii = 1 and off^2 = -k^2, so by induction
+    Re d_i = 1 + k^2 Re(d_(i-1))/|d_(i-1)|^2 >= 1 for every real Omega. A
+    step solves L z = psi, scales z by 2/d and solves L^T y = z, so
+    y - psi = 2 M^-1 psi - psi; both sweeps have a unit diagonal, and the
+    march divides nowhere. A pivot that is not finite (Omega/(2D)
+    overflowing, say) raises SolverError.
+
+    The peak density is at least the mean norm/(n dx), so edge density at
+    most half of edge_tol times the mean certifies the guard (the half
+    covers the roundoff between the two)."""
     dx, n = p.grid.dx, p.grid.n
-    h_diag = 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D)
-    h_off = -p.D / dx**2
-    kappa = 0.5j * p.dt
-    off = np.full(n - 1, kappa * h_off)
-    *lu, info = zgttrf(off, 1.0 + kappa * h_diag, off.copy(),
-                       overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-    _check_lapack(info, "zgttrf")
+    off, two_over_d = _wave_pivots(p)  # the pivots, turned into 2/d below
+    if not np.isfinite(two_over_d).all():
+        raise SolverError("wave step matrix is not finite; check Omega and the grid")
+    # L and L^T in LAPACK band storage; their unit diagonals are never read
+    lower = np.zeros((2, n), dtype=complex, order="F")
+    lower[1, :-1] = off / two_over_d[:-1]
+    upper = np.zeros((2, n), dtype=complex, order="F")
+    upper[0, 1:] = lower[1, :-1]
+    np.divide(2.0, two_over_d, out=two_over_d)
     psi = p.psi0.values.copy()
     work = np.empty_like(psi)
 
+    # ztbtrs reports only a zero diagonal, which diag="U" never reads, and
+    # invalid arguments, which these calls do not pass
     def advance():
         nonlocal psi, work
         np.copyto(work, psi)
-        solved, info = zgttrs(*lu, work, overwrite_b=True)
-        _check_lapack(info, "zgttrs")
-        solved *= 2.0
+        z, _ = ztbtrs(lower, work, uplo="L", diag="U", overwrite_b=True)
+        z *= two_over_d
+        solved, _ = ztbtrs(upper, z, uplo="U", diag="U", overwrite_b=True)
         solved -= psi
         psi, work = solved, psi
 
@@ -441,6 +475,22 @@ def _lapack_march(p: SchrodingerProblem):
         return max(abs(psi[0]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx)
 
     return "LAPACK", advance, norm_of, edge_clear, lambda step: psi
+
+
+def _wave_pivots(p: SchrodingerProblem):
+    """M's off-diagonal and the pivots d of M = I + i dt/2 H = L diag(d) L^T
+    (``_lapack_march``), in one pass of Python complex arithmetic."""
+    dx, n = p.grid.dx, p.grid.n
+    with np.errstate(over="ignore"):  # an infinite potential gives infinite pivots
+        h_diag = 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D)
+    kappa = 0.5j * p.dt
+    off = kappa * (-p.D / dx**2)
+    off2 = off * off
+    d = np.empty(n, dtype=complex)
+    pivot = d[0] = 1.0 + kappa * h_diag.item(0)
+    for i in range(1, n):
+        pivot = d[i] = 1.0 + kappa * h_diag.item(i) - off2 / pivot
+    return off, d
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:

@@ -2,13 +2,17 @@
 scheme, and the Madelung decomposition that links the two."""
 
 import dataclasses
+import decimal
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import diags
@@ -368,12 +372,84 @@ class TestTridiagonalSolvesMatchSuperLU:
         problem = build_recoil_problem(initial_density(g), omega, D=1.0,
                                        dt=1e-3, t_end=0.3)
         if omega is None:
-            monkeypatch.setattr(pde, "zgttrs", refuse_lapack)
+            monkeypatch.setattr(pde, "ztbtrs", refuse_lapack)
         wave = solve_schrodinger(problem)
         assert wave.march == ("sine basis" if omega is None else "LAPACK")
         got = [f.values for f in wave.psis]
         assert max_rel_diff(got, splu_schrodinger(problem)) <= 1e-12
         assert wave.norm_drift_max <= 1e-12
+
+
+@st.composite
+def potential_problems(draw):
+    """A wave problem in a random real potential: deep wells and high
+    barriers of either sign, node to node, on a random grid and step."""
+    n = draw(st.integers(8, 160))
+    grid = Grid1D(-draw(st.floats(0.5, 50.0)), 0.0, n)
+    scale = draw(st.floats(0.0, 1e8))
+    omega = scale * draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.sqrt(trapezoid(np.abs(psi) ** 2, dx=grid.dx))
+    dt = draw(st.floats(1e-5, 1.0))
+    return SchrodingerProblem(grid=grid, psi0=ComplexField(grid, psi),
+                              Omega=ScalarField(grid, omega), D=draw(st.floats(0.1, 10.0)),
+                              dt=dt, t_end=dt, edge_tol=1.5)
+
+
+class TestWaveFactor:
+    """The pivot-free L D L^T factor of I + i dt/2 H behind the march with a
+    potential."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=potential_problems())
+    def test_pivots_stay_off_zero_and_one_step_is_the_cayley_step(self, problem):
+        _, pivots = pde._wave_pivots(problem)
+        assert np.all(pivots.real >= 1.0)
+        g, D = problem.grid, problem.D
+        H = (np.diag(2.0 * D / g.dx**2 + problem.Omega.values / (2.0 * D))
+             - D / g.dx**2 * (np.eye(g.n, k=1) + np.eye(g.n, k=-1)))
+        kappa = 0.5j * problem.dt
+        psi = problem.psi0.values
+        want = np.linalg.solve(np.eye(g.n) + kappa * H, psi - kappa * (H @ psi))
+        _, advance, _, _, wave_at = pde._lapack_march(problem)
+        advance()
+        got = wave_at(1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_a_step_matrix_that_is_not_finite_raises(self, monkeypatch):
+        # a finite Omega of 1e308 at one node: Omega/(2D) overflows at D = 0.25
+        monkeypatch.setattr(pde, "ztbtrs", refuse_lapack)
+        g = Grid1D(-8.0, 8.0, 161)
+        values = 0.5 * g.x**2
+        values[80] = 1e308
+        problem = build_recoil_problem(initial_density(g), ScalarField(g, values), D=0.25,
+                                       dt=1e-3, t_end=0.01)
+        with pytest.raises(SolverError, match="not finite"), np.errstate(all="raise"):
+            solve_schrodinger(problem)
+
+    def test_blas_threads_do_not_change_the_march(self):
+        # ztbtrs sweeps through BLAS ztbsv; one and two BLAS threads give the
+        # same bytes
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pde.__file__)))
+        code = (
+            "import hashlib, numpy as np\n"
+            "from recoillab import pde\n"
+            "from recoillab.core import Grid1D, ScalarField\n"
+            "g = Grid1D(-8.0, 8.0, 2001)\n"
+            "rho0 = ScalarField(g, np.exp(-g.x**2) / np.sqrt(np.pi))\n"
+            "p = pde.build_recoil_problem(rho0, ScalarField(g, 2.0 * g.x**2), D=1.0,"
+            " dt=1e-3, t_end=0.2, snapshot_stride=50)\n"
+            "w = pde.solve_schrodinger(p)\n"
+            "assert w.march == 'LAPACK'\n"
+            "print(hashlib.sha256(b''.join(f.values.tobytes() for f in w.psis)).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
 
 
 def zero_field(problem):
@@ -382,10 +458,10 @@ def zero_field(problem):
 
 
 def solve_free(problem, monkeypatch):
-    """Solves an Omega-None problem with zgttrs refused, so only the sine march can run."""
+    """Solves an Omega-None problem with ztbtrs refused, so only the sine march can run."""
     assert problem.Omega is None
     with monkeypatch.context() as m:
-        m.setattr(pde, "zgttrs", refuse_lapack)
+        m.setattr(pde, "ztbtrs", refuse_lapack)
         return solve_schrodinger(problem)
 
 
@@ -495,6 +571,18 @@ class TestFreeSineMarch:
         assert free == lapack
 
 
+def bernoulli_reference(w):
+    """w/(e^w - 1) in 60-digit decimal arithmetic, rounded once to a double."""
+    if w == 0.0:
+        return 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(w)  # exact
+        if abs(w) < 1e-20:  # the next term, w^2/12, is below the last digit
+            return float(1 - x / 2)
+        return float(x / (x.exp() - 1))
+
+
 def peclet(limit):
     """Face Peclet numbers w = b dx / D: exact zeros, subnormals, and
     everything up to |w| = limit."""
@@ -532,9 +620,12 @@ class TestLedgers:
     @settings(max_examples=60, deadline=None)
     @given(w=hnp.arrays(float, st.integers(2, 60), elements=peclet(700.0)),
            D=st.floats(1e-2, 1e2), dx=st.floats(1e-3, 1.0))
+    # b dx / D rounds to w = -700.0000000000001, just past the end of the
+    # expm1 branch of the rates
+    @example(w=np.array([-700.0, 0.0]), D=47.588813035657196, dx=1.0)
     def test_chang_cooper_zero_flux_state_is_boltzmann(self, w, D, dx):
-        # a static drift on the half nodes, |b dx / D| up to 700, where the
-        # expm1 cap of the rates starts: the discrete Boltzmann profile
+        # a static drift on the half nodes, |b dx / D| up to 700 and a
+        # rounding past it: the discrete Boltzmann profile
         # rho_i ~ exp(sum_{j<i} b_j dx / D) is the zero-flux state, and every
         # column of A sums to zero
         b = w * D / dx
@@ -570,6 +661,29 @@ class TestLedgers:
         w = w[np.abs(w) <= 30.0]
         into, out = pde._bernoulli(-w), pde._bernoulli(w)
         assert np.all(np.abs(into - out - w) <= 4 * np.spacing(np.maximum(into, out)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.one_of(st.floats(-745.0, 745.0), st.floats(695.0, 720.0),
+                       st.sampled_from([700.0, 700.0000000000001, 705.0, 709.7, 709.78,
+                                        714.97, 745.0, -745.0, 5e-324, -5e-324])))
+    def test_bernoulli_matches_a_decimal_reference(self, w):
+        # within 2 ulps of w/(e^w - 1) wherever that is a normal double; past
+        # w = 714.97, where it is not, B is the smallest normal double
+        want = bernoulli_reference(w)
+        got = float(pde._bernoulli(np.array([w]))[0])
+        if want >= np.finfo(float).tiny:
+            assert abs(got - want) <= 2 * np.spacing(want)
+        else:
+            assert got == np.finfo(float).tiny
+
+    def test_rates_past_the_double_range_take_the_lapack_march(self):
+        # face Peclet numbers of 720 and 1000: the rate ratio e^w overflows,
+        # which refuses the symmetric march without a floating-point exception
+        b = np.array([720.0, -1000.0, 3.0])
+        with np.errstate(all="raise"):
+            lower, _, upper = pde._fp_operator(b, 1.0, 1.0, b.size + 1)
+            assert np.all(lower > 0.0) and np.all(upper > 0.0)
+            assert pde._symmetrize(lower, upper) is None
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 4.0),
