@@ -441,7 +441,8 @@ def _run_schrodinger(spec) -> tuple:
     rhos = (ScalarField(spec.grid, np.abs(psi.values) ** 2) for psi in wave.psis)
     data = RouteData(fields=fields, final_rho=np.abs(wave.psis[-1].values) ** 2,
                      msd=msd_from_fields(wave.times, rhos, source="pde"), energy=energy,
-                     ledger={"march": wave.march, "norm_drift_max": wave.norm_drift_max})
+                     ledger={"march": wave.march, "even_half": wave.even_half,
+                             "norm_drift_max": wave.norm_drift_max})
     return data, wave
 
 
@@ -524,7 +525,8 @@ def _run_fp(spec, drift) -> RouteData:
 
     return RouteData(fields=fields, final_rho=sol.rhos[-1].values,
                      msd=msd_from_fields(sol.times, sol.rhos, source="pde"),
-                     ledger={"march": sol.march, "mass_drift_max": sol.mass_drift_max,
+                     ledger={"march": sol.march, "even_half": sol.even_half,
+                             "mass_drift_max": sol.mass_drift_max,
                              "min_density": sol.min_density, "mass_change": sol.mass_change,
                              "positivity_bound": sol.positivity_bound})
 

@@ -8,6 +8,7 @@ second-order accurate and exact on polynomials of degree <= 2.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -95,7 +96,15 @@ def stored_index(times: np.ndarray, t: float) -> int:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D mesh with n nodes spanning [x_min, x_max] inclusive."""
+    """Uniform 1D mesh with n nodes spanning [x_min, x_max] inclusive.
+
+    On a symmetric domain (x_min == -x_max) the nodes are exactly mirrored,
+    x[n-1-i] == -x[i], with a centre node of 0.0 when n is odd: the left half
+    is np.linspace's and the right half its negated mirror, each node within
+    a few ulps of x_max of linspace. Any other domain takes np.linspace bit
+    for bit. The Fokker-Planck faces are the node midpoints, so on a
+    symmetric domain they are exactly odd too.
+    """
 
     x_min: float
     x_max: float
@@ -119,8 +128,31 @@ class Grid1D:
     @cached_property
     def x(self) -> np.ndarray:
         nodes = np.linspace(self.x_min, self.x_max, self.n)
+        if self.x_min == -self.x_max:
+            half = self.n // 2
+            nodes[self.n - half:] = -nodes[half - 1::-1]
+            if self.n % 2:
+                nodes[half] = 0.0
         nodes.setflags(write=False)
         return nodes
+
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """The n - 1 cell faces, the midpoints 0.5 (x_i + x_(i+1))."""
+        mid = 0.5 * (self.x[:-1] + self.x[1:])
+        mid.setflags(write=False)
+        return mid
+
+
+def mirror_centre(grid: Grid1D, *arrays) -> Optional[int]:
+    """The centre node c = n // 2 about which a march may fold onto the
+    nodes c..n-1: set when n is odd, the domain is symmetric (so the nodes
+    are mirrored) and every array a equals a[::-1] bit for bit; else None."""
+    if grid.n % 2 == 0 or grid.x_min != -grid.x_max:
+        return None
+    if all(np.array_equal(a, a[::-1]) for a in arrays):
+        return grid.n // 2
+    return None
 
 
 def _validated_values(grid: Grid1D, values, dtype) -> np.ndarray:

@@ -23,6 +23,17 @@ product by 2/d, d the pivots, with no division. The five routines come
 from scipy's compiled module scipy.linalg._flapack, loaded without running
 scipy's package init.
 
+A mirror-symmetric problem marches its even half. On a mirrored grid of odd
+n (``core.mirror_centre``), an even start stays even under an even Omega, a
+free march, or a static Fokker-Planck operator that is centrosymmetric (an
+odd drift, which the midpoint faces keep exactly odd). Such a march solves
+for nodes c..n-1 of the centre node c = n // 2, with row c's two couplings
+merged into one of twice the weight; its norm and mass ledgers weigh node c
+once and every other node twice, and each stored slice is unfolded to the
+full grid, exactly even. Any other problem, and every time-dependent
+Fokker-Planck drift, marches the full grid; the solutions' ``even_half``
+says which ran.
+
 One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
 ledger, the edge guard, the drift rows and the stored waves, and the march
 gives only the step, the norm, a cheap edge certificate and psi at a step.
@@ -49,8 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ComplexField, Grid1D, ScalarField, SolverError, gradient, steps,
-                   stored_index, stored_steps, trapezoid)
+from .core import (ComplexField, Grid1D, ScalarField, SolverError, gradient, mirror_centre,
+                   steps, stored_index, stored_steps, trapezoid)
 from .fieldcalc import HydroFields, hydro_from_rho_S, osmotic_velocity, sparse
 from .sde import DriftSource, TabulatedDrift
 
@@ -128,6 +139,7 @@ class FpSolution:
     mass_change: float  # final minus initial sum(rho) dx
     positivity_bound: float  # dt/2 max|A_ii| at t = 0
     march: str = "LAPACK"  # or "symmetric", the static drift's LDL^T march
+    even_half: bool = False  # whether the march ran on the even half
 
     def rho_at(self, t: float) -> ScalarField:
         return self.rhos[stored_index(self.times, t)]
@@ -210,6 +222,20 @@ def _symmetrize(lower: np.ndarray, upper: np.ndarray):
     return s / s.max(), upper * ratio
 
 
+def _fold_operator(lower, diag, upper, c):
+    """A centrosymmetric A on the even half, nodes c..n-1: row c reads
+    rho_(c-1) = rho_(c+1), so its two couplings merge into
+    upper[c] + lower[c-1]. Every other row is A's own."""
+    upper_h = upper[c:].copy()
+    upper_h[0] += lower[c - 1]
+    return lower[c:], diag[c:], upper_h
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The even full-grid vector whose nodes c..n-1 are half (c = n // 2)."""
+    return np.concatenate((half[:0:-1], half))
+
+
 def _check_lapack(info: int, routine: str) -> None:
     """Map a nonzero LAPACK ``info`` to SolverError: > 0 is an exactly zero
     pivot (singular step matrix; for dpttrf a nonpositive one), < 0 an
@@ -237,7 +263,6 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     below -1e-12.
     """
     grid, dx, n = p.grid, p.grid.dx, p.grid.n
-    x_half = grid.x[:-1] + 0.5 * dx
     kappa = 0.5 * p.dt
     n_steps = steps(p.t_end, p.dt)
     stored = stored_steps(n_steps, p.snapshot_stride)
@@ -245,7 +270,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     time_dependent = getattr(p.drift, "time_dependent", True)
 
     def operator(t):
-        return _fp_operator(p.drift(x_half, t), p.D, dx, n)
+        return _fp_operator(p.drift(grid.faces, t), p.D, dx, n)
 
     tri_now = operator(0.0)
     # Crank-Nicolson keeps rho >= 0 while its explicit half I + dt/2 A has no
@@ -256,10 +281,18 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     logger.info("fokker-planck dt=%.3g, positivity bound dt/2 max|A_ii| = %.3g at t=0 (%s)",
                 p.dt, bound,
                 "respected" if bound <= 1.0 else "exceeded; the density may undershoot")
-    symmetric = None if time_dependent else _symmetrize(tri_now[0], tri_now[2])
+    symmetric = centre = None
+    if not time_dependent:
+        # (lower, upper) reversed is (upper[::-1], lower[::-1]), so the pair
+        # is even exactly when A is centrosymmetric, lower == upper[::-1]
+        lower, diag, upper = tri_now
+        centre = mirror_centre(grid, p.rho0.values, diag, np.concatenate((lower, upper)))
+        if centre is not None:
+            lower, diag, upper = _fold_operator(lower, diag, upper, centre)
+        symmetric = _symmetrize(lower, upper)
     if symmetric is not None:
         s, off = symmetric
-        *ldl, info = dpttrf(1.0 - kappa * tri_now[1], -kappa * off,
+        *ldl, info = dpttrf(1.0 - kappa * diag, -kappa * off,
                             overwrite_d=True, overwrite_e=True)
         _check_lapack(info, "dpttrf")
         two_s, inv_s = 2.0 * s, 1.0 / s
@@ -271,6 +304,8 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             y -= rho
             return y
     else:
+        centre = None  # the LU march runs on the full grid
+
         def advance(rho, t_next):
             nonlocal tri_now
             rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
@@ -282,15 +317,26 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             _check_lapack(info, "dgttrs")
             return rho
 
-    rho = p.rho0.values.copy()
-    mass0 = mass = float(rho.sum() * dx)
+    rho = p.rho0.values[centre:].copy()
+    if centre is None:
+        def mass_of(r):
+            return float(r.sum() * dx)
+
+        def full(r):
+            return r
+    else:  # the even half: the centre node weighs once, every other twice
+        def mass_of(r):
+            return float((2.0 * r.sum() - r[0]) * dx)
+
+        full = _unfold
+    mass = mass_of(rho)
     mass_drift_max = 0.0
     min_density = float(rho.min())
-    rhos = [ScalarField(grid, rho)]
+    rhos = [ScalarField(grid, full(rho))]
     for k in range(n_steps):
         t_next = (k + 1) * p.dt
         rho = advance(rho, t_next)
-        new_mass = float(rho.sum() * dx)
+        new_mass = mass_of(rho)
         mass_drift_max = max(mass_drift_max, abs(new_mass - mass))
         # negated comparisons, so a NaN ledger fails too
         if not abs(new_mass - mass) <= 1e-12:
@@ -301,11 +347,13 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
         if not lo >= -1e-12:
             raise SolverError(f"density undershoot {lo:.3e} at t={t_next}")
         if k + 1 == stored[len(rhos)]:  # the next step to store
-            rhos.append(ScalarField(grid, rho))
+            rhos.append(ScalarField(grid, full(rho)))
+    mass_change = float(rhos[-1].values.sum() * dx) - float(p.rho0.values.sum() * dx)
     return FpSolution(grid=grid, times=p.dt * stored, rhos=rhos,
                       mass_drift_max=mass_drift_max, min_density=min_density,
-                      mass_change=mass - mass0, positivity_bound=bound,
-                      march="LAPACK" if symmetric is None else "symmetric")
+                      mass_change=mass_change, positivity_bound=bound,
+                      march="LAPACK" if symmetric is None else "symmetric",
+                      even_half=centre is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +405,7 @@ class WaveSolution:
     drift_table: Optional[TabulatedDrift]
     norm_drift_max: float
     march: str = "LAPACK"  # or "sine basis", the free march
+    even_half: bool = False  # whether the march ran on the even half
 
     def psi_at(self, t: float) -> ComplexField:
         return self.psis[stored_index(self.times, t)]
@@ -384,8 +433,10 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     (``_drift_slice``) every drift_stride steps and a stored wave every
     snapshot_stride steps. It reads psi only at those steps.
     """
+    even = (p.psi0.values,) if p.Omega is None else (p.Omega.values, p.psi0.values)
+    centre = mirror_centre(p.grid, *even)
     name, advance, norm_of, edge_clear, wave_at = (
-        _sine_march(p) if p.Omega is None else _lapack_march(p))
+        _sine_march(p, centre) if p.Omega is None else _lapack_march(p, centre))
     grid = p.grid
     n_steps = steps(p.t_end, p.dt)
     stored = stored_steps(n_steps, p.snapshot_stride)
@@ -423,10 +474,11 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
             psis.append(ComplexField(grid, psi))
     table = TabulatedDrift(p.dt * drift_steps, grid, rows) if fed else None
     return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D, Omega=p.Omega,
-                        drift_table=table, norm_drift_max=norm_drift_max, march=name)
+                        drift_table=table, norm_drift_max=norm_drift_max, march=name,
+                        even_half=centre is not None)
 
 
-def _lapack_march(p: SchrodingerProblem):
+def _lapack_march(p: SchrodingerProblem, centre: Optional[int] = None):
     """The march with a potential: M = I + i dt/2 H factored once, two
     ztbtrs sweeps a step.
 
@@ -441,20 +493,30 @@ def _lapack_march(p: SchrodingerProblem):
     march divides nowhere. A pivot that is not finite (Omega/(2D)
     overflowing, say) raises SolverError.
 
+    Given the centre node c of an even Omega and psi0, psi stays even, and
+    the march solves for nodes c..n-1 alone. Row c then reads
+    psi_(c-1) = psi_(c+1), so its two couplings merge into 2 off, and M on
+    the half factors as L diag(d) U with u_0 = 2 off/d_0 and
+    d_1 = m_11 - 2 off^2/d_0, whose real part is still >= 1. The norm weighs
+    the centre node once and every other node twice.
+
     The peak density is at least the mean norm/(n dx), so edge density at
     most half of edge_tol times the mean certifies the guard (the half
     covers the roundoff between the two)."""
     dx, n = p.grid.dx, p.grid.n
-    off, two_over_d = _wave_pivots(p)  # the pivots, turned into 2/d below
+    off, two_over_d = _wave_pivots(p, centre)  # the pivots, turned into 2/d below
     if not np.isfinite(two_over_d).all():
         raise SolverError("wave step matrix is not finite; check Omega and the grid")
-    # L and L^T in LAPACK band storage; their unit diagonals are never read
-    lower = np.zeros((2, n), dtype=complex, order="F")
+    # L and U in LAPACK band storage; their unit diagonals are never read
+    m = two_over_d.size
+    lower = np.zeros((2, m), dtype=complex, order="F")
     lower[1, :-1] = off / two_over_d[:-1]
-    upper = np.zeros((2, n), dtype=complex, order="F")
+    upper = np.zeros((2, m), dtype=complex, order="F")
     upper[0, 1:] = lower[1, :-1]
+    if centre is not None:
+        upper[0, 1] *= 2.0  # u_0 = 2 off/d_0
     np.divide(2.0, two_over_d, out=two_over_d)
-    psi = p.psi0.values.copy()
+    psi = p.psi0.values[centre:].copy()
     work = np.empty_like(psi)
 
     # ztbtrs reports only a zero diagonal, which diag="U" never reads, and
@@ -468,27 +530,43 @@ def _lapack_march(p: SchrodingerProblem):
         solved -= psi
         psi, work = solved, psi
 
-    def norm_of():
-        return np.vdot(psi, psi).real * dx
+    if centre is None:
+        def norm_of():
+            return np.vdot(psi, psi).real * dx
+
+        def wave_at(step):
+            return psi
+    else:
+        def norm_of():
+            return (2.0 * np.vdot(psi, psi).real - abs(psi[0]) ** 2) * dx
+
+        def wave_at(step):
+            return _unfold(psi)
+
+    left = 0 if centre is None else -1  # the even half has one edge
 
     def edge_clear(norm):
-        return max(abs(psi[0]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx)
+        return max(abs(psi[left]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx)
 
-    return "LAPACK", advance, norm_of, edge_clear, lambda step: psi
+    return "LAPACK", advance, norm_of, edge_clear, wave_at
 
 
-def _wave_pivots(p: SchrodingerProblem):
+def _wave_pivots(p: SchrodingerProblem, centre: Optional[int] = None):
     """M's off-diagonal and the pivots d of M = I + i dt/2 H = L diag(d) L^T
-    (``_lapack_march``), in one pass of Python complex arithmetic."""
-    dx, n = p.grid.dx, p.grid.n
+    (``_lapack_march``), in one pass of Python complex arithmetic; with a
+    centre node c, those of M on the even half, nodes c..n-1, whose first
+    row holds 2 off."""
+    dx = p.grid.dx
     with np.errstate(over="ignore"):  # an infinite potential gives infinite pivots
-        h_diag = 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D)
+        h_diag = 2.0 * p.D / dx**2 + p.Omega.values[centre:] / (2.0 * p.D)
     kappa = 0.5j * p.dt
     off = kappa * (-p.D / dx**2)
     off2 = off * off
-    d = np.empty(n, dtype=complex)
+    d = np.empty(h_diag.size, dtype=complex)
     pivot = d[0] = 1.0 + kappa * h_diag.item(0)
-    for i in range(1, n):
+    fold = 1.0 if centre is None else 2.0  # the even half's first row holds 2 off
+    pivot = d[1] = 1.0 + kappa * h_diag.item(1) - fold * off2 / pivot
+    for i in range(2, h_diag.size):
         pivot = d[i] = 1.0 + kappa * h_diag.item(i) - off2 / pivot
     return off, d
 
@@ -504,7 +582,7 @@ def _dst1(v: np.ndarray) -> np.ndarray:
     return 0.5j * np.fft.fft(ext)[1:n + 1]
 
 
-def _sine_march(p: SchrodingerProblem):
+def _sine_march(p: SchrodingerProblem, centre: Optional[int] = None):
     """The free march (Omega None) in the sine basis.
 
     H = -D d^2/dx^2 with Dirichlet ends has the eigenvectors
@@ -520,18 +598,26 @@ def _sine_march(p: SchrodingerProblem):
     - psi at a step is one FFT. There c is retaken as c0 exp(-i step
       theta_k), so the stored waves carry no step-fold rounding of the
       phase product.
+
+    Given the centre node c of an even psi0, only the odd-k modes are
+    marched (the even ones are sines odd about c), the edge estimate reads
+    one edge, and psi is the FFT's half on nodes c..n-1, unfolded: the FFT's
+    own two halves agree only to its rounding.
     """
     dx, n = p.grid.dx, p.grid.n
     k = np.arange(1, n + 1)
+    c0 = _dst1(p.psi0.values)
+    if centre is not None:  # an even psi0 has only the odd-k modes
+        k, c0 = k[::2], c0[::2]
     lam = (p.dt * p.D / dx**2) * 2.0 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
     theta = 2.0 * np.arctan(lam)
     phase = np.exp(-1j * theta)
     scale = 2.0 / (n + 1)
-    nodes = np.array([0, n - 1, int(np.argmax(np.abs(p.psi0.values)))])
+    edges = [0, n - 1] if centre is None else [n - 1]  # the even half has one edge
+    nodes = np.array(edges + [int(np.argmax(np.abs(p.psi0.values)))])
     # sin(pi k (j+1)/(n+1)) with k (j+1) reduced mod 2(n+1) in integers
     probe = (scale * np.sin(np.pi * (np.outer(nodes + 1, k) % (2 * (n + 1))) / (n + 1))
              ).astype(complex)
-    c0 = _dst1(p.psi0.values)
     c = c0.copy()
 
     def advance():
@@ -542,14 +628,18 @@ def _sine_march(p: SchrodingerProblem):
         return scale * np.vdot(c, c).real * dx
 
     def edge_clear(norm):
-        left, right, start = (abs(a) ** 2 for a in (probe @ c).tolist())
-        edge = max(left, right)
+        *edges, start = (abs(a) ** 2 for a in (probe @ c).tolist())
+        edge = max(edges)
         return edge <= 0.5 * p.edge_tol * max(edge, start)
 
     def wave_at(step):
         nonlocal c
         c = c0 * np.exp(-1j * (step * theta))
-        return scale * _dst1(c)
+        if centre is None:
+            return scale * _dst1(c)
+        coefficients = np.zeros(n, dtype=complex)
+        coefficients[::2] = c
+        return _unfold(scale * _dst1(coefficients)[centre:])
 
     return "sine basis", advance, norm_of, edge_clear, wave_at
 

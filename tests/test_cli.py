@@ -1013,12 +1013,12 @@ class TestSmokeArtifacts:
         report = json.loads((out / "report.json").read_text())
         ledgers = report["ledgers"]
         assert set(ledgers) == {"schrodinger", "fp"}
-        assert set(ledgers["schrodinger"]) == {"march", "norm_drift_max"}
+        assert set(ledgers["schrodinger"]) == {"march", "even_half", "norm_drift_max"}
         assert ledgers["schrodinger"]["march"] == "sine basis"
         assert 0 <= ledgers["schrodinger"]["norm_drift_max"] <= 1e-12
         fp = ledgers["fp"]
-        assert set(fp) == {"march", "mass_drift_max", "min_density", "mass_change",
-                           "positivity_bound"}
+        assert set(fp) == {"march", "even_half", "mass_drift_max", "min_density",
+                           "mass_change", "positivity_bound"}
         assert fp["march"] == "LAPACK"  # the wave's drift table changes in time
         assert 0 <= fp["mass_drift_max"] <= 1e-12
         n_steps = steps(report["time"]["t_end"], report["time"]["fp_dt"])
@@ -1205,6 +1205,27 @@ snapshot_stride = 5
         caplog.set_level(logging.INFO, logger="recoillab.cli")
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert "norm drift" in caplog.text and f"({march} march)" in caplog.text
+
+
+class TestEvenHalf:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.cfg"))),
+                             ids=lambda path: os.path.basename(path)[:-4])
+    def test_bundled_grid_routes_march_the_even_half(self, path):
+        # every bundled spec is mirror-symmetric; only free_recoil's fp march,
+        # whose drift table changes in time, stays on the full grid. The fold
+        # is decided before the first step, so ten steps of each spec show it
+        spec = load_spec(path)
+        spec = dataclasses.replace(spec, t_end=10 * max(spec.dt, spec.fp_dt))
+        ledgers, wave = {}, None
+        if "schrodinger" in spec.routes:
+            data, wave = cli._run_schrodinger(spec)
+            ledgers["schrodinger"] = data.ledger
+        if "fp" in spec.routes:
+            ledgers["fp"] = cli._run_fp(spec, cli._resolve_drift(spec, wave)).ledger
+        assert ledgers
+        for route, ledger in ledgers.items():
+            full = spec.kind == "free_recoil" and route == "fp"
+            assert ledger["even_half"] is not full, route
 
 
 class TestCrashMidWrite:

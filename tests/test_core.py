@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recoillab.core import (
@@ -16,6 +16,7 @@ from recoillab.core import (
     gradient,
     integrate,
     integrate_interval,
+    mirror_centre,
     steps,
     stored_index,
     stored_steps,
@@ -59,6 +60,45 @@ class TestGrid1D:
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(ValueError):
             Grid1D(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(half=st.floats(1e-6, 1e6), n=st.integers(8, 20001))
+    def test_a_symmetric_domain_has_mirrored_nodes(self, half, n):
+        g = Grid1D(-half, half, n)
+        np.testing.assert_array_equal(g.x, -g.x[::-1])
+        if n % 2:
+            assert g.x[n // 2] == 0.0
+        assert np.all(np.diff(g.x) > 0)
+        linspace = np.linspace(-half, half, n)
+        assert np.max(np.abs(g.x - linspace)) <= 4 * np.spacing(half)
+        np.testing.assert_array_equal(g.faces, -g.faces[::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6), n=st.integers(8, 20001))
+    def test_an_asymmetric_domain_keeps_linspace(self, lo, width, n):
+        hi = lo + width
+        assume(lo != -hi)
+        g = Grid1D(lo, hi, n)
+        np.testing.assert_array_equal(g.x, np.linspace(lo, hi, n))
+
+    def test_faces_are_the_node_midpoints(self):
+        for g in (Grid1D(-3.0, 3.0, 11), Grid1D(-1.0, 2.5, 9)):
+            np.testing.assert_array_equal(g.faces, 0.5 * (g.x[:-1] + g.x[1:]))
+            assert g.faces.size == g.n - 1
+            with pytest.raises(ValueError):
+                g.faces[0] = 0.0
+
+    def test_mirror_centre_needs_odd_n_a_symmetric_domain_and_even_arrays(self):
+        g = Grid1D(-3.0, 3.0, 11)
+        even = g.x**2
+        assert mirror_centre(g, even, np.cos(g.x)) == 5
+        assert mirror_centre(g) == 5
+        assert mirror_centre(g, even, g.x) is None  # x is odd
+        off = even.copy()
+        off[2] = np.nextafter(off[2], np.inf)  # one node one ulp off
+        assert mirror_centre(g, off) is None
+        assert mirror_centre(Grid1D(-3.0, 3.0, 10), Grid1D(-3.0, 3.0, 10).x ** 2) is None
+        assert mirror_centre(Grid1D(-3.0, 3.5, 11), np.zeros(11)) is None
 
     # finite bounds whose span overflows to inf, or whose step underflows to 0
     @pytest.mark.parametrize("args", [(-1e308, 1e308, 9), (0.0, 5e-324, 9)],

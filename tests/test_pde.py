@@ -25,6 +25,7 @@ from recoillab.core import (
     PhysicalParams,
     ScalarField,
     integrate,
+    mirror_centre,
     trapezoid,
 )
 from recoillab.analytic import (
@@ -78,7 +79,7 @@ class TestFokkerPlanck:
         assert sol.mass_change == (float(sol.rhos[-1].values.sum() * g.dx)
                                    - float(problem.rho0.values.sum() * g.dx))
         assert abs(sol.mass_change) <= 100 * sol.mass_drift_max
-        diag = pde._fp_operator(drift(g.x[:-1] + 0.5 * g.dx, 0.0), 1.0, g.dx, g.n)[1]
+        diag = pde._fp_operator(drift(g.faces, 0.0), 1.0, g.dx, g.n)[1]
         assert sol.positivity_bound == 0.5 * problem.dt * float(np.max(-diag)) > 0
 
     @pytest.mark.parametrize("D", [1.0, 0.1])
@@ -380,6 +381,110 @@ class TestTridiagonalSolvesMatchSuperLU:
         assert wave.norm_drift_max <= 1e-12
 
 
+def mirrored(rng, c, complex_values=False):
+    """A random vector on 2c + 1 nodes, even about the centre node bit for bit."""
+    half = rng.normal(size=c + 1) + (1j * rng.normal(size=c + 1) if complex_values else 0.0)
+    return np.concatenate((half[:0:-1], half))
+
+
+@st.composite
+def even_wave_problems(draw):
+    """A wave problem on a mirrored grid of odd n with an even start and an
+    even potential, or none (the sine march)."""
+    c = draw(st.integers(4, 80))
+    half = draw(st.floats(0.5, 50.0))
+    grid = Grid1D(-half, half, 2 * c + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = mirrored(rng, c, complex_values=True)
+    psi /= np.sqrt(trapezoid(np.abs(psi) ** 2, dx=grid.dx))
+    omega = None
+    if draw(st.booleans()):
+        omega = ScalarField(grid, draw(st.floats(0.0, 1e8)) * mirrored(rng, c))
+    dt = draw(st.floats(1e-5, 1.0))
+    return SchrodingerProblem(grid=grid, psi0=ComplexField(grid, psi), Omega=omega,
+                              D=draw(st.floats(0.1, 10.0)), dt=dt,
+                              t_end=draw(st.integers(1, 20)) * dt, edge_tol=1.5)
+
+
+@st.composite
+def even_fp_problems(draw):
+    """A static Fokker-Planck problem on a mirrored grid of odd n with an even
+    start under an OU or zero drift, its step within the positivity bound.
+    The OU scaling spans at most e^200, inside the symmetric march's range."""
+    c = draw(st.integers(4, 80))
+    half = draw(st.floats(0.5, 10.0))
+    grid = Grid1D(-half, half, 2 * c + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = np.abs(mirrored(rng, c)) + 0.1
+    rho /= trapezoid(rho, dx=grid.dx)
+    gamma = draw(st.floats(0.0, 4.0))
+    drift = ou_drift(PhysicalParams(gamma=gamma)) if gamma > 0 else ZeroDrift()
+    D = draw(st.floats(0.5, 10.0))
+    dt = draw(st.floats(0.01, 1.0)) / (D / grid.dx**2 + gamma * half / grid.dx)
+    return FokkerPlanckProblem(grid=grid, rho0=ScalarField(grid, rho), drift=drift, D=D,
+                               dt=dt, t_end=draw(st.integers(1, 20)) * dt)
+
+
+def one_ulp_off(values):
+    """A copy of values with the real part of node 2 one ulp up."""
+    out = np.array(values)
+    out.real[2] = np.nextafter(out.real[2], np.inf)
+    return out
+
+
+class TestEvenHalf:
+    """A mirror-symmetric march folds onto nodes c..n-1 and must store what
+    the full march stores, to its rounding, as exactly even waves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=even_wave_problems())
+    def test_the_folded_wave_march_matches_superlu(self, problem):
+        wave = solve_schrodinger(problem)
+        assert wave.even_half
+        assert wave.march == ("sine basis" if problem.Omega is None else "LAPACK")
+        got = [f.values for f in wave.psis]
+        for psi in got:
+            np.testing.assert_array_equal(psi, psi[::-1])
+        assert max_rel_diff(got, splu_schrodinger(problem)) <= 1e-12
+        assert wave.norm_drift_max <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=even_fp_problems())
+    def test_the_folded_fokker_planck_march_matches_superlu(self, problem):
+        sol = solve_fokker_planck(problem)
+        assert (sol.march, sol.even_half) == ("symmetric", True)
+        got = [r.values for r in sol.rhos]
+        for rho in got:
+            np.testing.assert_array_equal(rho, rho[::-1])
+        assert max_rel_diff(got, splu_fokker_planck(problem)) <= 1e-12
+        assert sol.mass_drift_max <= 1e-12
+
+    @pytest.mark.parametrize("field", ["Omega", "psi0", "sine psi0"])
+    def test_one_node_one_ulp_off_marches_the_full_wave(self, field):
+        g = Grid1D(-8.0, 8.0, 161)
+        problem = build_recoil_problem(initial_density(g), None if field == "sine psi0" else
+                                       ScalarField(g, 0.5 * g.x**2), D=1.0, dt=1e-3,
+                                       t_end=0.01, snapshot_stride=5)
+        assert solve_schrodinger(problem).even_half
+        name = field.split()[-1]
+        off = dataclasses.replace(problem, **{name: dataclasses.replace(
+            getattr(problem, name), values=one_ulp_off(getattr(problem, name).values))})
+        wave = solve_schrodinger(off)
+        assert not wave.even_half
+        assert max_rel_diff([f.values for f in wave.psis], splu_schrodinger(off)[::5]) <= 1e-12
+
+    def test_one_node_one_ulp_off_marches_the_full_density(self):
+        g = Grid1D(-8.0, 8.0, 161)
+        problem = FokkerPlanckProblem(grid=g, rho0=initial_density(g),
+                                      drift=ou_drift(PhysicalParams(gamma=1.5)), D=1.0,
+                                      dt=1e-2, t_end=0.1)
+        assert solve_fokker_planck(problem).even_half
+        off = dataclasses.replace(problem, rho0=ScalarField(g, one_ulp_off(problem.rho0.values)))
+        sol = solve_fokker_planck(off)
+        assert (sol.march, sol.even_half) == ("symmetric", False)
+        assert max_rel_diff([r.values for r in sol.rhos], splu_fokker_planck(off)) <= 1e-12
+
+
 @st.composite
 def potential_problems(draw):
     """A wave problem in a random real potential: deep wells and high
@@ -490,7 +595,12 @@ def exact_phase_march(problem, step):
     re, im = c.real.astype(np.longdouble), c.imag.astype(np.longdouble)
     cos, sin = np.cos(angle), np.sin(angle)
     turned = (re * cos - im * sin).astype(float) + 1j * (re * sin + im * cos).astype(float)
-    return 2.0 / (n + 1) * pde._dst1(turned)
+    psi = 2.0 / (n + 1) * pde._dst1(turned)
+    centre = mirror_centre(problem.grid, problem.psi0.values)
+    if centre is not None:
+        # an even psi0 stays even; the FFT's two halves differ by its rounding
+        psi[:centre] = psi[:centre:-1]
+    return psi
 
 
 def moving_packet(half_width):

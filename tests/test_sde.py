@@ -477,6 +477,20 @@ class TestKde:
         with pytest.raises(DriftDomainError, match="outside the KDE grid"):
             kde_density(state, g)
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 10**5), seed=st.integers(0, 2**32 - 1),
+           ties=st.sampled_from([0, 1, 2, 5, 50]))
+    def test_silverman_takes_numpys_percentiles_bit_for_bit(self, n, seed, ties):
+        # ties > 0 draws from that many values, signed zeros among them
+        rng = np.random.default_rng(seed)
+        pos = rng.normal(size=n) if ties == 0 else rng.choice(
+            np.concatenate(([0.0, -0.0], rng.normal(size=ties))), size=n)
+        std = float(np.std(pos, ddof=1))
+        q75, q25 = np.percentile(pos, [75.0, 25.0])
+        iqr = float(q75 - q25)
+        want = 0.9 * (min(std, iqr / 1.34) if iqr > 0 else std) * n ** (-0.2)
+        assert np.float64(silverman_bandwidth(pos)).tobytes() == np.float64(want).tobytes()
+
     def test_silverman_shrinks_with_sample_size(self):
         rng = np.random.default_rng(2)
         small = silverman_bandwidth(rng.normal(size=100))

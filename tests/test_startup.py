@@ -1,9 +1,9 @@
 """Start-up path: the numpy quadrature and Gaussian smoothing of
 recoillab.core are bit-equal to scipy.integrate and scipy.ndimage, importing
-the runner loads no scipy module, the particle KDE loads no scipy.ndimage,
-and the grid solvers load scipy's compiled LAPACK module without running
-scipy/__init__ or the scipy.linalg package, which a whole run never loads
-either, nor scipy.fft; nor do they load numpy.random.
+the runner loads no scipy module, the particle KDE loads no scipy.ndimage
+nor numpy.ma, and the grid solvers load scipy's compiled LAPACK module
+without running scipy/__init__ or the scipy.linalg package, which a whole
+run never loads either, nor scipy.fft; nor do they load numpy.random.
 Importing the runner builds no table of the CSV text kernel, and a whole
 run loads neither fractions nor decimal to build it."""
 
@@ -203,6 +203,19 @@ class TestImports:
             "assert artifacts._kernel_tables.cache_info().currsize == 1",
             packages=("fractions", "decimal", "_decimal", "_pydecimal"))
         assert loaded == set()
+
+    def test_kde_loads_no_numpy_ma(self):
+        # numpy 1.x loads numpy.ma with numpy itself, so only the difference
+        # from a bare import holds for every supported numpy
+        def ma_after(statement):
+            return {m for m in modules_after(statement, packages=("numpy",))
+                    if m == "numpy.ma" or m.startswith("numpy.ma.")}
+        assert ma_after(
+            "import numpy as np\n"
+            "from recoillab.core import Grid1D\n"
+            "from recoillab.sde import EnsembleState, kde_density\n"
+            "kde_density(EnsembleState(0.0, np.linspace(-1.0, 1.0, 200)),"
+            " Grid1D(-2.0, 2.0, 81))") == ma_after("import numpy")
 
     def test_kde_loads_no_ndimage(self):
         loaded = modules_after(

@@ -199,6 +199,25 @@ class TestWritersMatchTheReference:
             assert text == ref.fields_csv(slices, x)
             assert text.splitlines()[1].endswith(b",nan,nan,nan,nan,nan")
 
+    def test_fields_blocks_that_are_all_nan_skip_the_kernel(self, monkeypatch):
+        # the sparse mask blanks the hydro columns in the tails; a block of
+        # rows where a column is all NaN is written without formatting it
+        x = np.linspace(-1.0, 1.0, 9)
+        masked = np.where(np.abs(x) > 0.3, np.nan, x)
+        slices = [(0.0, {"rho": np.exp(-x**2), "v": masked, "u": np.full(9, np.nan)})]
+        formatted = []
+        kernel = artifacts._text_slots
+
+        def counted(values):
+            formatted.append(np.asarray(values).size)
+            return kernel(values)
+
+        monkeypatch.setattr(artifacts, "_text_slots", counted)
+        text = joined(blocks_of(artifacts._fields_csv, slices, kernel(x), rows=3))
+        assert text == ref.fields_csv(slices, x)
+        # t, then per block of 3 rows: rho, and v only in the middle block
+        assert formatted == [1, 3, 6, 3]
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 12).flatmap(
         lambda n: st.tuples(columns(n), columns(n), st.none() | columns(n))))
