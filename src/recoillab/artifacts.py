@@ -183,14 +183,13 @@ _NAN_SLOTS[1:4, 0] = list(b"nan")
 
 def _csv_rows(*columns) -> bytes:
     """Comma-joined rows of slot-major text columns, each of shape
-    (slots, rows) or (slots, 1) for one text on every row, slots at most
-    _SLOTS, each row ending in a newline. A slot that no row of a column uses
-    is dropped before the transpose."""
+    (_SLOTS, rows) or (_SLOTS, 1) for one text on every row, each row ending
+    in a newline. A slot that no row of a column uses is dropped before the
+    transpose."""
     rows = max(c.shape[1] for c in columns)
     block = np.empty((len(columns), _SLOTS + 1, rows), np.uint8)
     for j, column in enumerate(columns):
-        block[j, :len(column)] = column
-        block[j, len(column):_SLOTS] = 0
+        block[j, :_SLOTS] = column
     block[:, _SLOTS] = ord(",")
     block[-1, _SLOTS] = ord("\n")
     block = block.reshape(-1, rows)
@@ -241,31 +240,13 @@ def _energy_csv(report):
                             report.potential, report.total)
 
 
-def _index_text(n):
-    """The text of the integers 0..n-1 in len(str(n - 1)) slot rows, for
-    _csv_rows: "%.17g" of an integer below 10**17 is its digits, here with
-    each leading zero a 0 byte. Built a block at a time, so no temporary
-    outgrows a block."""
-    width = len(str(max(n - 1, 0)))
-    powers = 10 ** np.arange(width - 1, -1, -1)[:, None]
-    out = np.empty((width, n), np.uint8)
-    for lo, hi in _row_blocks(n):
-        i = np.arange(lo, hi)
-        np.add(i // powers % 10, ord("0"), out=out[:, lo:hi], casting="unsafe")
-        out[:-1, lo:hi] *= i >= powers[:-1]
-    return out
-
-
 def _particles_csv(snapshots):
-    """Blocks of particles_sde.csv. The particle_index text is the same in
-    every snapshot, so it is made once, for the largest, and sliced per
-    block; at 6 slot rows for 10^5 particles it holds 6 bytes an index."""
     yield b"t,particle_index,x\n"
-    index_text = _index_text(max((s.positions.size for s in snapshots), default=0))
     for s in snapshots:
         t_text = _text_slots([s.t])
         for lo, hi in _row_blocks(s.positions.size):
-            yield _csv_rows(t_text, index_text[:, lo:hi], _text_slots(s.positions[lo:hi]))
+            yield _csv_rows(t_text, *_text_slots(
+                [np.arange(lo, hi, dtype=float), s.positions[lo:hi]]).swapaxes(0, 1))
 
 
 PARTICLE_MAGIC = b"RLABPT01"

@@ -24,15 +24,15 @@ from scipy's compiled module scipy.linalg._flapack, loaded without running
 scipy's package init.
 
 A mirror-symmetric problem marches its even half. On a mirrored grid of odd
-n (``core.mirror_centre``), an even start stays even under an even Omega, a
-free march, or a static Fokker-Planck operator that is centrosymmetric (an
-odd drift, which the midpoint faces keep exactly odd). Such a march solves
+n (``core.mirror_centre``), an even start stays even under an even Omega or
+a static Fokker-Planck operator that is centrosymmetric (an odd drift,
+which the midpoint faces keep exactly odd). Such a march solves
 for nodes c..n-1 of the centre node c = n // 2, with row c's two couplings
 merged into one of twice the weight; its norm and mass ledgers weigh node c
 once and every other node twice, and each stored slice is unfolded to the
-full grid, exactly even. Any other problem, and every time-dependent
-Fokker-Planck drift, marches the full grid; the solutions' ``even_half``
-says which ran.
+full grid, exactly even. Any other problem, the free sine march and every
+time-dependent Fokker-Planck drift march the full grid; the solutions'
+``even_half`` says which ran.
 
 One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
 ledger, the edge guard, the drift rows and the stored waves, and the march
@@ -433,10 +433,11 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     (``_drift_slice``) every drift_stride steps and a stored wave every
     snapshot_stride steps. It reads psi only at those steps.
     """
-    even = (p.psi0.values,) if p.Omega is None else (p.Omega.values, p.psi0.values)
-    centre = mirror_centre(p.grid, *even)
+    # the sine march keeps every mode: its FFT's two halves agree only to
+    # rounding, so a folded one would move the stored waves' left half
+    centre = None if p.Omega is None else mirror_centre(p.grid, p.Omega.values, p.psi0.values)
     name, advance, norm_of, edge_clear, wave_at = (
-        _sine_march(p, centre) if p.Omega is None else _lapack_march(p, centre))
+        _sine_march(p) if p.Omega is None else _lapack_march(p, centre))
     grid = p.grid
     n_steps = steps(p.t_end, p.dt)
     stored = stored_steps(n_steps, p.snapshot_stride)
@@ -582,7 +583,7 @@ def _dst1(v: np.ndarray) -> np.ndarray:
     return 0.5j * np.fft.fft(ext)[1:n + 1]
 
 
-def _sine_march(p: SchrodingerProblem, centre: Optional[int] = None):
+def _sine_march(p: SchrodingerProblem):
     """The free march (Omega None) in the sine basis.
 
     H = -D d^2/dx^2 with Dirichlet ends has the eigenvectors
@@ -598,26 +599,18 @@ def _sine_march(p: SchrodingerProblem, centre: Optional[int] = None):
     - psi at a step is one FFT. There c is retaken as c0 exp(-i step
       theta_k), so the stored waves carry no step-fold rounding of the
       phase product.
-
-    Given the centre node c of an even psi0, only the odd-k modes are
-    marched (the even ones are sines odd about c), the edge estimate reads
-    one edge, and psi is the FFT's half on nodes c..n-1, unfolded: the FFT's
-    own two halves agree only to its rounding.
     """
     dx, n = p.grid.dx, p.grid.n
     k = np.arange(1, n + 1)
-    c0 = _dst1(p.psi0.values)
-    if centre is not None:  # an even psi0 has only the odd-k modes
-        k, c0 = k[::2], c0[::2]
     lam = (p.dt * p.D / dx**2) * 2.0 * np.sin(0.5 * np.pi * k / (n + 1)) ** 2
     theta = 2.0 * np.arctan(lam)
     phase = np.exp(-1j * theta)
     scale = 2.0 / (n + 1)
-    edges = [0, n - 1] if centre is None else [n - 1]  # the even half has one edge
-    nodes = np.array(edges + [int(np.argmax(np.abs(p.psi0.values)))])
+    nodes = np.array([0, n - 1, int(np.argmax(np.abs(p.psi0.values)))])
     # sin(pi k (j+1)/(n+1)) with k (j+1) reduced mod 2(n+1) in integers
     probe = (scale * np.sin(np.pi * (np.outer(nodes + 1, k) % (2 * (n + 1))) / (n + 1))
              ).astype(complex)
+    c0 = _dst1(p.psi0.values)
     c = c0.copy()
 
     def advance():
@@ -628,18 +621,14 @@ def _sine_march(p: SchrodingerProblem, centre: Optional[int] = None):
         return scale * np.vdot(c, c).real * dx
 
     def edge_clear(norm):
-        *edges, start = (abs(a) ** 2 for a in (probe @ c).tolist())
-        edge = max(edges)
+        left, right, start = (abs(a) ** 2 for a in (probe @ c).tolist())
+        edge = max(left, right)
         return edge <= 0.5 * p.edge_tol * max(edge, start)
 
     def wave_at(step):
         nonlocal c
         c = c0 * np.exp(-1j * (step * theta))
-        if centre is None:
-            return scale * _dst1(c)
-        coefficients = np.zeros(n, dtype=complex)
-        coefficients[::2] = c
-        return _unfold(scale * _dst1(coefficients)[centre:])
+        return scale * _dst1(c)
 
     return "sine basis", advance, norm_of, edge_clear, wave_at
 

@@ -1211,9 +1211,10 @@ class TestEvenHalf:
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.cfg"))),
                              ids=lambda path: os.path.basename(path)[:-4])
     def test_bundled_grid_routes_march_the_even_half(self, path):
-        # every bundled spec is mirror-symmetric; only free_recoil's fp march,
-        # whose drift table changes in time, stays on the full grid. The fold
-        # is decided before the first step, so ten steps of each spec show it
+        # every bundled spec is mirror-symmetric; only the free sine march and
+        # the fp march of the free_recoil kind, whose drift table changes in
+        # time, stay on the full grid. The fold is decided before the first
+        # step, so ten steps of each spec show it
         spec = load_spec(path)
         spec = dataclasses.replace(spec, t_end=10 * max(spec.dt, spec.fp_dt))
         ledgers, wave = {}, None
@@ -1224,7 +1225,8 @@ class TestEvenHalf:
             ledgers["fp"] = cli._run_fp(spec, cli._resolve_drift(spec, wave)).ledger
         assert ledgers
         for route, ledger in ledgers.items():
-            full = spec.kind == "free_recoil" and route == "fp"
+            full = ledger["march"] == "sine basis" or (spec.kind == "free_recoil"
+                                                      and route == "fp")
             assert ledger["even_half"] is not full, route
 
 
