@@ -13,13 +13,13 @@ I - dt/2 S^-1 A S is factored as LDL^T with dpttrf. Each step is then one
 dpttrs solve through the Cayley identity
 rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, with no product by A.
 A time-dependent drift, or a static one whose S cannot be represented, goes
-through LAPACK's banded LU instead: dgttrf factors I - dt/2 A (partial
-pivoting, O(n)) on every step, and dgttrs solves. A singular Fokker-Planck
+through LAPACK's banded LU instead: on every step one dgtsv call factors
+I - dt/2 A (partial pivoting, O(n)) and solves. A singular Fokker-Planck
 step matrix raises SolverError. The wave march with a potential factors
 I + i dt/2 H once as L D L^T, which needs no pivoting (see
 ``_lapack_march``), and takes each step through the same identity
 psi' = 2 (I + i dt/2 H)^-1 psi - psi: two unit-diagonal ztbtrs sweeps and a
-product by 2/d, d the pivots, with no division. The five routines come
+product by 2/d, d the pivots, with no division. The four routines come
 from scipy's compiled module scipy.linalg._flapack, loaded without running
 scipy's package init.
 
@@ -93,8 +93,8 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgttrf, dgttrs, dpttrf, dpttrs, ztbtrs = (
-    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.ztbtrs)
+dgtsv, dpttrf, dpttrs, ztbtrs = (
+    _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs, _flapack.ztbtrs)
 
 
 class MadelungError(SolverError):
@@ -254,8 +254,8 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
     rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, one dpttrs solve and
     three vector operations. The Cayley identity is exact here because both
     sides use the same A. A time-dependent drift, or a static one that
-    ``_symmetrize`` refuses, takes the LAPACK march: on every step dgttrf
-    factors I - dt/2 A and dgttrs solves against (I + dt/2 A) rho. The
+    ``_symmetrize`` refuses, takes the LAPACK march: on every step one dgtsv
+    call factors I - dt/2 A and solves it against (I + dt/2 A) rho. The
     implicit side uses A(t+dt) and the explicit side A(t), which keeps a
     time-dependent march second order.
     Raises SolverError when the step matrix is singular, when the mass
@@ -269,8 +269,11 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
 
     time_dependent = getattr(p.drift, "time_dependent", True)
 
+    # the faces' cells in a drift table are found once per solve
+    face_drift = p.drift.at(grid.faces)
+
     def operator(t):
-        return _fp_operator(p.drift(grid.faces, t), p.D, dx, n)
+        return _fp_operator(face_drift(t), p.D, dx, n)
 
     tri_now = operator(0.0)
     # Crank-Nicolson keeps rho >= 0 while its explicit half I + dt/2 A has no
@@ -310,11 +313,10 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
             nonlocal tri_now
             rhs = rho + kappa * _tridiag_matvec(*tri_now, rho)
             tri_now = lower, diag, upper = operator(t_next)
-            *lu, info = dgttrf(-kappa * lower, 1.0 - kappa * diag, -kappa * upper,
-                               overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-            _check_lapack(info, "dgttrf")
-            rho, info = dgttrs(*lu, rhs, overwrite_b=True)
-            _check_lapack(info, "dgttrs")
+            *_, rho, info = dgtsv(-kappa * lower, 1.0 - kappa * diag, -kappa * upper, rhs,
+                                  overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                                  overwrite_b=True)
+            _check_lapack(info, "dgtsv")
             return rho
 
     rho = p.rho0.values[centre:].copy()

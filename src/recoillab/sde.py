@@ -16,6 +16,12 @@ drift's ``march`` hook, which consumes the stream in one of two orders:
   so particle i in the j-th interval between stored steps consumes draw
   j*n + i. The jump carries no step bias: dt sets only the stored times.
 
+A march takes the ensemble _LOOKUP_CHUNK particles at a time, each chunk
+drawing its own normals: these are one whole-ensemble draw's, in the same
+order, so the orders above hold. A tabulated drift's step is one pass per
+chunk, its lookup, drift update and draws back to back while the chunk is
+in cache, so a march keeps only chunk-sized buffers beside the positions.
+
 Every update is a single-threaded vectorized numpy expression, so
 trajectories are bitwise reproducible for a given seed regardless of
 BLAS/OMP thread settings.
@@ -30,9 +36,22 @@ from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, gaussian_sm
                    steps, stored_steps)
 
 
-# particles per TabulatedDrift lookup pass and KDE binning pass; keeps the
-# working buffers in cache
+# particles per pass of the march, the tabulated lookup and the KDE binning;
+# keeps the working buffers in cache
 _LOOKUP_CHUNK = 8192
+
+
+def _chunks(n: int) -> list:
+    """The (lo, hi) bounds of the passes over n particles, in particle order."""
+    return [(lo, min(lo + _LOOKUP_CHUNK, n)) for lo in range(0, n, _LOOKUP_CHUNK)]
+
+
+def _add_noise(x: np.ndarray, rng: "np.random.Generator", scale: float,
+               z: np.ndarray) -> None:
+    """x += scale z, z the stream's next x.size normals, drawn into z."""
+    rng.standard_normal(out=z)
+    z *= scale
+    x += z
 
 
 class DriftDomainError(SolverError):
@@ -42,6 +61,7 @@ class DriftDomainError(SolverError):
 class DriftSource:
     """Base drift b(x, t); subclasses implement __call__ on position arrays.
 
+    b is pointwise, so a chunk of the ensemble gets the drift the whole would.
     ``time_dependent`` lets grid solvers reuse a factorized operator when the
     drift is static.
     """
@@ -51,19 +71,26 @@ class DriftSource:
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def at(self, x: np.ndarray):
+        """b at the fixed positions x as a function of t, equal to self(x, t)."""
+        return lambda t: self(x, t)
+
     def march(self, x: np.ndarray, t0: float, dt: float, steps: range,
-              rng: "np.random.Generator", scale: float, noise: np.ndarray) -> None:
-        """Euler-Maruyama steps ``steps`` of the ensemble x, in place. Step k
-        starts at t0 + k*dt and adds ``scale`` times one standard normal per
-        particle, drawn into the buffer ``noise``."""
+              rng: "np.random.Generator", scale: float) -> None:
+        """Euler-Maruyama steps ``steps`` of the ensemble x, in place: step k
+        starts at t0 + k*dt and adds b(x, t) dt, then ``scale`` times one
+        standard normal per particle; particle i at step k takes draw k*n + i."""
+        spans = _chunks(x.size)
+        z = np.empty(spans[0][1])
         for k in steps:
-            # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
-            b = self(x, t0 + k * dt)
-            b *= dt
-            x += b
-            rng.standard_normal(out=noise)
-            noise *= scale
-            x += noise
+            t = t0 + k * dt
+            for lo, hi in spans:
+                # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
+                xc = x[lo:hi]
+                b = self(xc, t)
+                b *= dt
+                xc += b
+                _add_noise(xc, rng, scale, z[:hi - lo])
 
 
 def linear_transition(rate_dt: float, m: int) -> tuple:
@@ -89,12 +116,15 @@ class LinearDrift(DriftSource):
     def __call__(self, x, t):
         return self.rate * x
 
-    def march(self, x, t0, dt, steps, rng, scale, noise):
+    def march(self, x, t0, dt, steps, rng, scale):
         growth, v = linear_transition(self.rate * dt, len(steps))
-        x *= growth
-        rng.standard_normal(out=noise)
-        noise *= scale * math.sqrt(v)
-        x += noise
+        scale = scale * math.sqrt(v)
+        spans = _chunks(x.size)
+        z = np.empty(spans[0][1])
+        for lo, hi in spans:
+            xc = x[lo:hi]
+            xc *= growth
+            _add_noise(xc, rng, scale, z[:hi - lo])
 
 
 class ZeroDrift(LinearDrift):
@@ -161,67 +191,131 @@ class TabulatedDrift(DriftSource):
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("drift table must be finite")
+        # (x - x_min)/dx - 1/2 truncated is the cell index or one below it:
+        # the nodes sit within a few ulps of x_min + i dx, far less than half
+        # a cell
+        self._x_lo = grid.x_min + 0.5 * grid.dx
+        self._inv_dx = 1.0 / grid.dx
 
-    def __call__(self, x, t):
+    # __call__, ``at`` and ``march`` share one lookup: ``_row`` blends the
+    # time rows, ``_locate`` finds the positions' cells and ``_interpolate``
+    # reads the row there, in np.interp's operation order.
+
+    def _row(self, t: float) -> tuple:
+        """The time blend f of the rows around t, its slopes df_i / dx_i (0 at
+        n-1, which only x_max reaches, on a node) and whether a value on a
+        node needs f_i put back."""
         tol = 1e-9 * max(1.0, abs(self.times[-1]))
         if t < self.times[0] - tol or t > self.times[-1] + tol:
             raise DriftDomainError(
                 f"t={t} outside tabulated span [{self.times[0]}, {self.times[-1]}]"
             )
-        x = np.asarray(x, dtype=float)
-        g = self.grid
-        # the negated test also rejects NaN positions
-        if x.size and not (g.x_min <= x.min() and x.max() <= g.x_max):
-            out = int(np.count_nonzero(~((x >= g.x_min) & (x <= g.x_max))))
-            raise DriftDomainError(
-                f"{out} particle(s) outside drift domain [{g.x_min}, {g.x_max}]; "
-                "widen the tabulation domain"
-            )
         k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2))
         t0, t1 = self.times[k], self.times[k + 1]
         w = (t - t0) / (t1 - t0)
         w = min(max(w, 0.0), 1.0)
-
-        # Blend the two time rows once, then interpolate the blended row in
-        # the operation order of np.interp: slope_i * (x - x_i) + f_i, with
-        # slope_i = df_i / dx_i, returning f_i itself where x == x_i. The
-        # zero slope at index n-1 pads the table: only x == x_max reaches
-        # that index, and it sits on a node.
         f = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         slope = np.zeros_like(f)
-        np.divide(np.diff(f), np.diff(g.x), out=slope[:-1])
-        nodes = g.x
-        # (x - x_min)/dx - 1/2 truncated is the cell index or one below it:
-        # the nodes sit within a few ulps of x_min + i dx, far less than half
-        # a cell
-        x_lo = g.x_min + 0.5 * g.dx
-        inv_dx = 1.0 / g.dx
+        np.divide(np.diff(f), np.diff(self.grid.x), out=slope[:-1])
+        # on a node slope_i * 0 + f_i is f_i itself, unless f_i is -0.0 or
+        # slope_i is not finite
+        put_back = bool(np.any((f == 0.0) & np.signbit(f))) or not np.isfinite(slope).all()
+        return f, slope, put_back
 
+    def _check_domain(self, x: np.ndarray, rest: np.ndarray) -> None:
+        """DriftDomainError unless every x lies on the table, counting those
+        off it in ``rest``, x and the positions after it (those before
+        passed)."""
+        g = self.grid
+        # the negated test also rejects NaN positions
+        if not (g.x_min <= x.min() and x.max() <= g.x_max):
+            out = int(np.count_nonzero(~((rest >= g.x_min) & (rest <= g.x_max))))
+            raise DriftDomainError(
+                f"{out} particle(s) outside drift domain [{g.x_min}, {g.x_max}]; "
+                "widen the tabulation domain"
+            )
+
+    def _locate(self, x, i, off, buf, ahead) -> None:
+        """Each position's cell i, x_i <= x < x_(i+1) (n-1 for x_max) as
+        np.interp finds it, and offset off = x - x_i; buf and ahead are
+        scratch."""
+        # ndarray.take skips np.take's Python wrapper, about 1 us a call
+        nodes = self.grid.x
+        np.subtract(x, self._x_lo, out=off)
+        np.multiply(off, self._inv_dx, out=i, casting="unsafe")
+        nodes[1:].take(i, out=buf, mode="clip")
+        np.greater_equal(x, buf, out=ahead)
+        i += ahead
+        nodes.take(i, out=buf, mode="clip")
+        np.subtract(x, buf, out=off)
+
+    @staticmethod
+    def _interpolate(row: tuple, i, off, out, buf) -> None:
+        """slope_i * off + f_i into out, and f_i itself on a node; buf is
+        scratch."""
+        f, slope, put_back = row
+        slope.take(i, out=out, mode="clip")
+        out *= off
+        f.take(i, out=buf, mode="clip")
+        out += buf
+        if put_back:
+            on_node = np.flatnonzero(off == 0.0)
+            out[on_node] = buf[on_node]
+
+    @staticmethod
+    def _buffers(m: int) -> tuple:
+        """Cell, offset, spare and mask buffers for m positions."""
+        return np.empty(m, dtype=np.intp), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+
+    def __call__(self, x, t):
+        row = self._row(t)
+        x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         result = np.empty_like(flat)
-        m = min(flat.size, _LOOKUP_CHUNK)
-        i = np.empty(m, dtype=np.intp)
-        ahead = np.empty(m, dtype=bool)
-        off, buf = np.empty(m), np.empty(m)
-        for lo in range(0, flat.size, _LOOKUP_CHUNK):
-            xc = flat[lo:lo + _LOOKUP_CHUNK]
-            c = xc.size
-            ic, ac, oc, bc = i[:c], ahead[:c], off[:c], buf[:c]
-            rc = result[lo:lo + c]
-            np.subtract(xc, x_lo, out=oc)
-            np.multiply(oc, inv_dx, out=ic, casting="unsafe")
-            np.take(nodes[1:], ic, out=bc, mode="clip")
-            np.greater_equal(xc, bc, out=ac)
-            ic += ac
-            np.take(nodes, ic, out=bc, mode="clip")
-            np.subtract(xc, bc, out=oc)
-            np.take(slope, ic, out=rc, mode="clip")
-            rc *= oc
-            np.take(f, ic, out=bc, mode="clip")
-            rc += bc
-            on_node = np.flatnonzero(oc == 0.0)
-            rc[on_node] = bc[on_node]
+        i, off, buf, ahead = self._buffers(min(flat.size, _LOOKUP_CHUNK))
+        for lo, hi in _chunks(flat.size):
+            c = hi - lo
+            xc = flat[lo:hi]
+            self._check_domain(xc, flat[lo:])
+            self._locate(xc, i[:c], off[:c], buf[:c], ahead[:c])
+            self._interpolate(row, i[:c], off[:c], result[lo:hi], buf[:c])
         return result.reshape(x.shape)
+
+    def at(self, x):
+        """``DriftSource.at`` for 1D x, with the cells found once."""
+        x = np.asarray(x, dtype=float)
+        i, off, buf, ahead = self._buffers(x.size)
+        if x.size:
+            self._check_domain(x, x)
+        self._locate(x, i, off, buf, ahead)
+
+        def lookup(t):
+            out = np.empty_like(x)
+            self._interpolate(self._row(t), i, off, out, buf)
+            return out
+
+        return lookup
+
+    def march(self, x, t0, dt, steps, rng, scale):
+        """``DriftSource.march`` bit for bit, a step one pass per chunk and one
+        row blend. A particle off the table raises DriftDomainError at the
+        step whose lookup it enters, counting every one off it then."""
+        spans = _chunks(x.size)
+        i, off, z, ahead = self._buffers(spans[0][1])
+        b = np.empty_like(z)
+        chunks = [(x[lo:hi], x[lo:], i[:hi - lo], off[:hi - lo], b[:hi - lo], z[:hi - lo],
+                   ahead[:hi - lo]) for lo, hi in spans]
+        for k in steps:
+            row = self._row(t0 + k * dt)
+            for xc, rest, ic, oc, bc, zc, ac in chunks:
+                # the chunks before this one have moved on, but every one of
+                # them was on the table
+                self._check_domain(xc, rest)
+                self._locate(xc, ic, oc, zc, ac)
+                self._interpolate(row, ic, oc, bc, zc)
+                bc *= dt
+                xc += bc
+                _add_noise(xc, rng, scale, zc)
 
 
 @dataclass(frozen=True)
@@ -291,10 +385,9 @@ def evolve(state: EnsembleState, drift: DriftSource, params: PhysicalParams,
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([config.seed, 1])))
     sqrt_noise = np.sqrt(2.0 * params.D * config.dt)
     x = state.positions.copy()
-    noise = np.empty_like(x)
     snapshots = [state]
     for first, last in zip(stored, stored[1:]):
-        drift.march(x, state.t, config.dt, range(first, last), rng, sqrt_noise, noise)
+        drift.march(x, state.t, config.dt, range(first, last), rng, sqrt_noise)
         t = state.t + last * config.dt
         if not np.isfinite(np.dot(x, x)):  # inf or nan once any x or x^2 is
             raise SolverError(f"the ensemble diverged: <x^2> is not finite at t = {t:g}")

@@ -617,6 +617,43 @@ n_particles = 1000
         assert "solver failure:" in err
         assert "Traceback" not in err
 
+    def test_particles_leaving_a_drift_table_mid_march_return_three(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # b = x tabulated on [-6, 6]: the cloud of width 1 starts well inside
+        # and grows e-fold per unit time, so a particle leaves the table part
+        # way to t_end = 2, after the march has passed a stored step
+        x = np.linspace(-6.0, 6.0, 13)
+        np.savetxt(tmp_path / "drift.csv", [np.r_[np.nan, x], np.r_[0.0, x], np.r_[2.0, x]],
+                   delimiter=",")
+        path = write_cfg(tmp_path, "outward.cfg", """
+[scenario]
+kind = custom
+routes = sde
+
+[time]
+t_end = 2
+
+[sde]
+n_particles = 2000
+
+[tables]
+drift_file = drift.csv
+""")
+        march, calls = sde.TabulatedDrift.march, []
+
+        def counted(drift, *args):
+            calls.append(args[3])  # the steps of this stored interval
+            return march(drift, *args)
+
+        monkeypatch.setattr(sde.TabulatedDrift, "march", counted)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: 1 particle(s) outside drift domain [-6.0, 6.0]" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        assert 1 < len(calls) < steps(2.0, 1e-3) // calls[0].stop
+
     @pytest.mark.parametrize("snapshot_stride", [1571, 5])
     def test_a_drift_row_that_aliases_between_stored_steps_returns_three(
             self, tmp_path, capsys, snapshot_stride):

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import diags
@@ -33,7 +33,8 @@ from recoillab.analytic import (
     FreeRecoilSolution,
     HarmonicRecoilSolution,
 )
-from recoillab.sde import AnalyticRecoilDrift, SmoluchowskiDrift, ZeroDrift, ou_drift
+from recoillab.sde import (AnalyticRecoilDrift, DriftSource, SmoluchowskiDrift, TabulatedDrift,
+                           ZeroDrift, ou_drift)
 from recoillab.pde import (
     FokkerPlanckProblem,
     MadelungError,
@@ -272,6 +273,95 @@ class TestWaveSolver:
             recoil_wave.psi_at(0.33)
 
 
+class ThroughCall(DriftSource):
+    """A drift table read through its __call__ at every lookup, as the base
+    ``DriftSource.at`` reads any drift."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, x, t):
+        return self.table(x, t)
+
+
+class TestFaceDrift:
+    """A time-dependent fp march reads a drift table at ``Grid1D.faces``
+    through ``TabulatedDrift.at``, which finds the faces' cells once per
+    solve: equal to drift(grid.faces, t) bit for bit at every step."""
+
+    grid = Grid1D(-12.0, 12.0, 241)
+
+    def problem(self, table_nodes):
+        # rows every 0.05 up to 5e-10 short of t_end: the last step reads
+        # the table past its last row, within the span's time tolerance; on
+        # 481 nodes 138 of the 240 faces are table nodes bit for bit
+        g, t_end = self.grid, 0.4
+        tg = Grid1D(-12.0, 12.0, table_nodes)
+        times = np.linspace(0.0, t_end - 5e-10, 9)
+        values = np.array([RECOIL.b(tg.x, t) for t in times])
+        values[:, tg.n // 2] = -0.0
+        values[3:5, ::7] = -0.0  # -0.0 in both rows blends to -0.0
+        drift = TabulatedDrift(times, tg, values)
+        return FokkerPlanckProblem(grid=g, rho0=initial_density(g), drift=drift, D=1.0,
+                                   dt=1e-2, t_end=t_end, snapshot_stride=10)
+
+    @pytest.mark.parametrize("table_nodes", [481, 173])
+    def test_matches_the_table_lookup_at_every_step(self, table_nodes, monkeypatch):
+        problem = self.problem(table_nodes)
+        at, seen = TabulatedDrift.at, []
+
+        def checked(drift, x):
+            lookup = at(drift, x)
+
+            def check(t):
+                got = lookup(t)
+                assert got.tobytes() == drift(x, t).tobytes()
+                seen.append(t)
+                return got
+            return check
+
+        monkeypatch.setattr(TabulatedDrift, "at", checked)
+        solve_fokker_planck(problem)
+        assert len(seen) == 41 and seen[-1] > problem.drift.times[-1]
+
+    @pytest.mark.parametrize("table_nodes", [481, 173])
+    def test_solve_equals_one_read_through_call(self, table_nodes):
+        problem = self.problem(table_nodes)
+        got = solve_fokker_planck(problem)
+        want = solve_fokker_planck(
+            dataclasses.replace(problem, drift=ThroughCall(problem.drift)))
+        assert b"".join(r.values.tobytes() for r in got.rhos) == \
+            b"".join(r.values.tobytes() for r in want.rhos)
+        assert (got.mass_drift_max, got.min_density) == (want.mass_drift_max, want.min_density)
+
+
+class TestTimeDependentFpOrder:
+    """The time-dependent LU fp march is second order against the closed
+    form: on [-40, 40] from 801 nodes and dt 4e-3 to t = 1, with dx and dt
+    halved twice, the max-norm error of rho falls fourfold per halving
+    (measured 4.00). The table samples the closed-form drift on the march's
+    nodes every tenth step, so its lookups interpolate in x and in t."""
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "tabulated"])
+    def test_error_falls_fourfold_per_halving(self, tabulated):
+        errors = []
+        for level in range(3):
+            g = Grid1D(-40.0, 40.0, 800 * 2**level + 1)
+            dt = 4e-3 / 2**level
+            n_steps = round(1.0 / dt)
+            drift = AnalyticRecoilDrift(P1)
+            if tabulated:
+                times = dt * np.arange(0, n_steps + 1, 10)
+                drift = TabulatedDrift(times, g, np.array([drift(g.x, t) for t in times]))
+            sol = solve_fokker_planck(FokkerPlanckProblem(
+                grid=g, rho0=initial_density(g), drift=drift, D=1.0, dt=dt, t_end=1.0,
+                snapshot_stride=n_steps))
+            assert sol.march == "LAPACK"
+            errors.append(np.max(np.abs(sol.rhos[-1].values - RECOIL.rho(g.x, 1.0))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.6 <= coarse / fine <= 4.4
+
+
 def splu_fokker_planck(p):
     """Reference Crank-Nicolson march: SuperLU on a sparse copy of
     I - dt/2 A, refactored every step when the drift depends on time."""
@@ -337,8 +427,7 @@ class TestTridiagonalSolvesMatchSuperLU:
     def test_fokker_planck(self, drift, monkeypatch):
         # a static drift takes the symmetric LDL^T march, which needs no LU
         if not drift.time_dependent:
-            monkeypatch.setattr(pde, "dgttrf", refuse_lapack)
-            monkeypatch.setattr(pde, "dgttrs", refuse_lapack)
+            monkeypatch.setattr(pde, "dgtsv", refuse_lapack)
         problem = FokkerPlanckProblem(grid=self.grid, rho0=initial_density(self.grid),
                                       drift=drift, D=1.0, dt=2e-3, t_end=0.4)
         sol = solve_fokker_planck(problem)
@@ -379,6 +468,25 @@ class TestTridiagonalSolvesMatchSuperLU:
         got = [f.values for f in wave.psis]
         assert max_rel_diff(got, splu_schrodinger(problem)) <= 1e-12
         assert wave.norm_drift_max <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       dominance=st.sampled_from([0.0, 0.5, 3.0]), zeros=st.booleans())
+def test_one_dgtsv_call_equals_dgttrf_and_dgttrs(n, seed, dominance, zeros):
+    # the LU march's single call keeps the factor-and-solve pair's
+    # elimination and pivot rule, so its densities are the pair's bit for
+    # bit; a weak diagonal makes rows swap, zeros skip eliminations
+    rng = np.random.default_rng(seed)
+    lower, upper, rhs = rng.normal(size=n - 1), rng.normal(size=n - 1), rng.normal(size=n)
+    diag = rng.normal(size=n) + dominance * np.sign(rng.normal(size=n))
+    if zeros:
+        lower[::3] = 0.0
+    *lu, info = pde._flapack.dgttrf(lower, diag, upper)
+    assume(info == 0)
+    want, info = pde._flapack.dgttrs(*lu, rhs)
+    *_, got, info = pde.dgtsv(lower, diag, upper, rhs)
+    assert info == 0 and got.tobytes() == want.tobytes()
 
 
 def mirrored(rng, c, complex_values=False):

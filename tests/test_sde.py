@@ -329,6 +329,153 @@ def interval_law_reference(state, rate, params, config):
     return out
 
 
+# one particle, and ensembles that end just short of, on, and just past the
+# edge of a march chunk
+ENSEMBLE_SIZES = [1, _LOOKUP_CHUNK - 1, _LOOKUP_CHUNK, 2 * _LOOKUP_CHUNK + 3]
+
+
+def stream(seed):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 1])))
+
+
+def stepped_reference(drift, x, t0, dt, steps, rng, scale):
+    """The per-step whole-array update a march must reproduce: b = drift(x, t)
+    over the whole ensemble, b *= dt, x += b, then one n-draw
+    standard_normal, scaled and added. Returns the positions after the last
+    step, or the step and message of the DriftDomainError a lookup raises."""
+    x = x.copy()
+    for k in steps:
+        try:
+            b = drift(x, t0 + k * dt)
+        except DriftDomainError as exc:
+            return k, str(exc)
+        b *= dt
+        x += b
+        z = rng.standard_normal(x.size)
+        z *= scale
+        x += z
+    return x
+
+
+def jump_reference(drift, x, t0, dt, steps, rng, scale):
+    """The exact jump of a linear drift over the steps, with one n-draw
+    standard_normal over the whole ensemble."""
+    growth, v = linear_transition(drift.rate * dt, len(steps))
+    x = x * growth
+    z = rng.standard_normal(x.size)
+    z *= scale * math.sqrt(v)
+    x += z
+    return x
+
+
+def assert_march_matches(drift, reference, x, t0, dt, steps, scale, seed=11):
+    """drift.march over ``steps`` gives the reference's positions bit for bit
+    and leaves the stream where the reference does; where the reference
+    stops at step k, the march raises the same message there and runs every
+    step before it."""
+    want_rng = stream(seed)
+    want = reference(drift, x, t0, dt, steps, want_rng, scale)
+    if isinstance(want, tuple):
+        k, message = want
+        for stop in (steps.stop, k + 1):
+            with pytest.raises(DriftDomainError) as err:
+                drift.march(x.copy(), t0, dt, range(steps.start, stop), stream(seed), scale)
+            assert str(err.value) == message
+        steps = range(steps.start, k)
+        want_rng = stream(seed)
+        want = reference(drift, x, t0, dt, steps, want_rng, scale)
+    got, rng = x.copy(), stream(seed)
+    drift.march(got, t0, dt, steps, rng, scale)
+    assert got.tobytes() == want.tobytes()
+    assert (rng.bit_generator.random_raw(4) == want_rng.bit_generator.random_raw(4)).all()
+
+
+@st.composite
+def tabulated_marches(draw):
+    """A drawn table with -0.0 rows and entries, an ensemble of one of
+    ENSEMBLE_SIZES on nodes, at both ends and inside, and a run of steps in
+    the table's span, the last one up to the span's time tolerance past it."""
+    table = draw(drift_tables())
+    values = table.values.copy()
+    values[draw(st.lists(st.integers(0, values.shape[0] - 1), max_size=2))] = -0.0
+    values[draw(hnp.arrays(bool, values.shape))] = -0.0
+    drift = TabulatedDrift(table.times, table.grid, values)
+    g = drift.grid
+    n = draw(st.sampled_from(ENSEMBLE_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(g.x_min, g.x_max, n)
+    on_node = rng.random(n) < draw(st.floats(0.0, 1.0))
+    x[on_node] = rng.choice(g.x, int(on_node.sum()))
+    x[rng.random(n) < 0.02] = g.x_max
+    x[rng.random(n) < 0.02] = g.x_min
+    x[0] = draw(st.sampled_from([x[0], g.x_max, g.x_min, g.x[g.n // 2]]))
+    first, m = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    last = max(first + m - 1, 1)
+    t0, span = drift.times[0], drift.times[-1] - drift.times[0]
+    # at 1.0 the last step starts on the last row, or up to 5e-10 past it,
+    # within the span's time tolerance
+    dt = span / last * draw(st.sampled_from([1e-9, 1e-4, 0.5, 1.0]))
+    if draw(st.booleans()):
+        dt += 0.5e-9 / last
+    scale = draw(st.sampled_from([0.0, 1e-6 * g.dx, g.dx]))
+    return drift, x, t0, dt, range(first, first + m), scale
+
+
+class TestFusedMarch:
+    """Each march equals the per-step whole-array update bit for bit, stream
+    position included: the tabulated march that looks up, moves and draws a
+    chunk at a time, and the chunked marches of the other drifts."""
+
+    params = PhysicalParams(D=0.7, alpha=1.0, gamma=1.3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tabulated_marches())
+    def test_tabulated_march_matches_the_whole_array_update(self, case):
+        drift, x, t0, dt, steps, scale = case
+        assert_march_matches(drift, stepped_reference, x, t0, dt, steps, scale)
+
+    @pytest.mark.parametrize("n", ENSEMBLE_SIZES)
+    @pytest.mark.parametrize("kind", ["tabulated", "recoil", "ou", "zero"])
+    def test_ensemble_sizes_at_the_chunk_edges(self, kind, n):
+        g = Grid1D(-30.0, 30.0, 601)
+        times = np.linspace(0.0, 0.5, 11)
+        drift, reference = {
+            "tabulated": (TabulatedDrift(times, g, -np.outer(1.0 + times, g.x)),
+                          stepped_reference),
+            "recoil": (AnalyticRecoilDrift(self.params), stepped_reference),
+            "ou": (ou_drift(self.params), jump_reference),
+            "zero": (ZeroDrift(), jump_reference),
+        }[kind]
+        x = sample_initial(self.params.alpha, n, seed=5).positions.copy()
+        assert_march_matches(drift, reference, x, 0.0, 0.01, range(3, 9), 0.2)
+
+    def test_nodes_keep_their_values_beside_an_infinite_slope(self):
+        # 1e308 - (-1e308) overflows, so slope * 0 on a node would be NaN
+        g = Grid1D(0.0, 1.0, 11)
+        row = np.where(np.arange(g.n) % 2, 1e308, -1e308)
+        drift = TabulatedDrift([0.0, 1.0], g, np.stack([row, -row]))
+        x = np.concatenate([g.x, g.x[::-1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert drift(x, 0.0).tobytes() == np.concatenate([row, row[::-1]]).tobytes()
+            assert_march_matches(drift, stepped_reference, x, 0.0, 0.0, range(2), 0.0)
+
+    @pytest.mark.parametrize("out, said", [
+        ([_LOOKUP_CHUNK + 5, 2 * _LOOKUP_CHUNK + 1], "2 particle(s)"),
+        ([3, _LOOKUP_CHUNK + 5, 2 * _LOOKUP_CHUNK + 1], "3 particle(s)"),
+    ], ids=["from the second chunk", "from the first chunk"])
+    def test_leaving_the_table_counts_the_whole_ensemble(self, out, said):
+        # b = 10 x carries the particles at 0.9 past x_max = 1 in the first
+        # step, so the second step's lookup stops the march; the chunks
+        # before the first one that fails have moved on by then
+        g = Grid1D(-1.0, 1.0, 201)
+        drift = TabulatedDrift([0.0, 1.0], g, np.stack([10.0 * g.x] * 2))
+        x = np.zeros(2 * _LOOKUP_CHUNK + 3)
+        x[out] = 0.9
+        assert_march_matches(drift, stepped_reference, x, 0.0, 0.05, range(3), 0.0)
+        with pytest.raises(DriftDomainError, match=re.escape(said + " outside drift domain")):
+            drift.march(x.copy(), 0.0, 0.05, range(3), stream(1), 0.0)
+
+
 class TestLinearLaw:
     """m steps of dx = rate x dt + sqrt(2D) dW in one exact Gaussian jump."""
 

@@ -103,7 +103,7 @@ import sys
 import scipy.linalg.lapack
 from recoillab import pde
 assert sys.modules["scipy.linalg._flapack"] is pde._flapack
-for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "ztbtrs"):
+for name in ("dgtsv", "dpttrf", "dpttrs", "ztbtrs"):
     assert getattr(pde, name) is getattr(scipy.linalg.lapack, name), name
 """
 
