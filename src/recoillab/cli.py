@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import analytic, artifacts, fieldcalc
-from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, steps, stored_steps,
-                   stride_for, trapezoid)
+from .core import (MAX_PARTICLES, Grid1D, PhysicalParams, ScalarField, SolverError, steps,
+                   stored_steps, stride_for, trapezoid)
 
 # pde, sde and diagnostics are imported where they are used: parsing a spec
 # needs at most sde, and pde loads scipy's compiled LAPACK module
@@ -295,9 +295,10 @@ def load_spec(path: str, *, out_dir=None, seed=None, fmt=None) -> ScenarioSpec:
     _check_steps(t_end, sde_dt, "[sde] dt", "sde" in routes)
     if "sde" in routes:
         sde_stride = _get(cfg, "sde", "snapshot_stride", int, stride_for(0.25, sde_dt))
-        if sde_n < 2 or sde_stride < 1:
-            raise SpecError("[sde] n_particles must be >= 2 (the msd's jackknife "
-                            "errors need two) and snapshot_stride >= 1")
+        if not (2 <= sde_n <= MAX_PARTICLES and sde_stride >= 1):
+            raise SpecError("[sde] n_particles must be >= 2 (the msd's jackknife errors need "
+                            f"two) and at most the ceiling MAX_PARTICLES = {MAX_PARTICLES}, "
+                            "and snapshot_stride >= 1")
 
     tolerances = {key: _finite_nonneg(_get(cfg, "tolerances", key, float, default),
                                       f"[tolerances] {key}")

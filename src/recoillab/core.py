@@ -60,6 +60,8 @@ class PhysicalParams:
 # The most steps one march may take, 10**4 times the longest bundled march.
 # A longer march would run for days, and storing its steps can exhaust memory.
 MAX_STEPS = 10**8
+MAX_NODES = 10**6  # every stored slice holds n values; 10**9 would take gigabytes each
+MAX_PARTICLES = 10**7  # every stored snapshot copies the ensemble, 80 MB each at the ceiling
 
 
 def steps(t_end: float, dt: float, t0: float = 0.0) -> int:
@@ -117,6 +119,8 @@ class Grid1D:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 nodes, got {self.n}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"grid n = {self.n} is over the ceiling MAX_NODES = {MAX_NODES}")
         # finite bounds can still overflow their span, or underflow its step
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise ValueError(f"grid spacing dx = {self.dx!r} must be finite and > 0")

@@ -15,24 +15,25 @@ rho' = 2 S (I - dt/2 S^-1 A S)^-1 S^-1 rho - rho, with no product by A.
 A time-dependent drift, or a static one whose S cannot be represented, goes
 through LAPACK's banded LU instead: on every step one dgtsv call factors
 I - dt/2 A (partial pivoting, O(n)) and solves. A singular Fokker-Planck
-step matrix raises SolverError. The wave march with a potential factors
-I + i dt/2 H once as L D L^T, which needs no pivoting (see
-``_lapack_march``), and takes each step through the same identity
+step matrix raises SolverError. The wave march with a potential builds H as
+(lower, diag, upper), as ``_fp_operator`` builds A, and factors
+I + i dt/2 H once as L D U, which needs no pivoting (see
+``_lapack_march``); it takes each step through the same identity
 psi' = 2 (I + i dt/2 H)^-1 psi - psi: two unit-diagonal ztbtrs sweeps and a
 product by 2/d, d the pivots, with no division. The four routines come
 from scipy's compiled module scipy.linalg._flapack, loaded without running
 scipy's package init.
 
 A mirror-symmetric problem marches its even half. On a mirrored grid of odd
-n (``core.mirror_centre``), an even start stays even under an even Omega or
-a static Fokker-Planck operator that is centrosymmetric (an odd drift,
-which the midpoint faces keep exactly odd). Such a march solves
-for nodes c..n-1 of the centre node c = n // 2, with row c's two couplings
-merged into one of twice the weight; its norm and mass ledgers weigh node c
-once and every other node twice, and each stored slice is unfolded to the
-full grid, exactly even. Any other problem, the free sine march and every
-time-dependent Fokker-Planck drift march the full grid; the solutions'
-``even_half`` says which ran.
+n, an even start stays even under a centrosymmetric operator: the wave's H
+of an even Omega, or a static Fokker-Planck A of an odd drift, which the
+midpoint faces keep exactly odd. ``_fold_operator`` is the one fold of both:
+it keeps nodes c..n-1 of the centre node c = n // 2 and merges row c's two
+couplings into one of twice the weight. The folded march's norm and mass
+ledgers weigh node c once and every other node twice, and each stored slice
+is unfolded to the full grid, exactly even. Any other problem, the free
+sine march and every time-dependent Fokker-Planck drift march the full
+grid; the solutions' ``even_half`` says which ran.
 
 One loop, ``solve_schrodinger``, marches both waves: it keeps the norm
 ledger, the edge guard, the drift rows and the stored waves, and the march
@@ -222,13 +223,19 @@ def _symmetrize(lower: np.ndarray, upper: np.ndarray):
     return s / s.max(), upper * ratio
 
 
-def _fold_operator(lower, diag, upper, c):
-    """A centrosymmetric A on the even half, nodes c..n-1: row c reads
-    rho_(c-1) = rho_(c+1), so its two couplings merge into
-    upper[c] + lower[c-1]. Every other row is A's own."""
+def _fold_operator(grid: Grid1D, start: np.ndarray, operator: tuple, *inputs):
+    """(c, the operator on the even half, nodes c..n-1) when start, the
+    tridiagonal operator and inputs are even about the centre node c
+    (``mirror_centre``; lower ++ upper is even exactly when the operator is
+    centrosymmetric), else (None, operator). Row c of the half reads
+    v_(c-1) = v_(c+1), so its two couplings merge into upper[c] + lower[c-1]."""
+    lower, diag, upper = operator
+    c = mirror_centre(grid, start, diag, np.concatenate((lower, upper)), *inputs)
+    if c is None:
+        return None, operator
     upper_h = upper[c:].copy()
     upper_h[0] += lower[c - 1]
-    return lower[c:], diag[c:], upper_h
+    return c, (lower[c:], diag[c:], upper_h)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
@@ -286,12 +293,7 @@ def solve_fokker_planck(p: FokkerPlanckProblem) -> FpSolution:
                 "respected" if bound <= 1.0 else "exceeded; the density may undershoot")
     symmetric = centre = None
     if not time_dependent:
-        # (lower, upper) reversed is (upper[::-1], lower[::-1]), so the pair
-        # is even exactly when A is centrosymmetric, lower == upper[::-1]
-        lower, diag, upper = tri_now
-        centre = mirror_centre(grid, p.rho0.values, diag, np.concatenate((lower, upper)))
-        if centre is not None:
-            lower, diag, upper = _fold_operator(lower, diag, upper, centre)
+        centre, (lower, diag, upper) = _fold_operator(grid, p.rho0.values, tri_now)
         symmetric = _symmetrize(lower, upper)
     if symmetric is not None:
         s, off = symmetric
@@ -428,18 +430,16 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     reaches the Dirichlet boundary (edge density above edge_tol * peak).
 
     The march is ``_lapack_march`` with a potential and ``_sine_march``
-    without one (Omega None). Each gives the four things that differ: take
-    a step, the norm, whether its cheap estimate certifies the edge guard,
-    and psi at a step. This loop holds the rest: the ledger, the exact
-    edge guard where the estimate cannot decide, a drift row
+    without one (Omega None). Each gives its name, whether it runs on the
+    even half, and the four things that differ: take a step, the norm,
+    whether its cheap estimate certifies the edge guard, and psi at a step.
+    This loop holds the rest: the ledger, the exact edge guard where the
+    estimate cannot decide, a drift row
     (``_drift_slice``) every drift_stride steps and a stored wave every
     snapshot_stride steps. It reads psi only at those steps.
     """
-    # the sine march keeps every mode: its FFT's two halves agree only to
-    # rounding, so a folded one would move the stored waves' left half
-    centre = None if p.Omega is None else mirror_centre(p.grid, p.Omega.values, p.psi0.values)
-    name, advance, norm_of, edge_clear, wave_at = (
-        _sine_march(p) if p.Omega is None else _lapack_march(p, centre))
+    name, even_half, advance, norm_of, edge_clear, wave_at = (
+        _sine_march(p) if p.Omega is None else _lapack_march(p))
     grid = p.grid
     n_steps = steps(p.t_end, p.dt)
     stored = stored_steps(n_steps, p.snapshot_stride)
@@ -478,46 +478,57 @@ def solve_schrodinger(p: SchrodingerProblem) -> WaveSolution:
     table = TabulatedDrift(p.dt * drift_steps, grid, rows) if fed else None
     return WaveSolution(grid=grid, times=p.dt * stored, psis=psis, D=p.D, Omega=p.Omega,
                         drift_table=table, norm_drift_max=norm_drift_max, march=name,
-                        even_half=centre is not None)
+                        even_half=even_half)
 
 
-def _lapack_march(p: SchrodingerProblem, centre: Optional[int] = None):
+def _pivots(lower, diag, upper):
+    """The pivots d_0 = m_00, d_i = m_ii - l_(i-1) u_(i-1)/d_(i-1) of a
+    tridiagonal matrix's unpivoted LU factor, in Python complex arithmetic."""
+    coupling = (lower * upper).tolist()
+    d = diag.tolist()
+    for i, lu in enumerate(coupling):
+        d[i + 1] -= lu / d[i]
+    return np.array(d, dtype=complex)
+
+
+def _lapack_march(p: SchrodingerProblem):
     """The march with a potential: M = I + i dt/2 H factored once, two
     ztbtrs sweeps a step.
 
-    M is complex symmetric and tridiagonal, its off-diagonal the constant
-    off = i k with k = -(dt/2) D/dx^2. It factors without pivoting as
-    L diag(d) L^T, L unit lower bidiagonal with the multipliers
-    l_i = off/d_i, and the pivots d_0 = m_00, d_i = m_ii - off^2/d_(i-1).
-    No pivot is zero: Re m_ii = 1 and off^2 = -k^2, so by induction
-    Re d_i = 1 + k^2 Re(d_(i-1))/|d_(i-1)|^2 >= 1 for every real Omega. A
-    step solves L z = psi, scales z by 2/d and solves L^T y = z, so
+    ``_fold_operator`` folds H onto the even half when psi0 and Omega are
+    even (Omega too, as H's diagonal can round an asymmetry of Omega away).
+    M's off-diagonals are then i k, k = -(dt/2) D/dx^2, except the half's
+    first upper one, 2 i k. M factors without pivoting as L diag(d) U, L
+    and U unit bidiagonal with l_i = m_(i+1,i)/d_i and u_i = m_(i,i+1)/d_i,
+    and the pivots of ``_pivots``. No pivot is zero: Re m_ii = 1 and
+    l_(i-1) u_(i-1) = -j k^2, j = 2 on the half's first row and 1
+    elsewhere, so by induction
+    Re d_i = 1 + j k^2 Re(d_(i-1))/|d_(i-1)|^2 >= 1 for every real Omega. A
+    step solves L z = psi, scales z by 2/d and solves U y = z, so
     y - psi = 2 M^-1 psi - psi; both sweeps have a unit diagonal, and the
     march divides nowhere. A pivot that is not finite (Omega/(2D)
     overflowing, say) raises SolverError.
-
-    Given the centre node c of an even Omega and psi0, psi stays even, and
-    the march solves for nodes c..n-1 alone. Row c then reads
-    psi_(c-1) = psi_(c+1), so its two couplings merge into 2 off, and M on
-    the half factors as L diag(d) U with u_0 = 2 off/d_0 and
-    d_1 = m_11 - 2 off^2/d_0, whose real part is still >= 1. The norm weighs
-    the centre node once and every other node twice.
 
     The peak density is at least the mean norm/(n dx), so edge density at
     most half of edge_tol times the mean certifies the guard (the half
     covers the roundoff between the two)."""
     dx, n = p.grid.dx, p.grid.n
-    off, two_over_d = _wave_pivots(p, centre)  # the pivots, turned into 2/d below
+    # H = -D d^2/dx^2 + Omega/(2D), Dirichlet ends, laid out as _fp_operator's A
+    off = np.full(n - 1, -p.D / dx**2)
+    with np.errstate(over="ignore"):  # an infinite potential gives infinite pivots
+        H = off, 2.0 * p.D / dx**2 + p.Omega.values / (2.0 * p.D), off
+    centre, (lower, diag, upper) = _fold_operator(p.grid, p.psi0.values, H, p.Omega.values)
+    kappa = 0.5j * p.dt
+    with np.errstate(invalid="ignore"):  # 0 * inf on an infinite potential's row
+        lower, diag, upper = kappa * lower, 1.0 + kappa * diag, kappa * upper
+    two_over_d = _pivots(lower, diag, upper)  # the pivots, turned into 2/d below
     if not np.isfinite(two_over_d).all():
         raise SolverError("wave step matrix is not finite; check Omega and the grid")
     # L and U in LAPACK band storage; their unit diagonals are never read
     m = two_over_d.size
-    lower = np.zeros((2, m), dtype=complex, order="F")
-    lower[1, :-1] = off / two_over_d[:-1]
-    upper = np.zeros((2, m), dtype=complex, order="F")
-    upper[0, 1:] = lower[1, :-1]
-    if centre is not None:
-        upper[0, 1] *= 2.0  # u_0 = 2 off/d_0
+    l_band, u_band = (np.zeros((2, m), dtype=complex, order="F") for _ in range(2))
+    l_band[1, :-1] = lower / two_over_d[:-1]
+    u_band[0, 1:] = upper / two_over_d[:-1]
     np.divide(2.0, two_over_d, out=two_over_d)
     psi = p.psi0.values[centre:].copy()
     work = np.empty_like(psi)
@@ -527,9 +538,9 @@ def _lapack_march(p: SchrodingerProblem, centre: Optional[int] = None):
     def advance():
         nonlocal psi, work
         np.copyto(work, psi)
-        z, _ = ztbtrs(lower, work, uplo="L", diag="U", overwrite_b=True)
+        z, _ = ztbtrs(l_band, work, uplo="L", diag="U", overwrite_b=True)
         z *= two_over_d
-        solved, _ = ztbtrs(upper, z, uplo="U", diag="U", overwrite_b=True)
+        solved, _ = ztbtrs(u_band, z, uplo="U", diag="U", overwrite_b=True)
         solved -= psi
         psi, work = solved, psi
 
@@ -539,7 +550,7 @@ def _lapack_march(p: SchrodingerProblem, centre: Optional[int] = None):
 
         def wave_at(step):
             return psi
-    else:
+    else:  # the even half: the centre node weighs once, every other twice
         def norm_of():
             return (2.0 * np.vdot(psi, psi).real - abs(psi[0]) ** 2) * dx
 
@@ -551,27 +562,7 @@ def _lapack_march(p: SchrodingerProblem, centre: Optional[int] = None):
     def edge_clear(norm):
         return max(abs(psi[left]), abs(psi[-1])) ** 2 <= 0.5 * p.edge_tol * norm / (n * dx)
 
-    return "LAPACK", advance, norm_of, edge_clear, wave_at
-
-
-def _wave_pivots(p: SchrodingerProblem, centre: Optional[int] = None):
-    """M's off-diagonal and the pivots d of M = I + i dt/2 H = L diag(d) L^T
-    (``_lapack_march``), in one pass of Python complex arithmetic; with a
-    centre node c, those of M on the even half, nodes c..n-1, whose first
-    row holds 2 off."""
-    dx = p.grid.dx
-    with np.errstate(over="ignore"):  # an infinite potential gives infinite pivots
-        h_diag = 2.0 * p.D / dx**2 + p.Omega.values[centre:] / (2.0 * p.D)
-    kappa = 0.5j * p.dt
-    off = kappa * (-p.D / dx**2)
-    off2 = off * off
-    d = np.empty(h_diag.size, dtype=complex)
-    pivot = d[0] = 1.0 + kappa * h_diag.item(0)
-    fold = 1.0 if centre is None else 2.0  # the even half's first row holds 2 off
-    pivot = d[1] = 1.0 + kappa * h_diag.item(1) - fold * off2 / pivot
-    for i in range(2, h_diag.size):
-        pivot = d[i] = 1.0 + kappa * h_diag.item(i) - off2 / pivot
-    return off, d
+    return "LAPACK", centre is not None, advance, norm_of, edge_clear, wave_at
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:
@@ -632,7 +623,9 @@ def _sine_march(p: SchrodingerProblem):
         c = c0 * np.exp(-1j * (step * theta))
         return scale * _dst1(c)
 
-    return "sine basis", advance, norm_of, edge_clear, wave_at
+    # never folded: the FFT's two halves agree only to rounding, so a folded
+    # march would move the stored waves' left half
+    return "sine basis", False, advance, norm_of, edge_clear, wave_at
 
 
 def _madelung(psi: np.ndarray, grid: Grid1D, D: float):

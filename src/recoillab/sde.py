@@ -36,8 +36,8 @@ from .core import (Grid1D, PhysicalParams, ScalarField, SolverError, gaussian_sm
                    steps, stored_steps)
 
 
-# particles per pass of the march, the tabulated lookup and the KDE binning;
-# keeps the working buffers in cache
+# particles per pass of the march and the KDE binning; keeps the working
+# buffers in cache
 _LOOKUP_CHUNK = 8192
 
 
@@ -197,9 +197,10 @@ class TabulatedDrift(DriftSource):
         self._x_lo = grid.x_min + 0.5 * grid.dx
         self._inv_dx = 1.0 / grid.dx
 
-    # __call__, ``at`` and ``march`` share one lookup: ``_row`` blends the
-    # time rows, ``_locate`` finds the positions' cells and ``_interpolate``
-    # reads the row there, in np.interp's operation order.
+    # ``at`` and ``march`` share one lookup, and __call__ is ``at`` read
+    # once: ``_row`` blends the time rows, ``_locate`` finds the positions'
+    # cells and ``_interpolate`` reads the row there, in np.interp's
+    # operation order.
 
     def _row(self, t: float) -> tuple:
         """The time blend f of the rows around t, its slopes df_i / dx_i (0 at
@@ -268,18 +269,8 @@ class TabulatedDrift(DriftSource):
         return np.empty(m, dtype=np.intp), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
 
     def __call__(self, x, t):
-        row = self._row(t)
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
-        result = np.empty_like(flat)
-        i, off, buf, ahead = self._buffers(min(flat.size, _LOOKUP_CHUNK))
-        for lo, hi in _chunks(flat.size):
-            c = hi - lo
-            xc = flat[lo:hi]
-            self._check_domain(xc, flat[lo:])
-            self._locate(xc, i[:c], off[:c], buf[:c], ahead[:c])
-            self._interpolate(row, i[:c], off[:c], result[lo:hi], buf[:c])
-        return result.reshape(x.shape)
+        return self.at(x.reshape(-1))(t).reshape(x.shape)
 
     def at(self, x):
         """``DriftSource.at`` for 1D x, with the cells found once."""

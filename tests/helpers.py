@@ -39,3 +39,14 @@ def snapshot_at(snapshots, t: float):
         if abs(s.t - t) < 1e-9 * max(1.0, abs(t)):
             return s
     raise KeyError(f"no snapshot at t={t}; stored: {[s.t for s in snapshots]}")
+
+
+def interp_lookup(drift, x, t):
+    """Reference bilinear lookup: the time blend of the two rows, then one
+    np.interp binary search on the blended row, in the operation order
+    TabulatedDrift must keep."""
+    times = drift.times
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
+    w = min(max((t - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
+    f = (1.0 - w) * drift.values[k] + w * drift.values[k + 1]
+    return np.interp(x, drift.grid.x, f)

@@ -222,6 +222,22 @@ routes = analytic
         assert self.rc(path) == 2
         assert capsys.readouterr().err.startswith("invalid spec: bad [grid]")
 
+    @pytest.mark.parametrize("section, setting, ceiling", [
+        ("grid", "n = 10000000000000", "MAX_NODES = 1000000"),
+        ("sde", "n_particles = 10000000000000", "MAX_PARTICLES = 10000000"),
+    ], ids=["nodes", "particles"])
+    def test_a_size_over_its_ceiling(self, tmp_path, capsys, section, setting, ceiling):
+        # the spec check stops both before any route allocates that many values
+        path = write_cfg(tmp_path, "bad.cfg",
+                         "[scenario]\nkind = free_brownian\nroutes = analytic, fp, sde\n"
+                         f"[{section}]\n{setting}\n")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid spec:") and ceiling in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_dim_other_than_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "bad.cfg", """
 [scenario]

@@ -34,7 +34,7 @@ from recoillab.sde import (
     silverman_bandwidth,
 )
 
-from helpers import snapshot_at
+from helpers import interp_lookup, snapshot_at
 
 
 class TestSampleInitial:
@@ -146,17 +146,6 @@ class TestTabulatedDrift:
         bad[1, 3] = np.inf
         with pytest.raises(ValueError, match="finite"):
             TabulatedDrift([0.0, 1.0], g, bad)
-
-
-def interp_lookup(drift, x, t):
-    """Reference bilinear lookup: the time blend of the two rows, then one
-    np.interp binary search on the blended row, in the operation order
-    TabulatedDrift must keep."""
-    times = drift.times
-    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
-    w = min(max((t - times[k]) / (times[k + 1] - times[k]), 0.0), 1.0)
-    f = (1.0 - w) * drift.values[k] + w * drift.values[k + 1]
-    return np.interp(x, drift.grid.x, f)
 
 
 @st.composite
