@@ -62,7 +62,6 @@ class Scenario:
     omega: Callable = lambda spec: None
     # (sde module, params) -> closed-form fp/sde drift, used when no wave runs
     drift: Optional[Callable] = None
-    energy_gate: bool = False      # the total energy is conserved, so gate it
     tables: bool = False           # the dynamics come from the [tables] files
 
 
@@ -83,8 +82,7 @@ SCENARIOS = {
                  "<x^2> = alpha^2/2 + 2 D^2 t^2 / alpha^2"),
         peak_var=lambda p, t: p.alpha**2 / 2 + 2 * p.D**2 * t**2 / p.alpha**2,
         solution=analytic.FreeRecoilSolution,
-        drift=lambda sde, p: sde.AnalyticRecoilDrift(p),
-        energy_gate=True),
+        drift=lambda sde, p: sde.AnalyticRecoilDrift(p)),
     # fp/sde take their drift from the wave route in the same run
     "harmonic_recoil": Scenario(
         routes=("analytic", "schrodinger", "fp", "sde"),
@@ -97,8 +95,7 @@ SCENARIOS = {
                                   (p.D / p.gamma) ** 2 / (p.alpha**2 / 2)),
         solution=analytic.HarmonicRecoilSolution,
         omega=lambda spec: ScalarField(spec.grid, analytic.HarmonicRecoilSolution(
-            spec.params).omega(spec.grid.x)),
-        energy_gate=True),
+            spec.params).omega(spec.grid.x))),
     "smoluchowski_ou": Scenario(
         routes=("analytic", "fp", "sde"),
         defaults=dict(x_min=-12.0, x_max=12.0, n=2401, dt=1e-3,
@@ -582,7 +579,9 @@ def _evaluate_gates(spec, results, comparisons) -> list:
             nsig = abs(series.values[-1] - exact) / float(series.stderr[-1])
             checks.append(("msd_nsigma_sde", nsig, tol["msd_nsigma"]))
 
-    if SCENARIOS[spec.kind].energy_gate:
+    # the wave takes only a static Omega, so every kind that can run it
+    # conserves the total energy
+    if "schrodinger" in SCENARIOS[spec.kind].routes:
         for route in ("analytic", "schrodinger"):
             if route in results:
                 tot = results[route].energy.total

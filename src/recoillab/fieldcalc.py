@@ -10,14 +10,15 @@ overdamped diffusion, whose Hamilton-Jacobi form reads
 
     dS/dt + |grad S|^2/2 - Q = -Omega.
 
-The momentum laws are the gradients of these. Residual operators return the
-pointwise defect as a ScalarField; exact inputs give zero to roundoff, meshed
-inputs give O(dt^2 + dx^2).
+The momentum laws are the gradients of these. Residual operators take the
+slice and its time derivative from the caller and return the pointwise defect
+as a ScalarField; exact inputs give zero to roundoff, meshed inputs give
+O(dt^2 + dx^2).
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -164,13 +165,6 @@ def hj_residual(h: HydroFields, dS_dt: ScalarField, sign: SignConvention) -> Sca
     return ScalarField(h.grid, res)
 
 
-def hj_residual_from_slices(slices: Sequence[HydroFields], sign: SignConvention) -> ScalarField:
-    """hj_residual at the middle of three consecutive slices, with dS/dt taken
-    as the centered difference of the outer two."""
-    prev, mid, nxt = _three(slices)
-    return hj_residual(mid, time_derivative(prev.S, nxt.S, nxt.t - prev.t), sign)
-
-
 def momentum_residual(h: HydroFields, dv_dt: ScalarField, sign: SignConvention) -> ScalarField:
     """Defect of the momentum law.
 
@@ -185,11 +179,6 @@ def momentum_residual(h: HydroFields, dv_dt: ScalarField, sign: SignConvention) 
     else:
         res = adv - (gQ - gO)
     return ScalarField(h.grid, res)
-
-
-def momentum_residual_from_slices(slices: Sequence[HydroFields], sign: SignConvention) -> ScalarField:
-    prev, mid, nxt = _three(slices)
-    return momentum_residual(mid, time_derivative(prev.v, nxt.v, nxt.t - prev.t), sign)
 
 
 def girsanov_residual(h: HydroFields, dphi_dt: ScalarField, Omega_r: ScalarField, D: float) -> ScalarField:
@@ -208,12 +197,6 @@ def drift_potential(h: HydroFields, D: float) -> ScalarField:
     before the log."""
     safe = floor_density(h.rho)
     return ScalarField(h.grid, 0.5 * np.log(safe.values) + h.S.values / (2.0 * D))
-
-
-def girsanov_residual_from_slices(slices: Sequence[HydroFields], Omega_r: ScalarField, D: float) -> ScalarField:
-    prev, mid, nxt = _three(slices)
-    dphi_dt = time_derivative(drift_potential(prev, D), drift_potential(nxt, D), nxt.t - prev.t)
-    return girsanov_residual(mid, dphi_dt, Omega_r, D)
 
 
 def volume_momentum_rate(h: HydroFields, interval) -> float:
@@ -244,12 +227,3 @@ def hydro_from_arrays(t: float, grid: Grid1D, *, rho, S, v, u, Q,
                        v=v_f, u=u_f, b=ScalarField(grid, v_f.values + u_f.values),
                        Q=ScalarField(grid, Q),
                        Omega=ScalarField(grid, np.zeros(grid.n) if Omega is None else Omega))
-
-
-def _three(slices: Sequence[HydroFields]):
-    if len(slices) != 3:
-        raise ValueError("need exactly three consecutive slices")
-    prev, mid, nxt = slices
-    if not (prev.t < mid.t < nxt.t):
-        raise ValueError("slices must be time-ordered")
-    return prev, mid, nxt

@@ -15,12 +15,10 @@ from recoillab.artifacts import compare_runs
 from recoillab.diagnostics import energy_report, msd_from_ensemble
 from recoillab.fieldcalc import (
     SignConvention,
+    drift_potential,
     girsanov_residual,
-    girsanov_residual_from_slices,
     hj_residual,
-    hj_residual_from_slices,
     momentum_residual,
-    momentum_residual_from_slices,
     time_derivative,
 )
 from recoillab.pde import madelung_decompose
@@ -160,18 +158,19 @@ def test_criterion_6_residual_suite():
     # by two shrinks every residual by ~4 (second-order scheme)
     def mesh_residuals(n, dt):
         grid = Grid1D(-12.0, 12.0, n)
-        slices = [exact_slice(recoil, grid, tt) for tt in (t - dt, t, t + dt)]
-        prev, mid, nxt = slices
+        prev, mid, nxt = (exact_slice(recoil, grid, tt) for tt in (t - dt, t, t + dt))
+        span = nxt.t - prev.t
+        dS_dt = time_derivative(prev.S, nxt.S, span)
+        dv_dt = time_derivative(prev.v, nxt.v, span)
+        dphi_dt = time_derivative(drift_potential(prev, p.D), drift_potential(nxt, p.D), span)
         omega_r = ScalarField(grid, 2.0 * mid.Q.values)
         j = ScalarField(grid, mid.rho.values * mid.v.values)
         cont = time_derivative(prev.rho, nxt.rho, 2.0 * dt).values + gradient(j).values
         return {
-            "hj": np.max(np.abs(hj_residual_from_slices(
-                slices, SignConvention.RECOIL).values)),
-            "momentum": np.max(np.abs(momentum_residual_from_slices(
-                slices, SignConvention.RECOIL).values)),
-            "girsanov": np.max(np.abs(girsanov_residual_from_slices(
-                slices, omega_r, p.D).values)),
+            "hj": np.max(np.abs(hj_residual(mid, dS_dt, SignConvention.RECOIL).values)),
+            "momentum": np.max(np.abs(momentum_residual(
+                mid, dv_dt, SignConvention.RECOIL).values)),
+            "girsanov": np.max(np.abs(girsanov_residual(mid, dphi_dt, omega_r, p.D).values)),
             "continuity": np.max(np.abs(cont)),
         }
 

@@ -835,6 +835,36 @@ omega_file = omega.csv
         assert main(["run", path, "--out", str(out)]) == 0
         assert (out / "fields_fp.csv").is_file()
 
+    @pytest.mark.parametrize("energy_drift, rc", [(1e-3, 0), (1e-9, 1)])
+    def test_a_custom_wave_run_gates_its_energy(self, tmp_path, energy_drift, rc):
+        # the wave's Omega is static, so its total energy is conserved; the
+        # spread on this grid is about 1e-5
+        np.savetxt(tmp_path / "omega.csv", [[-10.0, 0.0], [10.0, 0.0]], delimiter=",")
+        path = write_cfg(tmp_path, "custom.cfg", f"""
+[scenario]
+kind = custom
+routes = schrodinger
+
+[grid]
+x_min = -10
+x_max = 10
+n = 201
+
+[time]
+t_end = 0.2
+
+[tables]
+omega_file = omega.csv
+
+[tolerances]
+energy_drift = {energy_drift}
+""")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == rc
+        gates = json.loads((out / "report.json").read_text())["gates"]
+        assert [g["name"] for g in gates] == ["energy_drift_schrodinger"]
+        assert 1e-9 < gates[0]["value"] < 1e-3
+
     def test_custom_routes_take_the_drift_file(self, tmp_path):
         # b = -x tabulated at t = 0 and t = 1 is the OU drift with gamma = 1,
         # so the custom fp route, an LU march of the table, must give the OU

@@ -13,7 +13,6 @@ from recoillab.fieldcalc import (
     floor_density,
     girsanov_residual,
     hj_residual,
-    hj_residual_from_slices,
     hydro_from_arrays,
     hydro_from_rho_S,
     momentum_residual,
@@ -237,11 +236,3 @@ class TestSliceBookkeeping:
         f = ScalarField(g, np.zeros(g.n))
         with pytest.raises(ValueError):
             time_derivative(f, f, 0.0)
-
-    def test_three_slices_must_be_ordered(self):
-        g = Grid1D(-12.0, 12.0, 1201)
-        slices = [exact_slice(RECOIL, g, t) for t in (0.4, 0.5, 0.6)]
-        with pytest.raises(ValueError, match="time-ordered"):
-            hj_residual_from_slices(slices[::-1], SignConvention.RECOIL)
-        with pytest.raises(ValueError, match="three"):
-            hj_residual_from_slices(slices[:2], SignConvention.RECOIL)

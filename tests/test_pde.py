@@ -34,7 +34,7 @@ from recoillab.analytic import (
     HarmonicRecoilSolution,
     OrnsteinUhlenbeckSolution,
 )
-from recoillab.sde import (AnalyticRecoilDrift, DriftSource, SmoluchowskiDrift, TabulatedDrift,
+from recoillab.sde import (AnalyticRecoilDrift, SmoluchowskiDrift, TabulatedDrift,
                            ZeroDrift, ou_drift)
 from recoillab.pde import (
     FokkerPlanckProblem,
@@ -274,17 +274,6 @@ class TestWaveSolver:
             recoil_wave.psi_at(0.33)
 
 
-class ThroughCall(DriftSource):
-    """A drift table read through its __call__ at every lookup, as the base
-    ``DriftSource.at`` reads any drift."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __call__(self, x, t):
-        return self.table(x, t)
-
-
 class TestFaceDrift:
     """A time-dependent fp march reads a drift table at ``Grid1D.faces``
     through ``TabulatedDrift.at``, which finds the faces' cells once per
@@ -325,35 +314,32 @@ class TestFaceDrift:
         solve_fokker_planck(problem)
         assert len(seen) == 41 and seen[-1] > problem.drift.times[-1]
 
-    @pytest.mark.parametrize("table_nodes", [481, 173])
-    def test_solve_equals_one_read_through_call(self, table_nodes):
-        problem = self.problem(table_nodes)
-        got = solve_fokker_planck(problem)
-        want = solve_fokker_planck(
-            dataclasses.replace(problem, drift=ThroughCall(problem.drift)))
-        assert b"".join(r.values.tobytes() for r in got.rhos) == \
-            b"".join(r.values.tobytes() for r in want.rhos)
-        assert (got.mass_drift_max, got.min_density) == (want.mass_drift_max, want.min_density)
-
 
 class TestTimeDependentFpOrder:
     """The time-dependent LU fp march is second order against the closed
     form: on [-40, 40] from 801 nodes and dt 4e-3 to t = 1, with dx and dt
     halved twice, the max-norm error of rho falls fourfold per halving
     (measured 4.00). The table samples the closed-form drift on the march's
-    nodes every tenth step, so its lookups interpolate in x and in t."""
+    nodes every tenth step, so its lookups interpolate in x and in t. The
+    wave's own drift table, tabulated every tenth step of a wave march on the
+    same grid and dt, is the consistency triangle's grid leg (measured 4.02
+    and 4.00)."""
 
-    @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "tabulated"])
-    def test_error_falls_fourfold_per_halving(self, tabulated):
+    @pytest.mark.parametrize("source", ["analytic", "tabulated", "wave"])
+    def test_error_falls_fourfold_per_halving(self, source):
         errors = []
         for level in range(3):
             g = Grid1D(-40.0, 40.0, 800 * 2**level + 1)
             dt = 4e-3 / 2**level
             n_steps = round(1.0 / dt)
             drift = AnalyticRecoilDrift(P1)
-            if tabulated:
+            if source == "tabulated":
                 times = dt * np.arange(0, n_steps + 1, 10)
                 drift = TabulatedDrift(times, g, np.array([drift(g.x, t) for t in times]))
+            elif source == "wave":
+                drift = solve_schrodinger(build_recoil_problem(
+                    initial_density(g), None, D=1.0, dt=dt, t_end=1.0,
+                    snapshot_stride=n_steps, drift_stride=10)).drift_table
             sol = solve_fokker_planck(FokkerPlanckProblem(
                 grid=g, rho0=initial_density(g), drift=drift, D=1.0, dt=dt, t_end=1.0,
                 snapshot_stride=n_steps))
