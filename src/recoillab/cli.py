@@ -401,7 +401,7 @@ def _run_analytic(spec) -> RouteData:
         for t in times for c in [sol.fields(grid.x, t)])
     rhos = (ScalarField(grid, sol.rho(grid.x, t)) for t in times)
     return RouteData(final_rho=sol.rho(grid.x, times[-1]),
-                     msd=msd_from_fields(times, rhos, source="analytic"), energy=energy)
+                     msd=msd_from_fields(times, rhos), energy=energy)
 
 
 def _initial_density(spec):
@@ -438,7 +438,7 @@ def _run_schrodinger(spec) -> tuple:
     energy = energy_report(hydro())
     rhos = (ScalarField(spec.grid, np.abs(psi.values) ** 2) for psi in wave.psis)
     data = RouteData(fields=fields, final_rho=np.abs(wave.psis[-1].values) ** 2,
-                     msd=msd_from_fields(wave.times, rhos, source="pde"), energy=energy,
+                     msd=msd_from_fields(wave.times, rhos), energy=energy,
                      ledger={"march": wave.march, "even_half": wave.even_half,
                              "norm_drift_max": wave.norm_drift_max})
     return data, wave
@@ -522,7 +522,7 @@ def _run_fp(spec, drift) -> RouteData:
                 "Q": fieldcalc.osmotic_pressure(u, p.D).values})
 
     return RouteData(fields=fields, final_rho=sol.rhos[-1].values,
-                     msd=msd_from_fields(sol.times, sol.rhos, source="pde"),
+                     msd=msd_from_fields(sol.times, sol.rhos),
                      ledger={"march": sol.march, "even_half": sol.even_half,
                              "mass_drift_max": sol.mass_drift_max,
                              "min_density": sol.min_density, "mass_change": sol.mass_change,
@@ -604,16 +604,12 @@ def _build_report(spec, results) -> dict:
     from .diagnostics import classify_dispersion, compare_fields
 
     final = {r: ScalarField(spec.grid, results[r].final_rho) for r in spec.routes}
-    comparisons = []
-    for i, a in enumerate(spec.routes):
-        for b in spec.routes[i + 1:]:
-            entry = {"a": a, "b": b, "t": spec.t_end}
-            entry.update(compare_fields(final[b], final[a]).as_dict())
-            comparisons.append(entry)
+    comparisons = [{"a": a, "b": b, "t": spec.t_end, **asdict(compare_fields(final[b], final[a]))}
+                   for i, a in enumerate(spec.routes) for b in spec.routes[i + 1:]]
     gates = _evaluate_gates(spec, results, comparisons)
 
     p = spec.params
-    report = {
+    return {
         "name": spec.name,
         "scenario": spec.kind,
         "routes": list(spec.routes),
@@ -623,18 +619,13 @@ def _build_report(spec, results) -> dict:
         "time": {"dt": spec.dt, "fp_dt": spec.fp_dt, "t_end": spec.t_end,
                  "sde_dt": spec.sde_dt},
         "tolerances": dict(spec.tolerances),
-        "series": {}, "energy": {}, "dispersion": {},
+        "dispersion": {route: asdict(classify_dispersion(data.msd))
+                       for route, data in results.items()},
         "ledgers": {route: data.ledger for route, data in results.items() if data.ledger},
         "comparisons": comparisons,
         "gates": gates,
         "passed": all(g["passed"] for g in gates),
     }
-    for route, data in results.items():
-        report["series"][route] = data.msd.as_dict()
-        if data.energy is not None:
-            report["energy"][route] = data.energy.as_dict()
-        report["dispersion"][route] = classify_dispersion(data.msd).as_dict()
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ class MsdSeries:
 
     times: np.ndarray
     values: np.ndarray
-    source: str
     stderr: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class MsdSeries:
             raise ValueError("series must be finite")
         if np.any(v < 0):
             raise ValueError("msd must be >= 0")
-        if self.source not in ("analytic", "sde", "pde"):
-            raise ValueError(f"unknown source tag {self.source!r}")
         se = self.stderr
         if se is not None:
             se = np.asarray(se, dtype=float)
@@ -72,14 +69,8 @@ class MsdSeries:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "stderr", se)
 
-    def as_dict(self) -> dict:
-        out = {"source": self.source, "times": self.times.tolist(), "values": self.values.tolist()}
-        if self.stderr is not None:
-            out["stderr"] = self.stderr.tolist()
-        return out
 
-
-def msd_from_fields(times, rhos: Iterable[ScalarField], source: str = "pde") -> MsdSeries:
+def msd_from_fields(times, rhos: Iterable[ScalarField]) -> MsdSeries:
     """Second moment <x^2> of each density slice. Slices are renormalized by
     their own mass to keep quadrature honest. rhos is read once, in order,
     so a generator may build each slice as it is needed."""
@@ -90,7 +81,7 @@ def msd_from_fields(times, rhos: Iterable[ScalarField], source: str = "pde") -> 
             raise ValueError("density slice has non-positive mass")
         x = rho.grid.x
         values.append(integrate(ScalarField(rho.grid, x**2 * rho.values)) / mass)
-    return MsdSeries(np.asarray(times, dtype=float), np.asarray(values), source=source)
+    return MsdSeries(np.asarray(times, dtype=float), np.asarray(values))
 
 
 def msd_from_ensemble(states: Sequence[EnsembleState]) -> MsdSeries:
@@ -101,8 +92,7 @@ def msd_from_ensemble(states: Sequence[EnsembleState]) -> MsdSeries:
         times.append(s.t)
         values.append(m.value)
         errs.append(m.stderr)
-    return MsdSeries(np.asarray(times), np.asarray(values), source="sde",
-                     stderr=np.asarray(errs))
+    return MsdSeries(np.asarray(times), np.asarray(values), stderr=np.asarray(errs))
 
 
 @dataclass(frozen=True)
@@ -117,15 +107,6 @@ class EnergyReport:
     @property
     def total(self) -> np.ndarray:
         return self.kinetic + self.osmotic + self.potential
-
-    def as_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "kinetic": self.kinetic.tolist(),
-            "osmotic": self.osmotic.tolist(),
-            "potential": self.potential.tolist(),
-            "total": self.total.tolist(),
-        }
 
 
 def energy_report(slices: Iterable[HydroFields]) -> EnergyReport:
@@ -158,15 +139,6 @@ class DispersionVerdict:
     exponent_ci: Optional[float] = None
     bound: Optional[float] = None
     window: tuple = field(default=())
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "exponent": self.exponent,
-            "exponent_ci": self.exponent_ci,
-            "bound": self.bound,
-            "window": list(self.window),
-        }
 
 
 def classify_dispersion(series: MsdSeries, flat_ratio: float = 1.5) -> DispersionVerdict:
@@ -221,10 +193,6 @@ class FieldComparison:
     l2: float
     linf: float
     moment_rel_err: tuple  # orders 0, 1, 2 against the reference
-
-    def as_dict(self) -> dict:
-        return {"l1": self.l1, "l2": self.l2, "linf": self.linf,
-                "moment_rel_err": list(self.moment_rel_err)}
 
 
 def compare_fields(a: ScalarField, ref: ScalarField) -> FieldComparison:

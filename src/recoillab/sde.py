@@ -463,12 +463,12 @@ def kde_density(state: EnsembleState, grid: Grid1D) -> ScalarField:
 
     # linear binning: each particle splits its weight between the two
     # neighbouring nodes, preserving total mass and the first moment. The
-    # shares are added _LOOKUP_CHUNK particles at a time, in particle order,
-    # every lower-node share before any upper-node share
+    # shares are added over the march's chunks, in particle order, every
+    # lower-node share before any upper-node share
     counts = np.zeros(grid.n)
     for upper in (0, 1):
-        for lo in range(0, pos.size, _LOOKUP_CHUNK):
-            rel = (pos[lo:lo + _LOOKUP_CHUNK] - grid.x_min) / grid.dx
+        for lo, hi in _chunks(pos.size):
+            rel = (pos[lo:hi] - grid.x_min) / grid.dx
             idx = np.clip(rel.astype(int), 0, grid.n - 2)
             frac = rel - idx
             np.add.at(counts, idx + upper, frac if upper else 1.0 - frac)

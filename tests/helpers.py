@@ -30,7 +30,7 @@ def wave_density(wave, t: float) -> np.ndarray:
 def wave_msd(wave) -> MsdSeries:
     """Second-moment series over every stored wave slice."""
     rhos = [ScalarField(wave.grid, np.abs(p.values) ** 2) for p in wave.psis]
-    return msd_from_fields(wave.times, rhos, source="pde")
+    return msd_from_fields(wave.times, rhos)
 
 
 def snapshot_at(snapshots, t: float):

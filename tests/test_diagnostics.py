@@ -1,9 +1,13 @@
 """Observables: msd extraction, energy budgets, dispersion classification,
 and field distances."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from recoillab.artifacts import _json_blocks
 from recoillab.core import Grid1D, PhysicalParams, ScalarField
 from recoillab.analytic import (
     FreeBrownianSolution,
@@ -32,22 +36,13 @@ class TestMsdSeries:
         t = np.array([0.0, 1.0, 2.0])
         v = np.array([0.5, 1.0, 2.0])
         with pytest.raises(ValueError, match="equal length"):
-            MsdSeries(t, v[:2], source="pde")
+            MsdSeries(t, v[:2])
         with pytest.raises(ValueError, match="strictly increasing"):
-            MsdSeries(t[::-1], v, source="pde")
+            MsdSeries(t[::-1], v)
         with pytest.raises(ValueError, match=">= 0"):
-            MsdSeries(t, -v, source="pde")
-        with pytest.raises(ValueError, match="source"):
-            MsdSeries(t, v, source="magic")
+            MsdSeries(t, -v)
         with pytest.raises(ValueError, match="stderr"):
-            MsdSeries(t, v, source="sde", stderr=np.array([0.1]))
-
-    def test_as_dict_round_trip(self):
-        s = MsdSeries(np.array([0.0, 1.0]), np.array([0.5, 2.5]), source="analytic")
-        d = s.as_dict()
-        assert d["times"] == [0.0, 1.0]
-        assert d["values"] == [0.5, 2.5]
-        assert d["source"] == "analytic"
+            MsdSeries(t, v, stderr=np.array([0.1]))
 
 
 class TestMsdFromFields:
@@ -88,7 +83,6 @@ class TestMsdFromEnsemble:
             m = empirical_moments(state, orders=(2,))[2]
             assert value == m.value
             assert err == m.stderr
-        assert series.source == "sde"
 
 
 class TestEnergyReport:
@@ -118,11 +112,6 @@ class TestEnergyReport:
         report = energy_report([exact_slice(sol, g, t)])
         assert report.kinetic[0] == pytest.approx(0.25, abs=1e-8)
 
-    def test_as_dict_keys(self):
-        g = self.grid()
-        d = energy_report([exact_slice(RECOIL, g, 0.0)]).as_dict()
-        assert set(d) == {"times", "kinetic", "osmotic", "potential", "total"}
-
 
 class TestClassifyDispersion:
     # every route's series starts at t = 0 with msd(0) = alpha^2/2 > 0; the
@@ -130,7 +119,7 @@ class TestClassifyDispersion:
 
     def recoil_series(self):
         t = np.linspace(0.0, 1.0, 11)
-        return MsdSeries(t, RECOIL.msd(t), source="analytic")
+        return MsdSeries(t, RECOIL.msd(t))
 
     def test_recoil_spreading_is_enhanced(self):
         verdict = classify_dispersion(self.recoil_series())
@@ -142,7 +131,7 @@ class TestClassifyDispersion:
 
     def test_brownian_spreading_is_normal(self):
         t = np.linspace(0.0, 1.0, 11)
-        series = MsdSeries(t, FreeBrownianSolution(P1).msd(t), source="analytic")
+        series = MsdSeries(t, FreeBrownianSolution(P1).msd(t))
         verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.NORMAL
         assert verdict.exponent == pytest.approx(1.0, abs=1e-9)
@@ -150,7 +139,7 @@ class TestClassifyDispersion:
     def test_matched_width_is_non_dispersive(self):
         sol = HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=2.0))
         t = np.linspace(0.0, 3.0, 40)
-        series = MsdSeries(t, sol.msd(t), source="analytic")
+        series = MsdSeries(t, sol.msd(t))
         verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.NON_DISPERSIVE
         assert verdict.exponent is None
@@ -159,7 +148,7 @@ class TestClassifyDispersion:
     def test_breathing_width_is_non_dispersive(self):
         sol = HarmonicRecoilSolution(PhysicalParams(D=1.0, alpha=1.0, gamma=1.0))
         t = np.linspace(0.0, 30.0, 301)
-        series = MsdSeries(t, sol.msd(t), source="analytic")
+        series = MsdSeries(t, sol.msd(t))
         verdict = classify_dispersion(series, flat_ratio=4.5)
         assert verdict.regime is DispersionRegime.NON_DISPERSIVE
         # sampled peak; the true max of the width oscillation is 2.0
@@ -168,8 +157,8 @@ class TestClassifyDispersion:
     def test_time_rescaling_leaves_exponent_alone(self):
         t = np.linspace(0.0, 1.0, 5)
         noisy = RECOIL.msd(t) * (1.0 + 0.01 * np.array([0, 1, -1, 2, -2]))
-        a = classify_dispersion(MsdSeries(t, noisy, source="sde"))
-        b = classify_dispersion(MsdSeries(3.0 * t, noisy, source="sde"))
+        a = classify_dispersion(MsdSeries(t, noisy))
+        b = classify_dispersion(MsdSeries(3.0 * t, noisy))
         assert b.exponent == pytest.approx(a.exponent, rel=1e-12)
         assert b.exponent_ci == pytest.approx(a.exponent_ci, rel=1e-9)
         assert b.regime is a.regime is DispersionRegime.ENHANCED
@@ -177,8 +166,8 @@ class TestClassifyDispersion:
 
     def test_too_few_samples_in_window(self):
         # the window [0.1, 1] holds only t = 1
-        series = MsdSeries(np.array([0.0, 0.05, 1.0]), RECOIL.msd(np.array([0.0, 0.05, 1.0])),
-                           source="analytic")
+        t = np.array([0.0, 0.05, 1.0])
+        series = MsdSeries(t, RECOIL.msd(t))
         verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.TOO_SHORT
         assert verdict.exponent is None and verdict.bound is None
@@ -187,14 +176,14 @@ class TestClassifyDispersion:
     def test_two_samples_give_no_confidence_interval(self):
         # two points fit exactly; a half-width of 0 would claim a certainty
         t = np.array([0.0, 0.25, 0.5])
-        verdict = classify_dispersion(MsdSeries(t, RECOIL.msd(t), source="sde"))
+        verdict = classify_dispersion(MsdSeries(t, RECOIL.msd(t)))
         assert verdict.regime is DispersionRegime.ENHANCED
         assert verdict.exponent == pytest.approx(2.0, abs=1e-9)
         assert verdict.exponent_ci is None
 
     def test_out_of_band_exponent_carries_the_fit(self):
         t = np.linspace(0.0, 100.0, 101)
-        series = MsdSeries(t, 0.5 + t**1.5, source="analytic")
+        series = MsdSeries(t, 0.5 + t**1.5)
         verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.AMBIGUOUS
         assert verdict.exponent == pytest.approx(1.5, abs=1e-9)
@@ -204,20 +193,23 @@ class TestClassifyDispersion:
         # OU from a wide start: msd falls from 2 towards D/gamma = 0.25,
         # past the flat ratio, so the excess is negative in the window
         t = np.linspace(0.0, 1.0, 11)
-        series = MsdSeries(t, 0.25 + 1.75 * np.exp(-8.0 * t), source="analytic")
+        series = MsdSeries(t, 0.25 + 1.75 * np.exp(-8.0 * t))
         verdict = classify_dispersion(series)
         assert verdict.regime is DispersionRegime.AMBIGUOUS
         assert verdict.exponent is None and verdict.exponent_ci is None
         assert verdict.window == (pytest.approx(0.1), 1.0)
 
     def test_as_dict_keys(self):
+        # report.json holds each verdict as dataclasses.asdict, the regime
+        # written as its value
         t = np.linspace(0.0, 1.0, 11)
-        series = [self.recoil_series(),                                  # enhanced
-                  MsdSeries(t, 0.5 + 2 * t, source="analytic"),          # normal
-                  MsdSeries(t, 0.5 + 0.0 * t, source="analytic"),        # non_dispersive
-                  MsdSeries(t, 0.5 + 10 * t**3, source="analytic"),      # ambiguous
-                  MsdSeries(t[:1], t[:1], source="analytic")]            # too_short
-        dicts = [classify_dispersion(s).as_dict() for s in series]
+        series = [self.recoil_series(),            # enhanced
+                  MsdSeries(t, 0.5 + 2 * t),       # normal
+                  MsdSeries(t, 0.5 + 0.0 * t),     # non_dispersive
+                  MsdSeries(t, 0.5 + 10 * t**3),   # ambiguous
+                  MsdSeries(t[:1], t[:1])]         # too_short
+        dicts = [json.loads(b"".join(_json_blocks(asdict(classify_dispersion(s)))))
+                 for s in series]
         assert [d["regime"] for d in dicts] == [r.value for r in DispersionRegime]
         for d in dicts:
             assert set(d) == {"regime", "exponent", "exponent_ci", "bound", "window"}
