@@ -374,7 +374,7 @@ class RouteData:
     fields: Optional[Callable] = None  # () -> iterator of (t, {col: array}); last = t_end
     energy: object = None         # EnergyReport or None
     snapshots: list = field(default_factory=list)  # sde EnsembleStates
-    ledger: dict = field(default_factory=dict)     # the grid solver's, for report.json
+    ledger: dict = field(default_factory=dict)     # the route's solver ledger, for report.json
 
 
 def _mask_sparse(rho, cols):
@@ -544,7 +544,8 @@ def _run_sde(spec, drift) -> RouteData:
     msd = msd_from_ensemble(snaps)
     kdes = [kde_density(s, spec.grid).values for s in snaps]
     return RouteData(fields=lambda: ((float(s.t), {"rho": kde}) for s, kde in zip(snaps, kdes)),
-                     final_rho=kdes[-1], msd=msd, snapshots=snaps)
+                     final_rho=kdes[-1], msd=msd, snapshots=snaps,
+                     ledger={"march": drift.scheme})
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,35 @@
 """Particle-ensemble integrator for dX = b(X,t) dt + sqrt(2D) dW.
 
-A general drift takes Euler-Maruyama steps (weak order 1); a drift linear
-in x jumps by its exact transition. The noise is one SFC64 stream
-seeded by SeedSequence([seed, 1]). The stream is sequential, not
-counter-based: a draw is reached only by drawing every one before it.
-``evolve`` moves the ensemble from one stored step to the next through its
-drift's ``march`` hook, which consumes the stream in one of two orders:
+A general drift takes weak Euler steps with two-point increments (the
+simplified weak Euler scheme, Kloeden and Platen 1992, section 14.1):
+x <- (x + b dt) + s z with s = sqrt(2 D dt) and z = +1 or -1 with
+probability 1/2 each, not a Gaussian z. Its weak order is 1, as
+Euler-Maruyama's, and for a drift linear in x its msd bias is the same; on
+a drift that is not linear the O(dt) constant differs (about 2.2 times
+Euler-Maruyama's for b = -x^3). A drift linear in x jumps by its exact
+Gaussian transition. The noise is one SFC64 stream seeded by
+SeedSequence([seed, 1]). The stream is sequential, not counter-based: a
+draw is reached only by drawing every one before it. ``evolve`` moves the
+ensemble from one stored step to the next through its drift's ``march``
+hook, which consumes the stream in one of two orders:
 
-- per step, for a general drift: each step adds b(x, t) dt to the ensemble
-  in place, then the scaled noise, so particle i at step k consumes draw
-  k*n + i;
+- per step, for a general drift: each step draws ceil(n/64) raw 64-bit
+  words, read little-endian and unpacked least significant bit first, so
+  particle i takes bit i % 64 of the step's word i // 64: +s for a 1 bit,
+  -s for a 0 bit. The step adds b(x, t) dt to the ensemble in place, then
+  the increment;
 - per interval, for a drift linear in x (``LinearDrift``, ``ZeroDrift``):
   the process over the interval's T = m dt is one Gaussian jump
   x <- e^(rate T) x + s sqrt(V) z, s^2 V = 2D (e^(2 rate T) - 1)/(2 rate),
-  so particle i in the j-th interval between stored steps consumes draw
+  so particle i in the j-th interval between stored steps consumes normal
   j*n + i. The jump carries no step bias: dt sets only the stored times.
 
-A march takes the ensemble _LOOKUP_CHUNK particles at a time, each chunk
-drawing its own normals: these are one whole-ensemble draw's, in the same
-order, so the orders above hold. A tabulated drift's step is one pass per
-chunk, its lookup, drift update and draws back to back while the chunk is
-in cache, so a march keeps only chunk-sized buffers beside the positions.
+A march takes the ensemble _LOOKUP_CHUNK particles at a time. A chunk reads
+its own particles' bits of the step's words, or draws its own normals,
+which are one whole-ensemble draw's in the same order, so the orders above
+hold. A tabulated drift's step is one pass per chunk, its lookup, drift
+update and increment back to back while the chunk is in cache, so a march
+keeps only chunk-sized buffers and one step's bits beside the positions.
 
 Every update is a single-threaded vectorized numpy expression, so
 trajectories are bitwise reproducible for a given seed regardless of
@@ -46,12 +55,12 @@ def _chunks(n: int) -> list:
     return [(lo, min(lo + _LOOKUP_CHUNK, n)) for lo in range(0, n, _LOOKUP_CHUNK)]
 
 
-def _add_noise(x: np.ndarray, rng: "np.random.Generator", scale: float,
-               z: np.ndarray) -> None:
-    """x += scale z, z the stream's next x.size normals, drawn into z."""
-    rng.standard_normal(out=z)
-    z *= scale
-    x += z
+def _signs(rng: "np.random.Generator", n: int) -> np.ndarray:
+    """One step's increment signs for n particles, 1 for + and 0 for -:
+    bit i % 64 of word i // 64 of the stream's next ceil(n/64) raw words,
+    read little-endian and least significant bit first."""
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 class DriftDomainError(SolverError):
@@ -63,10 +72,11 @@ class DriftSource:
 
     b is pointwise, so a chunk of the ensemble gets the drift the whole would.
     ``time_dependent`` lets grid solvers reuse a factorized operator when the
-    drift is static.
+    drift is static; ``scheme`` names the particle step ``march`` takes.
     """
 
     time_dependent: bool = True
+    scheme = "weak Euler, two-point"
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -77,20 +87,23 @@ class DriftSource:
 
     def march(self, x: np.ndarray, t0: float, dt: float, steps: range,
               rng: "np.random.Generator", scale: float) -> None:
-        """Euler-Maruyama steps ``steps`` of the ensemble x, in place: step k
-        starts at t0 + k*dt and adds b(x, t) dt, then ``scale`` times one
-        standard normal per particle; particle i at step k takes draw k*n + i."""
+        """Weak Euler steps ``steps`` of the ensemble x, in place: step k
+        starts at t0 + k*dt and adds b(x, t) dt, then +scale or -scale by
+        particle i's bit of the step's ``_signs``."""
         spans = _chunks(x.size)
         z = np.empty(spans[0][1])
+        increment = np.array([-scale, scale])
         for k in steps:
             t = t0 + k * dt
+            signs = _signs(rng, x.size)
             for lo, hi in spans:
-                # x <- (x + b dt) + sqrt(2 D dt) z, updated in place
-                xc = x[lo:hi]
+                # x <- (x + b dt) +- sqrt(2 D dt), updated in place
+                xc, zc = x[lo:hi], z[:hi - lo]
                 b = self(xc, t)
                 b *= dt
                 xc += b
-                _add_noise(xc, rng, scale, z[:hi - lo])
+                increment.take(signs[lo:hi], out=zc, mode="clip")
+                xc += zc
 
 
 def linear_transition(rate_dt: float, m: int) -> tuple:
@@ -109,6 +122,7 @@ class LinearDrift(DriftSource):
     the exact transition, with one draw per particle."""
 
     time_dependent = False
+    scheme = "exact linear jump"
 
     def __init__(self, rate: float):
         self.rate = float(rate)
@@ -122,9 +136,12 @@ class LinearDrift(DriftSource):
         spans = _chunks(x.size)
         z = np.empty(spans[0][1])
         for lo, hi in spans:
-            xc = x[lo:hi]
+            # x <- e^(rate T) x + s sqrt(V) z, z the stream's next normals
+            xc, zc = x[lo:hi], z[:hi - lo]
             xc *= growth
-            _add_noise(xc, rng, scale, z[:hi - lo])
+            rng.standard_normal(out=zc)
+            zc *= scale
+            xc += zc
 
 
 class ZeroDrift(LinearDrift):
@@ -294,11 +311,13 @@ class TabulatedDrift(DriftSource):
         spans = _chunks(x.size)
         i, off, z, ahead = self._buffers(spans[0][1])
         b = np.empty_like(z)
-        chunks = [(x[lo:hi], x[lo:], i[:hi - lo], off[:hi - lo], b[:hi - lo], z[:hi - lo],
-                   ahead[:hi - lo]) for lo, hi in spans]
+        increment = np.array([-scale, scale])
+        chunks = [(lo, hi, x[lo:hi], x[lo:], i[:hi - lo], off[:hi - lo], b[:hi - lo],
+                   z[:hi - lo], ahead[:hi - lo]) for lo, hi in spans]
         for k in steps:
             row = self._row(t0 + k * dt)
-            for xc, rest, ic, oc, bc, zc, ac in chunks:
+            signs = _signs(rng, x.size)
+            for lo, hi, xc, rest, ic, oc, bc, zc, ac in chunks:
                 # the chunks before this one have moved on, but every one of
                 # them was on the table
                 self._check_domain(xc, rest)
@@ -306,7 +325,8 @@ class TabulatedDrift(DriftSource):
                 self._interpolate(row, ic, oc, bc, zc)
                 bc *= dt
                 xc += bc
-                _add_noise(xc, rng, scale, zc)
+                increment.take(signs[lo:hi], out=zc, mode="clip")
+                xc += zc
 
 
 @dataclass(frozen=True)

@@ -1094,11 +1094,13 @@ class TestSmokeArtifacts:
         assert len(report["comparisons"]) == 3
 
     def test_report_ledgers(self, smoke_run):
-        # each grid route's solver ledger; the particle route keeps none
+        # each grid route's solver ledger, and the particle route's step
         _, out = smoke_run
         report = json.loads((out / "report.json").read_text())
         ledgers = report["ledgers"]
-        assert set(ledgers) == {"schrodinger", "fp"}
+        assert set(ledgers) == {"schrodinger", "fp", "sde"}
+        # the wave's drift table is a general drift
+        assert ledgers["sde"] == {"march": "weak Euler, two-point"}
         assert set(ledgers["schrodinger"]) == {"march", "even_half", "norm_drift_max"}
         assert ledgers["schrodinger"]["march"] == "sine basis"
         assert 0 <= ledgers["schrodinger"]["norm_drift_max"] <= 1e-12

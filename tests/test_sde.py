@@ -1,6 +1,6 @@
-"""Particle sampling, evolution (Euler-Maruyama steps, exact linear jumps),
-moments, and the kernel density estimator. Stochastic assertions use frozen
-seeds with 3-4 sigma bands so they are deterministic."""
+"""Particle sampling, evolution (two-point weak Euler steps, exact linear
+jumps), moments, and the kernel density estimator. Stochastic assertions
+use frozen seeds with 3-4 sigma bands so they are deterministic."""
 
 import math
 import re
@@ -240,6 +240,14 @@ class SineDrift(DriftSource):
         return np.sin(x) * (1.0 + t)
 
 
+def two_point(rng, n, scale):
+    """One step's increments: +scale for particle i where bit i % 64 of the
+    step's word i // 64 is set, else -scale."""
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return np.where(bits.reshape(-1)[:n] == 1, scale, -scale)
+
+
 def euler_maruyama_reference(state, drift_step, params, config):
     """The one-line update loop evolve() must reproduce bit for bit;
     drift_step(x, t, dt) returns x moved by the drift alone."""
@@ -250,7 +258,7 @@ def euler_maruyama_reference(state, drift_step, params, config):
     out = [x]
     for k in range(n_steps):
         t = state.t + k * config.dt
-        x = drift_step(x, t, config.dt) + sqrt_noise * rng.standard_normal(x.size)
+        x = drift_step(x, t, config.dt) + two_point(rng, x.size, sqrt_noise)
         if (k + 1) % config.snapshot_stride == 0 or k == n_steps - 1:
             out.append(x)
     return out
@@ -330,9 +338,9 @@ def stream(seed):
 
 def stepped_reference(drift, x, t0, dt, steps, rng, scale):
     """The per-step whole-array update a march must reproduce: b = drift(x, t)
-    over the whole ensemble, b *= dt, x += b, then one n-draw
-    standard_normal, scaled and added. Returns the positions after the last
-    step, or the step and message of the DriftDomainError a lookup raises."""
+    over the whole ensemble, b *= dt, x += b, then the step's two_point
+    increments added. Returns the positions after the last step, or the step
+    and message of the DriftDomainError a lookup raises."""
     x = x.copy()
     for k in steps:
         try:
@@ -341,9 +349,7 @@ def stepped_reference(drift, x, t0, dt, steps, rng, scale):
             return k, str(exc)
         b *= dt
         x += b
-        z = rng.standard_normal(x.size)
-        z *= scale
-        x += z
+        x += two_point(rng, x.size, scale)
     return x
 
 
@@ -466,6 +472,35 @@ class TestFusedMarch:
             drift.march(x.copy(), 0.0, 0.05, range(3), stream(1), 0.0)
 
 
+class Still(DriftSource):
+    """b = 0 through the base march, so a step moves x by its increment alone."""
+
+    def __call__(self, x, t):
+        return np.zeros_like(x)
+
+
+class TestTwoPointIncrements:
+    """A general-drift step moves particle i by +scale where bit i % 64 of the
+    step's word i // 64 is set and by -scale where it is clear, read from the
+    stream's raw words as Python ints, and leaves the stream just past them."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, _LOOKUP_CHUNK + 1])
+    @pytest.mark.parametrize("kind", ["base", "tabulated"])
+    def test_particle_i_takes_bit_i_of_the_steps_words(self, kind, n):
+        drift = Still() if kind == "base" else TabulatedDrift(
+            [0.0, 1.0], Grid1D(-1.0, 1.0, 11), np.zeros((2, 11)))
+        per_step = -(-n // 64)
+        words = [int(w) for w in stream(5).bit_generator.random_raw(2 * per_step + 1)]
+        rng = stream(5)
+        for k in range(2):
+            x = np.zeros(n)
+            drift.march(x, 0.0, 0.25, range(k, k + 1), rng, 0.5)
+            step = words[k * per_step:(k + 1) * per_step]
+            assert x.tolist() == [0.5 if (step[i // 64] >> (i % 64)) & 1 else -0.5
+                                  for i in range(n)]
+        assert int(rng.bit_generator.random_raw()) == words[-1]
+
+
 class TestLinearLaw:
     """m steps of dx = rate x dt + sqrt(2D) dW in one exact Gaussian jump."""
 
@@ -528,10 +563,12 @@ class TestLinearLaw:
 class TestEulerMaruyamaBias:
     """The step bias of both general-drift marches on the free recoil drift
     b = a(t) x. Their <x^2> follows the exact second-moment recursion of the
-    Euler-Maruyama chain, m_(k+1) = (1 + a(t_k) dt)^2 m_k + 2 D dt, which
-    falls short of the closed form by O(dt): weak order 1. At seed 7 the
-    msd sits -1.9 and -1.0 standard errors from the recursion at dt = 0.05
-    and 0.025, and -14.1 and -7.2 from the closed form."""
+    Euler chain, m_(k+1) = (1 + a(t_k) dt)^2 m_k + 2 D dt, which reads only
+    E z^2 = 1 of the increments, so it holds for the two-point ones as for
+    Gaussian ones, and falls short of the closed form by O(dt): weak order
+    1. At seed 7 the msd sits -1.7 and -2.3 standard errors from the
+    recursion at dt = 0.05 and 0.025, and -14.2 and -8.6 from the closed
+    form."""
 
     params = PhysicalParams(D=1.0, alpha=1.0)
     n, seed, t_end = 200_000, 7, 1.0
@@ -573,6 +610,55 @@ class TestEulerMaruyamaBias:
         m0 = self.params.alpha**2 / 2.0
         ratio = (self.recursion(m0, 0.05) - exact) / (self.recursion(m0, 0.025) - exact)
         assert 1.8 <= ratio <= 2.2
+
+
+class Cubic(DriftSource):
+    """b = -x^3, a drift that is not linear in x, through the base march."""
+
+    time_dependent = False
+
+    def __call__(self, x, t):
+        b = x * x
+        b *= -x
+        return b
+
+
+class TestWeakOrder:
+    """The two-point weak Euler step is weak order 1 on b = -x^3, D = 1, from
+    the Gaussian start of alpha = 1: at t = 4 the msd is the stationary
+    2 Gamma(3/4)/Gamma(1/4) = 0.67598 (a master-equation solve puts t = 4
+    within 4e-9 of it), and the step's bias is O(dt). Over seeds 1-20 at 4e5
+    particles the bias read 0.0236-0.0280 at dt = 0.1 (19-22 stderr), and
+    bias(0.05)/bias(0.1) read 0.306-0.509 (mean 0.417, sd 0.051; order 1
+    with a dt^2 term); the band below is that mean +- 4 sd. Gaussian
+    increments read a bias of 0.0106-0.0126 at dt = 0.1 (seeds 1-6): the
+    two-point constant is about 2.2 times theirs on this drift."""
+
+    params = PhysicalParams(D=1.0, alpha=1.0)
+    n, seed, t_end = 400_000, 1, 4.0
+
+    def drift(self, kind):
+        if kind == "base":
+            return Cubic()
+        # two equal rows on a fine grid: the bilinear lookup is within 1e-6
+        # of -x^3 where the particles go
+        g = Grid1D(-5.0, 5.0, 10001)
+        return TabulatedDrift([0.0, self.t_end], g, np.stack([-g.x**3] * 2))
+
+    @pytest.mark.parametrize("kind", ["base", "tabulated"])
+    def test_msd_bias_is_first_order_in_the_step(self, kind):
+        exact = 2.0 * math.gamma(0.75) / math.gamma(0.25)
+        state0 = sample_initial(self.params.alpha, self.n, seed=self.seed)
+        bias, stderr = {}, {}
+        for dt in (0.1, 0.05):
+            config = SdeConfig(n_particles=self.n, dt=dt, t_end=self.t_end, seed=self.seed,
+                               snapshot_stride=steps(self.t_end, dt))
+            final = evolve(state0, self.drift(kind), self.params, config)[-1]
+            m = empirical_moments(final, orders=(2,))[2]
+            bias[dt], stderr[dt] = m.value - exact, m.stderr
+        # the test has power: the coarse step's bias is far out of the noise
+        assert bias[0.1] > 4.0 * stderr[0.1]
+        assert 0.21 <= bias[0.05] / bias[0.1] <= 0.62
 
 
 class TestMoments:
