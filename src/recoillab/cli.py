@@ -552,47 +552,45 @@ def _run_sde(spec, drift) -> RouteData:
 # gates and report
 
 
+def gate_plan(kind, routes) -> list:
+    """The run's gates in report order, as (name, tolerance key, routes
+    read), from the kind and the routes alone. Every kind that can run the
+    wave has a static Omega, so its total energy is conserved."""
+    plan = []
+    for i, a in enumerate(routes):
+        for b in routes[i + 1:]:  # linf: the closed form against a grid route
+            key = "linf_rho" if a == "analytic" and b != "sde" else "l1_rho"
+            plan.append((f"{key}_{b}" if a == "analytic" else f"{key}_{a}_{b}", key, (a, b)))
+    if "analytic" in routes:  # first in route order; gates every other msd
+        for r in routes[1:]:
+            key = "msd_nsigma" if r == "sde" else "msd_rel"
+            plan.append((f"{key}_{r}", key, (r,)))
+    if "schrodinger" in SCENARIOS[kind].routes:
+        plan += [(f"energy_drift_{r}", "energy_drift", (r,))
+                 for r in routes if r in ("analytic", "schrodinger")]
+    return plan
+
+
 def _evaluate_gates(spec, results, comparisons) -> list:
-    """Ordered tolerance checks; each entry is a dict with a pass flag. The
-    density gates read the final-density comparisons."""
-    tol = spec.tolerances
-    checks = []
-    for c in comparisons:
-        a, b = c["a"], c["b"]
-        if a != "analytic":
-            checks.append((f"l1_rho_{a}_{b}", c["l1"], tol["l1_rho"]))
-        elif b == "sde":
-            checks.append(("l1_rho_sde", c["l1"], tol["l1_rho"]))
-        else:
-            checks.append((f"linf_rho_{b}", c["linf"], tol["linf_rho"]))
-
-    if "analytic" in results:
-        msd_fn = SCENARIOS[spec.kind].solution(spec.params).msd
-        for route in ("schrodinger", "fp"):
-            if route in results:
-                series = results[route].msd
-                exact = float(msd_fn(series.times[-1]))
-                rel = abs(series.values[-1] - exact) / abs(exact)
-                checks.append((f"msd_rel_{route}", rel, tol["msd_rel"]))
-        if "sde" in results:
-            series = results["sde"].msd
-            exact = float(msd_fn(series.times[-1]))
-            nsig = abs(series.values[-1] - exact) / float(series.stderr[-1])
-            checks.append(("msd_nsigma_sde", nsig, tol["msd_nsigma"]))
-
-    # the wave takes only a static Omega, so every kind that can run it
-    # conserves the total energy
-    if "schrodinger" in SCENARIOS[spec.kind].routes:
-        for route in ("analytic", "schrodinger"):
-            if route in results:
-                tot = results[route].energy.total
-                spread = float(np.max(tot) - np.min(tot))
-                checks.append((f"energy_drift_{route}", spread, tol["energy_drift"]))
-
+    """The plan's gates with values and pass flags. An msd gate reads its
+    route's msd at t_end against the closed form, in standard errors where
+    the series has them and relative to the closed form otherwise."""
+    solution = SCENARIOS[spec.kind].solution
+    closed = solution and solution(spec.params)
+    pairs = {(c["a"], c["b"]): c for c in comparisons}
     gates = []
-    for name, value, tolerance in checks:
-        gates.append({"name": name, "value": float(value),
-                      "tolerance": float(tolerance),
+    for name, key, routes in gate_plan(spec.kind, spec.routes):
+        data, tolerance = results[routes[0]], spec.tolerances[key]
+        if key.endswith("_rho"):
+            value = pairs[routes][key.split("_")[0]]
+        elif key.startswith("msd"):
+            series = data.msd
+            exact = float(closed.msd(series.times[-1]))
+            scale = abs(exact) if series.stderr is None else float(series.stderr[-1])
+            value = abs(series.values[-1] - exact) / scale
+        else:
+            value = float(np.ptp(data.energy.total))
+        gates.append({"name": name, "value": float(value), "tolerance": float(tolerance),
                       "passed": bool(value <= tolerance)})
         if not gates[-1]["passed"]:
             logger.warning("gate %s failed: %.3e > %.3e", name, value, tolerance)

@@ -110,8 +110,8 @@ class EnergyReport:
 
 
 def energy_report(slices: Iterable[HydroFields]) -> EnergyReport:
-    """The energy budget of each slice, in time order. slices is read once,
-    so a generator may build each slice as it is needed."""
+    """The energy budget of each slice, in the order given. slices is read
+    once, so a generator may build each slice as it is needed."""
     times, kin, osm, pot = [], [], [], []
     for h in slices:
         rho = h.rho.values
@@ -119,13 +119,7 @@ def energy_report(slices: Iterable[HydroFields]) -> EnergyReport:
         kin.append(integrate(ScalarField(h.grid, 0.5 * h.v.values**2 * rho)))
         osm.append(-integrate(ScalarField(h.grid, h.Q.values * rho)))
         pot.append(integrate(ScalarField(h.grid, h.Omega.values * rho)))
-    order = np.argsort(times)
-    return EnergyReport(
-        times=np.asarray(times)[order],
-        kinetic=np.asarray(kin)[order],
-        osmotic=np.asarray(osm)[order],
-        potential=np.asarray(pot)[order],
-    )
+    return EnergyReport(np.asarray(times), np.asarray(kin), np.asarray(osm), np.asarray(pot))
 
 
 @dataclass(frozen=True)

@@ -151,17 +151,17 @@ _B_FLOOR = np.finfo(float).tiny
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
-    """B(w) = w/expm1(w), B(0) = 1, within 2 ulps. Above w = 700, near
-    expm1's overflow at 709.8, B = (w e^(-w/2)) e^(-w/2), whose factors stay
-    normal doubles. Where B itself falls below the smallest normal double it
-    is that double, _B_FLOOR = 2.2e-308, so a rate stays positive."""
+    """B(w) = w/expm1(w), B(0) = 1, within 2 ulps; above w = 700, near expm1's
+    overflow, B = w e^(-w) = (w e^(-r)) 2^(-k), w = k ln 2 + r. Where B falls
+    below the smallest normal double it is that double, so a rate stays positive."""
     with np.errstate(under="ignore"):
         e = np.expm1(np.minimum(w, 700.0))
         b = np.divide(w, e, out=np.ones_like(w), where=e != 0.0)
         big = w > 700.0
         if big.any():
-            half = np.exp(-0.5 * w[big])
-            b[big] = np.maximum(w[big] * half * half, _B_FLOOR)
+            k = np.rint(w[big] / np.log(2.0))  # ln 2 = hi + lo, k hi exact
+            r = w[big] - k * 6.93147180369123816490e-01 - k * 1.90821492927058770002e-10
+            b[big] = np.maximum(np.ldexp(w[big] * np.exp(-r), -k.astype(int)), _B_FLOOR)
     return b
 
 

@@ -1295,6 +1295,54 @@ snapshot_stride = 5
         assert "norm drift" in caplog.text and f"({march} march)" in caplog.text
 
 
+FULL_GATES = ["linf_rho_schrodinger", "linf_rho_fp", "l1_rho_sde", "l1_rho_schrodinger_fp",
+              "l1_rho_schrodinger_sde", "l1_rho_fp_sde", "msd_rel_schrodinger", "msd_rel_fp",
+              "msd_nsigma_sde", "energy_drift_analytic", "energy_drift_schrodinger"]
+PARTICLE_GATES = ["linf_rho_fp", "l1_rho_sde", "l1_rho_fp_sde", "msd_rel_fp", "msd_nsigma_sde"]
+WAVE_GATES = ["linf_rho_schrodinger", "msd_rel_schrodinger", "energy_drift_analytic",
+              "energy_drift_schrodinger"]
+PLANS = {
+    "specs/free_recoil.cfg": FULL_GATES,
+    "specs/free_brownian.cfg": PARTICLE_GATES,
+    "specs/smoluchowski_ou.cfg": PARTICLE_GATES,
+    "specs/harmonic_recoil.cfg": WAVE_GATES,
+    "specs/smoke_free_recoil.cfg": ["l1_rho_schrodinger_fp", "l1_rho_schrodinger_sde",
+                                    "l1_rho_fp_sde", "energy_drift_schrodinger"],
+    "bench/specs/free_recoil.cfg": FULL_GATES,
+    "bench/specs/smoluchowski_ou.cfg": PARTICLE_GATES,
+    "bench/specs/harmonic_recoil.cfg": WAVE_GATES,
+}
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def plan_names(path):
+    spec = load_spec(path, out_dir="unused")
+    return [name for name, _, _ in cli.gate_plan(spec.kind, spec.routes)]
+
+
+class TestGatePlan:
+    """The gate set follows from the kind and the routes alone, so every
+    bundled and benchmark spec's gates are pinned without running a route."""
+
+    def test_every_bundled_spec_is_pinned(self):
+        found = {os.path.relpath(p, REPO).replace(os.sep, "/")
+                 for d in ("specs", "bench/specs")
+                 for p in glob.glob(os.path.join(REPO, d, "*.cfg"))}
+        assert found == set(PLANS)
+
+    @pytest.mark.parametrize("path", sorted(PLANS))
+    def test_bundled_plan(self, path):
+        names = plan_names(os.path.join(REPO, path))
+        assert names and names == PLANS[path]
+
+    @pytest.mark.parametrize("run", ["smoke_run", "stepped_run"])
+    def test_a_run_reports_its_plan(self, request, run):
+        _, out = request.getfixturevalue(run)
+        path = SMOKE if run == "smoke_run" else str(out.parent / "stepped.cfg")
+        report = json.loads((out / "report.json").read_text())
+        assert [g["name"] for g in report["gates"]] == plan_names(path)
+
+
 class TestEvenHalf:
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.cfg"))),
                              ids=lambda path: os.path.basename(path)[:-4])

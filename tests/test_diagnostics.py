@@ -99,12 +99,6 @@ class TestEnergyReport:
         assert report.kinetic[2] == pytest.approx(0.8, abs=1e-6)
         assert np.max(np.abs(report.potential)) == 0.0
 
-    def test_slices_are_sorted_by_time(self):
-        g = self.grid()
-        slices = [exact_slice(RECOIL, g, t) for t in (2.0, 0.0, 1.0)]
-        report = energy_report(slices)
-        np.testing.assert_array_equal(report.times, [0.0, 1.0, 2.0])
-
     def test_brownian_kinetic_energy_decays_hyperbolically(self):
         g = self.grid()
         sol = FreeBrownianSolution(P1)
